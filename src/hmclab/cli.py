@@ -58,7 +58,9 @@ def _cmd_sample(args) -> int:
     traces_to_csv(traces, args.out, thin=args.thin)
     accept = float(np.mean([t.acceptance_rate for t in traces]))
     grads = int(sum(t.grad_evals for t in traces))
-    print(json.dumps({"acceptance_rate": accept, "grad_evals": grads, "out": args.out}))
+    diverged = int(sum(t.diverged.sum() for t in traces))
+    print(json.dumps({"acceptance_rate": accept, "grad_evals": grads, "diverged": diverged,
+                      "out": args.out}))
     return 0
 
 

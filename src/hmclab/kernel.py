@@ -1,4 +1,4 @@
-"""Metropolized HMC transition kernel, lazy variant, and chain driver.
+"""Metropolized HMC transition kernel, lazy variant, and chain drivers.
 
 The energy difference is recorded with the fixed sign convention
 
@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .leapfrog import PhaseState, _check_state, _step
+from .leapfrog import PhaseState, _check_schedule, leapfrog_final
 from .targets import TargetDensity
 
 Array = np.ndarray
@@ -30,10 +31,7 @@ class HmcConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("step-size must be positive")
-        if self.K < 1:
-            raise ValueError("need at least one leapfrog step")
+        _check_schedule(self.eta, self.K)
 
 
 def chain_rng(seed: int, chain_index: int = 0) -> np.random.Generator:
@@ -73,22 +71,9 @@ def hmc_transition(
     q = np.asarray(q, dtype=float)
     if q.shape != (target.d,):
         raise ValueError(f"position must have shape ({target.d},)")
-    if config.lazy and rng.random() < 0.5:
-        return TransitionResult(q, False, math.nan, lazy_hold=True)
-
-    p = rng.standard_normal(target.d)
-    g = target.gradient(q)
-    h0 = target.potential(q) + 0.5 * (p * p).sum()
-    q1, p1 = q, p
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(config.K):
-            q1, g, p1 = _step(target, q1, p1, config.eta, g)
-    if not _check_state(q1, p1):
-        return TransitionResult(q, False, math.nan, diverged=True)
-    delta_h = float(h0 - target.potential(q1) - 0.5 * (p1 * p1).sum())
-    if rng.random() < acceptance_prob(delta_h):
-        return TransitionResult(q1, True, delta_h)
-    return TransitionResult(q, False, delta_h)
+    s = batch_transition(target, q[None], config.eta, config.K, [rng], lazy=config.lazy)
+    return TransitionResult(s.positions[0], bool(s.accepted[0]), float(s.delta_h[0]),
+                            bool(s.holds[0]), bool(s.diverged[0]))
 
 
 @dataclass
@@ -120,6 +105,30 @@ class ChainTrace:
         return float(self.accepted[attempts].mean())
 
 
+def _run_block(
+    target: TargetDensity, config: HmcConfig, starts: Array, n_steps: int, streams: list
+) -> list[ChainTrace]:
+    """n_steps transitions of the chains at starts (B, d); chain c draws from streams[c]."""
+    if n_steps < 1:
+        raise ValueError("need at least one step")
+    n_chains = starts.shape[0]
+    positions = np.empty((n_chains, n_steps + 1, target.d))
+    positions[:, 0] = starts
+    flags = np.empty((3, n_chains, n_steps), dtype=bool)  # accepted, lazy holds, diverged
+    delta_h = np.empty((n_chains, n_steps))
+    q = starts
+    for i in range(n_steps):
+        step = batch_transition(target, q, config.eta, config.K, streams, lazy=config.lazy)
+        q = positions[:, i + 1] = step.positions
+        flags[:, :, i] = step.accepted, step.holds, step.diverged
+        delta_h[:, i] = step.delta_h
+    grad_evals = (n_steps - flags[1].sum(axis=1)) * (config.K + 1)
+    return [
+        ChainTrace(positions[c], *flags[:, c], delta_h[c], int(grad_evals[c]), config)
+        for c in range(n_chains)
+    ]
+
+
 def run_chain(
     target: TargetDensity,
     config: HmcConfig,
@@ -128,32 +137,8 @@ def run_chain(
     rng: np.random.Generator | None = None,
 ) -> ChainTrace:
     """n_steps transitions from q0; rng defaults to chain_rng(config.seed)."""
-    if n_steps < 1:
-        raise ValueError("need at least one step")
-    q0 = np.asarray(q0, dtype=float)
-    if rng is None:
-        rng = chain_rng(config.seed)
-    positions = np.empty((n_steps + 1, target.d))
-    positions[0] = q0
-    accepted = np.zeros(n_steps, dtype=bool)
-    lazy_holds = np.zeros(n_steps, dtype=bool)
-    diverged = np.zeros(n_steps, dtype=bool)
-    delta_h = np.full(n_steps, math.nan)
-    q = q0
-    attempts = 0
-    for i in range(n_steps):
-        res = hmc_transition(target, config, q, rng)
-        q = res.position
-        positions[i + 1] = q
-        accepted[i] = res.accepted
-        lazy_holds[i] = res.lazy_hold
-        diverged[i] = res.diverged
-        delta_h[i] = res.delta_h
-        attempts += not res.lazy_hold
-    return ChainTrace(
-        positions, accepted, lazy_holds, diverged, delta_h,
-        grad_evals=attempts * (config.K + 1), config=config,
-    )
+    rng = chain_rng(config.seed) if rng is None else rng
+    return _run_block(target, config, np.asarray(q0, dtype=float)[None], n_steps, [rng])[0]
 
 
 def run_chains(
@@ -163,13 +148,10 @@ def run_chains(
     n_steps: int,
     n_chains: int,
 ) -> list[ChainTrace]:
-    """Independent chains with per-chain streams split from config.seed."""
-    q0 = np.asarray(q0, dtype=float)
-    starts = np.broadcast_to(q0, (n_chains, target.d))
-    return [
-        run_chain(target, config, starts[c], n_steps, rng=chain_rng(config.seed, c))
-        for c in range(n_chains)
-    ]
+    """Independent chains, run as one block, with per-chain streams split from config.seed."""
+    starts = np.broadcast_to(np.asarray(q0, dtype=float), (n_chains, target.d))
+    streams = [chain_rng(config.seed, c) for c in range(n_chains)]
+    return _run_block(target, config, starts, n_steps, streams)
 
 
 @dataclass(frozen=True)
@@ -186,35 +168,59 @@ def batch_transition(
     q: Array,
     eta: float,
     K: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
     lazy: bool = False,
 ) -> BatchTransition:
-    """One transition applied to a block of chains sharing one stream.
+    """One (possibly lazy) transition of a block of chains at positions q, shape (B, d).
 
-    Vectorized driver for experiment code: statistically equivalent to
-    independent chains, with all randomness drawn from the block's stream in
-    a fixed order (hold coins, momenta, acceptance uniforms), so results are
-    reproducible for a fixed seed.  Diverged proposals count as rejections.
+    rng is one Generator for the block or a sequence of B per-chain ones.  A
+    block stream draws hold coins, then momenta, then (after integration)
+    acceptance uniforms, each for all chains at once.  Chain c's own stream
+    draws its hold coin (if lazy), its momentum (if not held) and its uniform
+    (if neither held nor diverged), so its path does not depend on the block
+    it runs in.  Held chains are not integrated.  Diverged proposals count as
+    rejections.  Results are reproducible for fixed seeds.
     """
-    from .leapfrog import leapfrog_final
-
-    n_chains = q.shape[0]
-    holds = (
-        rng.random(n_chains) < 0.5
-        if lazy
-        else np.zeros(n_chains, dtype=bool)
-    )
-    p = rng.standard_normal(q.shape)
-    h0 = target.potential(q) + 0.5 * (p * p).sum(axis=-1)
-    q1, p1, ok = leapfrog_final(target, q, p, K, eta)
+    _check_schedule(eta, K)
+    q = np.asarray(q, dtype=float)
+    if q.ndim != 2 or q.shape[1] != target.d:
+        raise ValueError(f"positions must have shape (B, {target.d})")
+    n_chains, block = q.shape[0], isinstance(rng, np.random.Generator)
+    if not block and len(rng) != n_chains:
+        raise ValueError("need one random stream per chain")
+    holds = np.zeros(n_chains, dtype=bool)
+    if lazy:
+        holds = rng.random(n_chains) < 0.5 if block else np.array([s.random() < 0.5 for s in rng])
+    gather = lazy and holds.any()  # without holds every row moves: no gather or scatter
+    move = np.flatnonzero(~holds) if gather else slice(None)
+    if block:  # in the block stream the uniforms follow the momenta, whatever integration does
+        p, u = rng.standard_normal(q.shape)[move], rng.random(n_chains)[move]
+    else:
+        movers = [s for s, held in zip(rng, holds) if not held]
+        p = np.array([s.standard_normal(target.d) for s in movers]).reshape(-1, target.d)
+    if gather:
+        out = BatchTransition(q.copy(), np.zeros(n_chains, dtype=bool), np.full(n_chains, math.nan),
+                              holds, np.zeros(n_chains, dtype=bool))
+        if not move.size:  # every chain holds
+            return out
+    q0 = q[move]
+    h0 = target.potential(q0) + 0.5 * (p * p).sum(axis=-1)
+    q1, p1, ok = leapfrog_final(target, q0, p, K, eta)
     with np.errstate(invalid="ignore", over="ignore"):
         delta_h = h0 - target.potential(q1) - 0.5 * (p1 * p1).sum(axis=-1)
         delta_h = np.where(ok, delta_h, math.nan)
-        accept_prob = np.where(np.isnan(delta_h), 0.0, np.exp(np.minimum(delta_h, 0.0)))
-    accepted = ~holds & (rng.random(n_chains) < accept_prob)
-    new_q = np.where(accepted[:, None], q1, q)
-    delta_h = np.where(holds, math.nan, delta_h)
-    return BatchTransition(new_q, accepted, delta_h, holds, ~ok & ~holds)
+        accept_prob = np.exp(np.minimum(delta_h, 0.0))  # NaN: no uniform falls below it
+    if not block:
+        u = np.array([s.random() if good else 1.0 for s, good in zip(movers, ok)])
+    accepted = u < accept_prob
+    new_q = np.where(accepted[:, None], q1, q0)
+    if not gather:
+        return BatchTransition(new_q, accepted, delta_h, holds, ~ok)
+    out.positions[move] = new_q
+    out.accepted[move] = accepted
+    out.delta_h[move] = delta_h
+    out.diverged[move] = ~ok
+    return out
 
 
 def traces_to_csv(traces: list[ChainTrace], path: str, thin: int = 1) -> None:

@@ -6,13 +6,17 @@ The discrete update with step-size eta is
     p' = p - (eta / 2) (grad f(q) + grad f(q'))
 
 so a K-step trajectory costs K+1 gradient evaluations when the gradient at
-the current position is carried from step to step.  The derivative of the
-j-step position map with respect to the initial momentum satisfies the
-recursion
+the current position is carried from step to step.  `_orbit` is the one
+K-step loop; every trajectory, endpoint and transition is read off it.
 
-    D_j = j eta I - eta^2 sum_{l<j} (j-l) H(q_l) D_l,        D_1 = eta I,
+The derivative D_j of the j-step position map with respect to the initial
+momentum obeys the Stormer-Verlet three-term recursion (Hairer, Lubich and
+Wanner, Geometric Numerical Integration)
 
-which this module runs alongside the trajectory with dense matrices.
+    D_{j+1} = 2 D_j - D_{j-1} - eta^2 H(q_j) D_j,      D_0 = 0,  D_1 = eta I,
+
+which `jacobian_orbit` runs alongside the trajectory with dense matrices:
+K-1 Hessian-matrix products and O(d^2) memory per batch entry.
 """
 
 from __future__ import annotations
@@ -82,50 +86,43 @@ class Trajectory:
                 writer.writerow([k] + [repr(float(v)) for v in s.q] + [repr(float(v)) for v in s.p])
 
 
-def _step(target: TargetDensity, q: Array, p: Array, eta: float, g: Array):
-    """One leapfrog step given the cached gradient g at q; returns q', p', g'."""
-    q1 = q + eta * p - 0.5 * eta**2 * g
-    g1 = target.gradient(q1)
-    p1 = p - 0.5 * eta * (g + g1)
-    return q1, g1, p1
+def _check_schedule(eta: float, K: int) -> None:
+    if eta <= 0:
+        raise ValueError("step-size must be positive")
+    if K < 1:
+        raise ValueError("need at least one leapfrog step")
 
 
-def _check_state(q: Array, p: Array) -> bool:
-    with np.errstate(invalid="ignore"):
-        return bool(
-            np.all(np.isfinite(q))
-            and np.all(np.isfinite(p))
-            and np.linalg.norm(q) <= DIVERGENCE_LIMIT
-            and np.linalg.norm(p) <= DIVERGENCE_LIMIT
-        )
+def _orbit(target: TargetDensity, q: Array, p: Array, K: int, eta: float):
+    """Yield (q_j, p_j) for j = 1..K; K+1 gradient evaluations in all."""
+    g = target.gradient(q)
+    for _ in range(K):
+        q = q + eta * p - 0.5 * eta**2 * g
+        g_prev, g = g, target.gradient(q)
+        p = p - 0.5 * eta * (g_prev + g)
+        yield q, p
+
+
+def _in_bounds(q: Array, p: Array) -> Array:
+    """Per batch entry: finite and inside the divergence guard; run under errstate."""
+    limit = DIVERGENCE_LIMIT**2
+    return ((q * q).sum(axis=-1) <= limit) & ((p * p).sum(axis=-1) <= limit)
 
 
 def leapfrog_step(target: TargetDensity, s: PhaseState, eta: float) -> PhaseState:
     """A single leapfrog step of length eta."""
-    if eta <= 0:
-        raise ValueError("step-size must be positive")
-    with np.errstate(over="ignore", invalid="ignore"):
-        q1, _, p1 = _step(target, s.q, s.p, eta, target.gradient(s.q))
-    if not _check_state(q1, p1):
-        raise DivergedTrajectory("leapfrog step left the trusted region")
-    return PhaseState(q1, p1)
+    return forward_map(target, s, 1, eta).final
 
 
 def forward_map(
     target: TargetDensity, s0: PhaseState, K: int, eta: float
 ) -> Trajectory:
     """K leapfrog steps from s0; exactly K+1 gradient evaluations."""
-    if K < 1:
-        raise ValueError("need at least one leapfrog step")
-    if eta <= 0:
-        raise ValueError("step-size must be positive")
+    _check_schedule(eta, K)
     states = [s0]
-    q, p = s0.q, s0.p
-    g = target.gradient(q)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(K):
-            q, g, p = _step(target, q, p, eta, g)
-            if not _check_state(q, p):
+        for q, p in _orbit(target, s0.q, s0.p, K, eta):
+            if not _in_bounds(q, p).all():
                 raise DivergedTrajectory("leapfrog trajectory left the trusted region")
             states.append(PhaseState(q, p))
     return Trajectory(states, eta)
@@ -137,20 +134,37 @@ def leapfrog_final(target: TargetDensity, q: Array, p: Array, K: int, eta: float
     Returns (q_K, p_K, ok) where ok flags batch entries that stayed finite
     and inside the divergence guard; diverged entries hold garbage.
     """
-    g = target.gradient(q)
+    _check_schedule(eta, K)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(K):
-            q, g, p = _step(target, q, p, eta, g)
-        bad = ~(np.isfinite(q).all(axis=-1) & np.isfinite(p).all(axis=-1))
-        bad |= (q * q).sum(axis=-1) > DIVERGENCE_LIMIT**2
-        bad |= (p * p).sum(axis=-1) > DIVERGENCE_LIMIT**2
-    return q, p, ~bad
+        for q, p in _orbit(target, q, p, K, eta):
+            pass
+        return q, p, _in_bounds(q, p)
 
 
 def _hessian_mat(target: TargetDensity, q: Array, m: Array) -> Array:
     """H(q) @ m for m of shape (..., d, d), batched over leading axes."""
     cols = target.hessian_vec(q[..., None, :], np.swapaxes(m, -1, -2))
     return np.swapaxes(cols, -1, -2)
+
+
+def jacobian_orbit(target: TargetDensity, q: Array, p: Array, K: int, eta: float):
+    """Yield (q_j, p_j, D_j) for j = 1..K, batched over the leading axes.
+
+    D_j is the dense (..., d, d) derivative of q_j with respect to the
+    initial momentum, from the three-term recursion in the module docstring;
+    no Hessian product is taken after the last step.
+    """
+    q, p = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(p, dtype=float))
+    eye = np.broadcast_to(np.eye(target.d), q.shape[:-1] + (target.d, target.d))
+    # the recursion runs on E_j = D_j - j eta I, which obeys it too with
+    # E_0 = E_1 = 0, so the large identity part is never rounded into it
+    prev = dev = 0.0
+    jac = eta * eye
+    for j, (q, p) in enumerate(_orbit(target, q, p, K, eta), start=1):
+        yield q, p, jac
+        if j < K:
+            prev, dev = dev, 2.0 * dev - prev - eta**2 * _hessian_mat(target, q, jac)
+            jac = (j + 1) * eta * eye + dev
 
 
 def momentum_jacobian(
@@ -167,28 +181,12 @@ def momentum_jacobian(
     Dense (..., d, d) output; intended for overlap analysis at small d
     (raises beyond max_dim).  With return_all, gives [D_1, ..., D_K].
     """
-    if K < 1:
-        raise ValueError("need at least one leapfrog step")
+    _check_schedule(eta, K)
     if target.d > max_dim:
         raise ValueError(f"dense momentum Jacobian capped at d <= {max_dim}")
-    q0 = np.asarray(q0, dtype=float)
-    p0 = np.asarray(p0, dtype=float)
-    batch = np.broadcast_shapes(q0.shape[:-1], p0.shape[:-1])
-    d = target.d
-    eye = np.broadcast_to(np.eye(d), batch + (d, d))
-
-    q, p = np.broadcast_to(q0, batch + (d,)), np.broadcast_to(p0, batch + (d,))
-    g = target.gradient(q)
-    jac = eta * eye
-    out = [jac]
-    products: list[Array] = []  # H(q_l) D_l for l = 1..j-1
-    for j in range(2, K + 1):
-        q, g, p = _step(target, q, p, eta, g)  # now at q_{j-1}
-        products.append(_hessian_mat(target, q, out[-1]))
-        acc = sum((j - l) * prod for l, prod in enumerate(products, start=1))
-        jac = j * eta * eye - eta**2 * acc
-        out.append(jac)
-    if not np.all(np.isfinite(jac)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = [jac for _, _, jac in jacobian_orbit(target, q0, p0, K, eta)]
+    if not np.all(np.isfinite(out[-1])):
         raise DivergedTrajectory("Jacobian recursion left the trusted region")
     return out if return_all else out[-1]
 

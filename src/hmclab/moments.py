@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .kernel import batch_transition
-from .leapfrog import _step, continuous_flow
+from .leapfrog import _orbit, continuous_flow
 from .targets import TargetDensity
 
 Array = np.ndarray
@@ -318,7 +318,7 @@ def check_dynamics_diffs(
         hpc = target.hessian_vec(qc, pc)
         acc1.add((pc * hpc).sum(axis=-1) - (p0 * hp0).sum(axis=-1))
         acc2.add(np.linalg.norm(hpc - hp0, axis=-1))
-        q_leap, _, _ = _step(target, q0, p0, t, target.gradient(q0))
+        q_leap, _ = next(_orbit(target, q0, p0, 1, t))
         acc3.add(np.linalg.norm(qc - q_leap, axis=-1))
     L, g1 = target.smoothness, target.gamma + 1.0
     dl = d_ell(target.d, ell)
@@ -368,7 +368,7 @@ def energy_error_moment(
         q0 = sampler(b)
         p0 = rng.standard_normal((b, target.d))
         h0 = target.potential(q0) + 0.5 * (p0 * p0).sum(axis=-1)
-        q1, _, p1 = _step(target, q0, p0, eta, target.gradient(q0))
+        q1, p1 = next(_orbit(target, q0, p0, 1, eta))
         acc.add(h0 - target.potential(q1) - 0.5 * (p1 * p1).sum(axis=-1))
     bound = energy_error_bound(target, eta, ell)
     return _make_report("leapfrog_energy_error", ell, acc, bound, calibration)

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, SingularJacobian
-from .leapfrog import _hessian_mat, _step
+from .leapfrog import jacobian_orbit
 from .targets import TargetDensity
 
 Array = np.ndarray
@@ -37,18 +37,8 @@ def _forward_with_jacobian(
     target: TargetDensity, q0: Array, p: Array, K: int, eta: float
 ):
     """Final position of K leapfrog steps and D2F_K, batched over p."""
-    d = target.d
-    eye = np.broadcast_to(np.eye(d), p.shape[:-1] + (d, d))
-    q = np.broadcast_to(q0, p.shape)
-    g = target.gradient(q)
-    jac = eta * eye
-    products = []
-    for j in range(2, K + 1):
-        q, g, p = _step(target, q, p, eta, g)  # position j-1
-        products.append(_hessian_mat(target, q, jac))
-        acc = sum((j - l) * prod for l, prod in enumerate(products, start=1))
-        jac = j * eta * eye - eta**2 * acc
-    q, g, p = _step(target, q, p, eta, g)
+    for q, _, jac in jacobian_orbit(target, q0, p, K, eta):
+        pass
     return q, jac
 
 

@@ -62,6 +62,31 @@ def hermite_mean_acceptance(precision_1d: float, eta: float, K: int, nodes: int 
     return float(w @ accept @ w)
 
 
+def momentum_jacobian_sum_form(target, q0, p0, K: int, eta: float) -> list[np.ndarray]:
+    """[D_1, ..., D_K] from the closed-sum recursion, O(K^2) products.
+
+    D_j = j eta I - eta^2 sum_{l<j} (j - l) H(q_l) D_l, with the leapfrog
+    positions q_l stepped here without the library's integrator and each
+    H(q_l) D_l taken column by column through hessian_vec.
+    """
+    d = q0.shape[-1]
+    q, p = np.array(q0, dtype=float), np.array(p0, dtype=float)
+    g = target.gradient(q)
+    jacs = [eta * np.eye(d)]
+    products = []  # H(q_l) D_l for l = 1..j-1
+    for j in range(2, K + 1):
+        q = q + eta * p - 0.5 * eta**2 * g
+        g_next = target.gradient(q)
+        p = p - 0.5 * eta * (g + g_next)
+        g = g_next
+        products.append(
+            np.stack([target.hessian_vec(q, jacs[-1][:, i]) for i in range(d)], axis=1)
+        )
+        acc = sum((j - l) * prod for l, prod in enumerate(products, start=1))
+        jacs.append(j * eta * np.eye(d) - eta**2 * acc)
+    return jacs
+
+
 def finite_diff_gradient(f, q: np.ndarray, h: float = 1e-6) -> np.ndarray:
     g = np.empty_like(q, dtype=float)
     for i in range(q.size):

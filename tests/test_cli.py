@@ -105,6 +105,17 @@ class TestCli:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_sample_reports_divergences(self, tmp_path, capsys):
+        cfg = write(tmp_path / "ridge.cfg", "family = ridge\nn = 3\ndim = 2\npotential = cubic\n")
+        out = tmp_path / "trace.csv"
+        rc = main(["sample", "--config", cfg, "--eta", "1.6", "--K", "4", "--n-steps", "50",
+                   "--n-chains", "2", "--seed", "1", "--out", str(out)])
+        assert rc == 0
+        info = json.loads(capsys.readouterr().out)
+        delta_h = np.loadtxt(out, delimiter=",", skiprows=1)[:, 3]
+        # without lazy holds, delta_H is NaN exactly on diverged proposals
+        assert 0 < info["diverged"] == int(np.isnan(delta_h).sum())
+
     def test_tune_json(self, capsys):
         rc = main(["tune", "--L", "1.0", "--d", "256", "--M", "10", "--epsilon", "0.05",
                    "--c-prime", "1.0"])

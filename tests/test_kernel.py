@@ -18,7 +18,7 @@ from hmclab.kernel import (
     traces_to_csv,
 )
 from hmclab.leapfrog import PhaseState, forward_map
-from hmclab.targets import GaussianTarget
+from hmclab.targets import GaussianTarget, cubic_potential
 
 
 def test_hamiltonian_values():
@@ -191,6 +191,67 @@ def test_run_chains_streams_are_independent():
     again = run_chains(target, config, np.zeros(2), 50, n_chains=3)
     for a, b in zip(traces, again):
         assert np.array_equal(a.positions, b.positions)
+
+
+@pytest.mark.parametrize(
+    "target, config, diverges",
+    [
+        (make_logistic(8, 3, seed=68), HmcConfig(eta=0.5, K=3, lazy=True, seed=31), False),
+        # unbounded below: some proposals diverge
+        (make_ridge(3, 2, seed=1, potential=cubic_potential()),
+         HmcConfig(eta=1.2, K=4, lazy=True, seed=3), True),
+    ],
+)
+def test_run_chains_match_single_chain_runs(target, config, diverges):
+    # each chain's stream fixes its path, whatever block it runs in
+    traces = run_chains(target, config, np.zeros(target.d), 100, n_chains=3)
+    assert sum(t.accepted.sum() for t in traces) > 0
+    assert sum(t.lazy_holds.sum() for t in traces) > 0
+    for c, trace in enumerate(traces):
+        alone = run_chain(target, config, np.zeros(target.d), 100, rng=chain_rng(config.seed, c))
+        assert np.array_equal(trace.accepted, alone.accepted)
+        assert np.array_equal(trace.lazy_holds, alone.lazy_holds)
+        assert np.array_equal(trace.diverged, alone.diverged)
+        assert np.array_equal(np.isnan(trace.delta_h), np.isnan(alone.delta_h))
+        assert_allclose(trace.positions, alone.positions, rtol=0, atol=1e-12)
+    assert (sum(t.diverged.sum() for t in traces) > 0) == diverges
+
+
+@pytest.mark.parametrize("per_chain", [False, True])
+def test_held_chains_are_not_integrated(per_chain):
+    target = CountingTarget(make_logistic(6, 3, seed=67))
+    n_chains, K = 64, 3
+    q = np.random.default_rng(12).standard_normal((n_chains, 3))
+    rng = [chain_rng(12, c) for c in range(n_chains)] if per_chain else np.random.default_rng(12)
+    step = batch_transition(target, q, 0.1, K, rng, lazy=True)
+    moving = int((~step.holds).sum())
+    assert 0 < moving < n_chains
+    assert target.gradient_evals == moving * (K + 1)
+    assert np.array_equal(step.positions[step.holds], q[step.holds])
+    if not per_chain:  # the block stream still draws coins, momenta and uniforms for all chains
+        ref = np.random.default_rng(12)
+        ref.random(n_chains), ref.standard_normal((n_chains, 3)), ref.random(n_chains)
+        assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("K, eta", [(0, 0.1), (-1, 0.1), (2, 0.0), (2, -0.1)])
+def test_batch_transition_rejects_bad_schedule(K, eta):
+    with pytest.raises(ValueError):
+        batch_transition(GaussianTarget.standard(2), np.zeros((3, 2)), eta, K,
+                         np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("shape", [(2,), (3, 3), (3, 1), (1, 3, 2)])
+def test_batch_transition_rejects_bad_positions(shape):
+    with pytest.raises(ValueError, match="shape"):
+        batch_transition(GaussianTarget.standard(2), np.zeros(shape), 0.1, 2,
+                         np.random.default_rng(0))
+
+
+def test_batch_transition_needs_one_stream_per_chain():
+    with pytest.raises(ValueError, match="stream"):
+        batch_transition(GaussianTarget.standard(2), np.zeros((3, 2)), 0.1, 2,
+                         [chain_rng(0, c) for c in range(2)])
 
 
 def test_traces_to_csv(tmp_path):

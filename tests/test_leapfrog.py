@@ -10,6 +10,7 @@ from _oracles import (
     ZeroTarget,
     finite_diff_jacobian,
     gaussian_forward_blocks,
+    momentum_jacobian_sum_form,
 )
 from hmclab.errors import ConvergenceError, DivergedTrajectory
 from hmclab.leapfrog import (
@@ -148,6 +149,26 @@ def test_momentum_jacobian_lemma_bound(rng):
     assert np.linalg.norm(jacs[-1] - K * eta * np.eye(4), 2) <= K * eta / 16.0
 
 
+def test_momentum_jacobian_matches_sum_form_oracle():
+    hp = pytest.importorskip("hypothesis")
+    st = hp.strategies
+
+    @hp.settings(derandomize=True, deadline=None)
+    @hp.given(st.sampled_from(["logistic", "ridge"]), st.integers(1, 8),
+              st.floats(0.01, 0.3), st.integers(0, 2**16))
+    def check(family, K, eta, seed):
+        maker = make_logistic if family == "logistic" else make_ridge
+        target = maker(6, 3, seed=seed)
+        q0, p0 = np.random.default_rng(seed).standard_normal((2, 3))
+        jacs = momentum_jacobian(target, q0, p0, K, eta, return_all=True)
+        oracle = momentum_jacobian_sum_form(target, q0, p0, K, eta)
+        assert len(jacs) == K
+        for jac, ref in zip(jacs, oracle):
+            assert_allclose(jac, ref, rtol=1e-12, atol=1e-14)
+
+    check()
+
+
 def test_momentum_jacobian_batch_consistency(rng):
     target = make_ridge(4, 3, seed=49)
     p0 = rng.standard_normal((5, 3))
@@ -245,6 +266,19 @@ def test_precondition_errors():
         leapfrog_step(harmonic(), state(0.0, 0.0), -0.1)
     with pytest.raises(ValueError):
         forward_map(harmonic(), state(0.0, 0.0), 0, 0.1)
+
+
+@pytest.mark.parametrize("K, eta", [(0, 0.1), (-2, 0.1), (2, 0.0), (2, -0.1)])
+def test_schedule_checks(K, eta):
+    target = GaussianTarget.standard(2)
+    q = np.zeros((3, 2))
+    for call in (
+        lambda: leapfrog_final(target, q, q, K, eta),
+        lambda: forward_map(target, PhaseState(q[0], q[0]), K, eta),
+        lambda: momentum_jacobian(target, q[0], q[0], K, eta),
+    ):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_trajectory_csv(tmp_path, rng):
