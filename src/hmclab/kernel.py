@@ -38,7 +38,9 @@ def chain_rng(seed: int, chain_index: int = 0) -> np.random.Generator:
     """Stream for one chain, split from (seed, chain-index).
 
     Streams for distinct chain indices are statistically independent and do
-    not depend on how chains are scheduled across workers.
+    not depend on how chains are scheduled across workers.  Each transition
+    draws a chain's coin (if lazy), momentum and uniform from its stream, also
+    when the chain holds or its proposal diverges.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chain_index,)))
 
@@ -173,31 +175,34 @@ def batch_transition(
 ) -> BatchTransition:
     """One (possibly lazy) transition of a block of chains at positions q, shape (B, d).
 
-    rng is one Generator for the block or a sequence of B per-chain ones.  A
-    block stream draws hold coins, then momenta, then (after integration)
-    acceptance uniforms, each for all chains at once.  Chain c's own stream
-    draws its hold coin (if lazy), its momentum (if not held) and its uniform
-    (if neither held nor diverged), so its path does not depend on the block
-    it runs in.  Held chains are not integrated.  Diverged proposals count as
-    rejections.  Results are reproducible for fixed seeds.
+    rng is one Generator or a sequence of G Generators, where G divides B;
+    stream g serves rows g*B/G to (g+1)*B/G - 1.  For its rows each stream
+    draws the hold coins (if lazy), then the momenta, then the acceptance
+    uniforms, whether or not a row holds or diverges, so a group's path does
+    not depend on the block it runs in.  One Generator is the block stream;
+    B of them give each chain its own.  Held chains are not integrated.
+    Diverged proposals count as rejections.  Results are reproducible for
+    fixed seeds.
     """
     _check_schedule(eta, K)
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[1] != target.d:
         raise ValueError(f"positions must have shape (B, {target.d})")
-    n_chains, block = q.shape[0], isinstance(rng, np.random.Generator)
-    if not block and len(rng) != n_chains:
-        raise ValueError("need one random stream per chain")
-    holds = np.zeros(n_chains, dtype=bool)
-    if lazy:
-        holds = rng.random(n_chains) < 0.5 if block else np.array([s.random() < 0.5 for s in rng])
+    n_chains = q.shape[0]
+    streams = list(rng) if isinstance(rng, Sequence) else [rng]
+    if not all(isinstance(s, np.random.Generator) for s in streams):
+        raise TypeError("each random stream must be a numpy Generator")
+    if not streams or n_chains % len(streams):
+        raise ValueError(f"{len(streams)} random streams cannot serve {n_chains} chains evenly")
+    rows = n_chains // len(streams)
+    draws = [(s.random(rows if lazy else 0), s.standard_normal((rows, target.d)), s.random(rows))
+             for s in streams]  # coins (none unless lazy), momenta, uniforms
+    coins, p, u = draws[0] if len(draws) == 1 else (np.concatenate(x) for x in zip(*draws))
+    del draws  # frees the full momentum array once the moving rows are gathered
+    holds = coins < 0.5 if lazy else np.zeros(n_chains, dtype=bool)
     gather = lazy and holds.any()  # without holds every row moves: no gather or scatter
     move = np.flatnonzero(~holds) if gather else slice(None)
-    if block:  # in the block stream the uniforms follow the momenta, whatever integration does
-        p, u = rng.standard_normal(q.shape)[move], rng.random(n_chains)[move]
-    else:
-        movers = [s for s, held in zip(rng, holds) if not held]
-        p = np.array([s.standard_normal(target.d) for s in movers]).reshape(-1, target.d)
+    p, u = p[move], u[move]
     if gather:
         out = BatchTransition(q.copy(), np.zeros(n_chains, dtype=bool), np.full(n_chains, math.nan),
                               holds, np.zeros(n_chains, dtype=bool))
@@ -210,8 +215,6 @@ def batch_transition(
         delta_h = h0 - target.potential(q1) - 0.5 * (p1 * p1).sum(axis=-1)
         delta_h = np.where(ok, delta_h, math.nan)
         accept_prob = np.exp(np.minimum(delta_h, 0.0))  # NaN: no uniform falls below it
-    if not block:
-        u = np.array([s.random() if good else 1.0 for s, good in zip(movers, ok)])
     accepted = u < accept_prob
     new_q = np.where(accepted[:, None], q1, q0)
     if not gather:

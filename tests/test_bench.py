@@ -207,6 +207,19 @@ def test_mala_vs_hmc_identical_seeds_identical_iact():
     assert rows_a == rows_b
 
 
+def test_mala_vs_hmc_seed_block_matches_single_seed_runs():
+    opts = {"grad_budget": 4000, "n_rep": 3}
+    cfg = ExperimentConfig(name="mala-vs-hmc", dims=(16,), seeds=(0, 1, 2), options=opts)
+    _, rows, summary = run_experiment(cfg)
+    singles = [run_experiment(ExperimentConfig(name="mala-vs-hmc", dims=(16,), seeds=(seed,),
+                                               options=opts)) for seed in cfg.seeds]
+    assert rows == [row for _, seed_rows, _ in singles for row in seed_rows]
+    ratios = summary["median_cost_ratio_mala_over_hmc"]
+    for stat in ("q1", "qnorm2"):
+        per_seed = [s["median_cost_ratio_mala_over_hmc"][stat] for _, _, s in singles]
+        assert ratios[stat] == float(np.median(per_seed))
+
+
 def test_energy_scaling_rows_and_summary():
     cfg = ExperimentConfig(
         name="energy-scaling", dims=(16, 64), seeds=(0,),

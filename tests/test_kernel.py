@@ -232,6 +232,48 @@ def test_held_chains_are_not_integrated(per_chain):
         ref = np.random.default_rng(12)
         ref.random(n_chains), ref.standard_normal((n_chains, 3)), ref.random(n_chains)
         assert rng.random() == ref.random()
+    else:  # each chain's stream draws a coin, momentum and uniform, held or not
+        for c, stream in enumerate(rng):
+            ref = chain_rng(12, c)
+            ref.random(), ref.standard_normal(3), ref.random()
+            assert stream.random() == ref.random()
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+@pytest.mark.parametrize(
+    "target, eta, K, exact, diverges",
+    [
+        (GaussianTarget.standard(3), 0.5, 3, True, False),
+        (make_logistic(8, 3, seed=68), 0.5, 3, False, False),
+        # unbounded below: some proposals diverge
+        (make_ridge(3, 2, seed=1, potential=cubic_potential()), 1.2, 4, False, True),
+    ],
+    ids=["gaussian", "logistic", "cubic-ridge"],
+)
+def test_stream_groups_match_block_calls(target, eta, K, exact, diverges, lazy):
+    # stream j serves rows 4j..4j+3 exactly as a block stream serves a block of those rows
+    q = np.random.default_rng(5).standard_normal((12, target.d))
+    streams = [np.random.default_rng(40 + j) for j in range(3)]
+    alone = [np.random.default_rng(40 + j) for j in range(3)]
+    q_alone, rejected, diverged = q.copy(), 0, 0
+    for _ in range(30):
+        step = batch_transition(target, q, eta, K, streams, lazy=lazy)
+        parts = [batch_transition(target, q_alone[4 * j:4 * j + 4], eta, K, alone[j], lazy=lazy)
+                 for j in range(3)]
+        for name in ("accepted", "holds", "diverged"):
+            assert np.array_equal(getattr(step, name),
+                                  np.concatenate([getattr(s, name) for s in parts]))
+        assert np.array_equal(np.isnan(step.delta_h),
+                              np.concatenate([np.isnan(s.delta_h) for s in parts]))
+        q, q_alone = step.positions, np.concatenate([s.positions for s in parts])
+        if exact:
+            assert np.array_equal(q, q_alone)
+        else:
+            assert_allclose(q, q_alone, rtol=0, atol=1e-12)
+        rejected += int((~step.accepted & ~step.holds).sum())
+        diverged += int(step.diverged.sum())
+    assert rejected > 0
+    assert (diverged > 0) == diverges
 
 
 @pytest.mark.parametrize("K, eta", [(0, 0.1), (-1, 0.1), (2, 0.0), (2, -0.1)])
@@ -249,9 +291,19 @@ def test_batch_transition_rejects_bad_positions(shape):
 
 
 def test_batch_transition_needs_one_stream_per_chain():
-    with pytest.raises(ValueError, match="stream"):
-        batch_transition(GaussianTarget.standard(2), np.zeros((3, 2)), 0.1, 2,
-                         [chain_rng(0, c) for c in range(2)])
+    target = GaussianTarget.standard(2)
+    for n_streams, n_chains in [(2, 3), (0, 3), (3, 2)]:
+        with pytest.raises(ValueError, match="stream"):
+            batch_transition(target, np.zeros((n_chains, 2)), 0.1, 2,
+                             [chain_rng(0, c) for c in range(n_streams)])
+    step = batch_transition(target, np.zeros((4, 2)), 0.1, 2, [chain_rng(0, c) for c in range(2)])
+    assert step.positions.shape == (4, 2)
+
+
+@pytest.mark.parametrize("rng", [None, [None, None], [chain_rng(0), 7]])
+def test_batch_transition_rejects_non_generator_streams(rng):
+    with pytest.raises(TypeError, match="Generator"):
+        batch_transition(GaussianTarget.standard(2), np.zeros((2, 2)), 0.1, 2, rng)
 
 
 def test_traces_to_csv(tmp_path):
