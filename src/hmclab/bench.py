@@ -4,24 +4,27 @@ Each experiment consumes an ExperimentConfig, derives one RNG stream per
 grid point from (seed, point index) so results do not depend on execution
 order, and emits CSV rows plus a JSON summary sidecar carrying the config
 hash, git description and wall time.  Outputs are bit-identical across
-reruns with a fixed seed.
+reruns with a fixed seed.  `overlap_report`, `lemma_reports` and
+`tensors.tensor_report` compute the analyses that both the runners and the
+`hmclab overlap|lemmas|tensor` commands print.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import subprocess
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ExperimentConfig, build_target
 from .errors import BudgetExhausted
 from .diagnostics import integrated_autocorr_time, tv_projection_estimate
 from .kernel import batch_transition
 from .moments import (
+    MomentReport,
     chain_stationary_sampler,
     check_chaos_moments,
     check_dynamics_diffs,
@@ -37,16 +40,6 @@ from .tensors import tensor_report, third_derivative_tensor
 from .tuning import TheoryParams, best_hmc_params, mala_step_size
 
 Array = np.ndarray
-
-EXPERIMENTS = (
-    "acceptance-scaling",
-    "energy-scaling",
-    "mixing-estimate",
-    "overlap-check",
-    "lemma-suite",
-    "tensor-report",
-    "mala-vs-hmc",
-)
 
 
 @dataclass(frozen=True)
@@ -81,30 +74,6 @@ class WarmStartSpec:
         if self.kind == "scaled-covariance":
             return math.sqrt(self.s) * target.sample_exact(n, rng)
         return np.zeros((n, target.d))
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    name: str
-    dims: tuple[int, ...] = (16,)
-    seeds: tuple[int, ...] = (0,)
-    schedule: str = "corollary-hmc"
-    target: dict = field(default_factory=lambda: {"family": "gaussian"})
-    options: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.name not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.name!r}")
-        if len(self.dims) == 0:
-            raise ValueError("dimension list must be nonempty")
-        if list(self.dims) != sorted(self.dims):
-            raise ValueError("dimension list must be ascending")
-        if self.schedule not in ("fixed", "corollary-hmc", "corollary-mala"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
-
-    def config_hash(self) -> str:
-        canonical = json.dumps(asdict(self), sort_keys=True, default=str)
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -420,93 +389,103 @@ def run_energy_scaling(cfg: ExperimentConfig):
     return header, rows, summary
 
 
-def run_overlap_check(cfg: ExperimentConfig, target: TargetDensity | None = None):
-    """KL between proposals from two nearby starts, with the lemma bounds."""
-    opts = cfg.options
-    seed = cfg.seeds[0]
-    d = cfg.dims[0]
-    if target is None:
-        target = GaussianTarget.standard(d)
-    K = int(opts.get("K", 2))
-    eta = float(opts.get("eta", 0.1))
-    n_mc = int(opts.get("n_mc", 20_000))
-    sep = float(opts.get("separation", K * eta / 64.0))
-    rng = _rng(seed, 0)
-    direction = rng.standard_normal(target.d)
-    direction /= np.linalg.norm(direction)
-    q0 = np.asarray(opts.get("q0", np.zeros(target.d)), dtype=float)
+def _analysis_target(cfg: ExperimentConfig) -> TargetDensity:
+    """The target named by cfg.target, with `dim` defaulting to dims[0]."""
+    return build_target({"dim": cfg.dims[0], **cfg.target})
+
+
+def overlap_report(target: TargetDensity, q0, direction, separation, K: int, eta: float,
+                   n_mc: int, rng: np.random.Generator) -> dict:
+    """KL between the proposals from q0 and q0 + separation * unit direction,
+    with the Pinsker TV and both lemma bounds.  A None direction is drawn
+    from rng; a None separation is K eta / 64."""
+    q0 = np.asarray(q0, dtype=float)
+    if q0.shape != (target.d,):
+        raise ValueError(f"q0 must have shape ({target.d},), got {q0.shape}")
+    if direction is None:
+        direction = rng.standard_normal(target.d)
+    norm = np.linalg.norm(direction)
+    if not norm > 0:
+        raise ValueError("direction must be a nonzero vector")
+    direction = direction / norm
+    sep = K * eta / 64.0 if separation is None else float(separation)
     kl, se = kl_between_proposals(target, q0, q0 + sep * direction, K, eta, n_mc, rng)
     gamma = target.gamma if target.gamma is not None else 0.0
-    row = (
-        d, K, eta, sep, kl, se,
-        math.sqrt(max(kl, 0.0) / 2.0),
-        kl_lemma_bound(K, eta, gamma, target.smoothness),
-        kl_proof_form_bound(K, eta, gamma, target.smoothness),
-    )
-    header = [
-        "d", "K", "eta", "separation", "kl", "std_error",
-        "pinsker_tv", "lemma_bound", "lemma_bound_proof_form",
-    ]
-    return header, [row], {"kl": kl, "std_error": se}
+    return {
+        "kl": kl,
+        "std_error": se,
+        "pinsker_tv": math.sqrt(max(kl, 0.0) / 2.0),
+        "lemma_bound": kl_lemma_bound(K, eta, gamma, target.smoothness),
+        "lemma_bound_proof_form": kl_proof_form_bound(K, eta, gamma, target.smoothness),
+        "separation": sep,
+    }
 
 
-def run_lemma_suite(cfg: ExperimentConfig, target: TargetDensity | None = None):
-    """All moment checks at the configured orders, one row per report."""
+def run_overlap_check(cfg: ExperimentConfig):
+    """KL between proposals from two nearby starts, with the lemma bounds."""
     opts = cfg.options
-    seed = cfg.seeds[0]
-    d = cfg.dims[0]
-    if target is None:
-        target = GaussianTarget.standard(d)
-    ells = [int(e) for e in _as_list(opts.get("ells", (2, 4)))]
-    eta = float(opts.get("eta", 0.05))
-    n_mc = int(opts.get("n_mc", 50_000))
-    rng = _rng(seed, 0)
+    target = _analysis_target(cfg)
+    K, eta = int(opts.get("K", 2)), float(opts.get("eta", 0.1))
+    rep = overlap_report(target, opts.get("q0", np.zeros(target.d)), None, opts.get("separation"),
+                         K, eta, int(opts.get("n_mc", 20_000)), _rng(cfg.seeds[0], 0))
+    header = ["d", "K", "eta", "separation", "kl", "std_error",
+              "pinsker_tv", "lemma_bound", "lemma_bound_proof_form"]
+    row = (target.d, K, eta, *(rep[h] for h in header[3:]))
+    return header, [row], {"kl": rep["kl"], "std_error": rep["std_error"]}
+
+
+def lemma_reports(target: TargetDensity, ells, eta: float, n_mc: int, rng: np.random.Generator,
+                  t: float | None = None, sampler_eta: float = 0.1,
+                  sampler_warmup: int = 2000) -> list[MomentReport]:
+    """Every moment check at each order in ells, in report order.  Draws are
+    exact for Gaussian targets and come from HMC runs at sampler_eta
+    otherwise; the continuous-drift checks run when t is given."""
     if isinstance(target, GaussianTarget):
         sampler = exact_gaussian_sampler(target, rng)
     else:
-        sampler = chain_stationary_sampler(
-            target, rng, eta=float(opts.get("sampler_eta", 0.1)),
-            warmup=int(opts.get("sampler_warmup", 2000)),
-        )
+        sampler = chain_stationary_sampler(target, rng, eta=sampler_eta, warmup=sampler_warmup)
     x = sampler(1)[0]
-    rows = []
+    reports = []
     for ell in ells:
-        reports = [
+        even = ell + ell % 2
+        reports += [
             check_grad_norm_moment(target, ell, n_mc, sampler),
             check_php_moment(target, x, ell, n_mc, rng),
-            check_gradhp_moment(target, ell + ell % 2, n_mc, sampler, rng),
-            energy_error_moment(target, eta, ell + ell % 2, n_mc, sampler, rng),
+            check_gradhp_moment(target, even, n_mc, sampler, rng),
+            energy_error_moment(target, eta, even, n_mc, sampler, rng),
         ]
         if target.has_third and target.d <= 16:
-            reports += list(check_chaos_moments(target, x, ell, n_mc, rng))
-        if "t" in opts:
-            reports += list(
-                check_dynamics_diffs(target, float(opts["t"]), ell, n_mc, sampler, rng)
-            )
-        for rep in reports:
-            rows.append(
-                (rep.quantity, rep.ell, rep.empirical, rep.std_error,
-                 rep.bound, rep.slack_ratio, rep.violated, rep.calibration)
-            )
-    header = [
-        "quantity", "ell", "empirical", "std_error",
-        "bound", "slack_ratio", "violated", "calibration",
-    ]
+            reports += check_chaos_moments(target, x, ell, n_mc, rng)
+        if t is not None:
+            reports += check_dynamics_diffs(target, t, ell, n_mc, sampler, rng)
+    return reports
+
+
+def run_lemma_suite(cfg: ExperimentConfig):
+    """All moment checks at the configured orders, one row per report."""
+    opts = cfg.options
+    reports = lemma_reports(
+        _analysis_target(cfg), [int(e) for e in _as_list(opts.get("ells", (2, 4)))],
+        float(opts.get("eta", 0.05)), int(opts.get("n_mc", 50_000)), _rng(cfg.seeds[0], 0),
+        t=float(opts["t"]) if "t" in opts else None,
+        sampler_eta=float(opts.get("sampler_eta", 0.1)),
+        sampler_warmup=int(opts.get("sampler_warmup", 2000)),
+    )
+    header = ["quantity", "ell", "empirical", "std_error",
+              "bound", "slack_ratio", "violated", "calibration"]
+    rows = [tuple(getattr(rep, h) for h in header) for rep in reports]
     n_violated = sum(1 for r in rows if r[6])
     return header, rows, {"n_reports": len(rows), "n_violated": n_violated}
 
 
-def run_tensor_report(cfg: ExperimentConfig, target: TargetDensity | None = None):
+def run_tensor_report(cfg: ExperimentConfig):
     """Tensor-norm reports of the third derivative at sampled points."""
     opts = cfg.options
-    seed = cfg.seeds[0]
-    d = cfg.dims[0]
-    if target is None:
-        target = GaussianTarget.standard(d)
+    target = _analysis_target(cfg)
     n_points = int(opts.get("n_points", 4))
     scale = float(opts.get("point_scale", 1.0))
     restarts = int(opts.get("restarts", 20))
-    rng = _rng(seed, 0)
+    rng = _rng(cfg.seeds[0], 0)
     rows = []
     for i in range(n_points):
         q = scale * rng.standard_normal(target.d)
@@ -530,18 +509,10 @@ _RUNNERS = {
 }
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    out: str | None = None,
-    target: TargetDensity | None = None,
-):
+def run_experiment(cfg: ExperimentConfig, out: str | None = None):
     """Dispatch an experiment; write CSV and sidecar when out is given."""
     started = time.monotonic()
-    runner = _RUNNERS[cfg.name]
-    if cfg.name in ("overlap-check", "lemma-suite", "tensor-report"):
-        header, rows, summary = runner(cfg, target=target)
-    else:
-        header, rows, summary = runner(cfg)
+    header, rows, summary = _RUNNERS[cfg.name](cfg)
     if out is not None:
         write_csv(out, header, rows)
         write_sidecar(out + ".json", cfg, summary, time.monotonic() - started)

@@ -23,20 +23,8 @@ import sys
 import numpy as np
 
 from . import bench
-from .config import experiment_from_file, target_from_file
+from .config import EXPERIMENTS, experiment_from_file, target_from_file
 from .kernel import HmcConfig, run_chains, traces_to_csv
-from .moments import (
-    chain_stationary_sampler,
-    check_chaos_moments,
-    check_dynamics_diffs,
-    check_grad_norm_moment,
-    check_gradhp_moment,
-    check_php_moment,
-    energy_error_moment,
-    exact_gaussian_sampler,
-)
-from .overlap import kl_between_proposals, kl_lemma_bound, kl_proof_form_bound
-from .targets import GaussianTarget
 from .tensors import tensor_report, third_derivative_tensor
 from .tuning import TheoryParams, best_hmc_params, mala_step_size
 
@@ -88,65 +76,28 @@ def _cmd_tensor(args) -> int:
 
 def _cmd_overlap(args) -> int:
     target = target_from_file(args.config)
-    rng = np.random.default_rng(args.seed)
-    q0 = _vector(args.q0, target.d)
-    direction = _vector(args.direction, target.d) if args.direction else rng.standard_normal(target.d)
-    direction = direction / np.linalg.norm(direction)
-    sep = args.separation if args.separation is not None else args.K * args.eta / 64.0
-    kl, se = kl_between_proposals(
-        target, q0, q0 + sep * direction, args.K, args.eta, args.n_mc, rng
+    direction = _vector(args.direction, target.d) if args.direction else None
+    report = bench.overlap_report(
+        target, _vector(args.q0, target.d), direction, args.separation,
+        args.K, args.eta, args.n_mc, np.random.default_rng(args.seed),
     )
-    gamma = target.gamma if target.gamma is not None else 0.0
-    print(json.dumps({
-        "kl": kl,
-        "std_error": se,
-        "pinsker_tv": math.sqrt(max(kl, 0.0) / 2.0),
-        "lemma_bound": kl_lemma_bound(args.K, args.eta, gamma, target.smoothness),
-        "lemma_bound_proof_form": kl_proof_form_bound(args.K, args.eta, gamma, target.smoothness),
-        "separation": sep,
-    }, indent=2))
+    print(json.dumps(report, indent=2))
     return 0
 
 
 def _cmd_lemmas(args) -> int:
-    target = target_from_file(args.config)
-    rng = np.random.default_rng(args.seed)
-    if isinstance(target, GaussianTarget):
-        sampler = exact_gaussian_sampler(target, rng)
-    else:
-        sampler = chain_stationary_sampler(target, rng, eta=args.sampler_eta)
-    x = sampler(1)[0]
-    even = args.ell + args.ell % 2
-    reports = [
-        check_grad_norm_moment(target, args.ell, args.n_mc, sampler),
-        check_php_moment(target, x, args.ell, args.n_mc, rng),
-        check_gradhp_moment(target, even, args.n_mc, sampler, rng),
-        energy_error_moment(target, args.eta, even, args.n_mc, sampler, rng),
-    ]
-    if target.has_third and target.d <= 16:
-        reports += list(check_chaos_moments(target, x, args.ell, args.n_mc, rng))
-    if args.t is not None:
-        reports += list(
-            check_dynamics_diffs(target, args.t, args.ell, args.n_mc, sampler, rng)
-        )
+    reports = bench.lemma_reports(
+        target_from_file(args.config), [args.ell], args.eta, args.n_mc,
+        np.random.default_rng(args.seed), t=args.t, sampler_eta=args.sampler_eta,
+    )
     for report in reports:
         print(report.to_json())
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    cfg = experiment_from_file(args.config, seed=args.seed)
-    if cfg.name != args.experiment_name:
-        cfg = bench.ExperimentConfig(
-            name=args.experiment_name, dims=cfg.dims, seeds=cfg.seeds,
-            schedule=cfg.schedule, target=cfg.target, options=cfg.options,
-        )
-    target = None
-    if cfg.name in ("overlap-check", "lemma-suite", "tensor-report") and cfg.target:
-        from .config import build_target
-
-        target = build_target(cfg.target)
-    header, rows, summary = bench.run_experiment(cfg, out=args.out, target=target)
+    cfg = experiment_from_file(args.config, seed=args.seed, name=args.experiment_name)
+    header, rows, summary = bench.run_experiment(cfg, out=args.out)
     print(json.dumps({"rows": len(rows), "out": args.out, "summary": summary}, default=str))
     return 0
 
@@ -209,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_lemmas)
 
-    for name in bench.EXPERIMENTS:
+    for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)

@@ -13,14 +13,20 @@ bare string.  Target files name a family plus family-specific parameters:
     precision = 2.0, 3.0, 0.5    # diagonal; omit for identity
 
 Experiment files add experiment-level keys (experiment, dims, seeds,
-schedule) next to `target.`-prefixed target keys.
+schedule) next to `target.`-prefixed target keys.  The analysis experiments
+(overlap-check, lemma-suite, tensor-report) build their target from these,
+with `dim` defaulting to the first entry of `dims`; the others run on the
+standard Gaussian and accept no target keys.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+from dataclasses import asdict, dataclass, field
+
 import numpy as np
 
-from .bench import ExperimentConfig
 from .targets import (
     GaussianTarget,
     LogisticPosteriorTarget,
@@ -30,6 +36,47 @@ from .targets import (
     named_potential,
     random_unit_rows,
 )
+
+
+EXPERIMENTS = (
+    "acceptance-scaling",
+    "energy-scaling",
+    "mixing-estimate",
+    "overlap-check",
+    "lemma-suite",
+    "tensor-report",
+    "mala-vs-hmc",
+)
+# These always run on GaussianTarget.standard(d) and read no target keys.
+STANDARD_GAUSSIAN_ONLY = ("acceptance-scaling", "energy-scaling", "mixing-estimate",
+                          "mala-vs-hmc")
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    name: str
+    dims: tuple[int, ...] = (16,)
+    seeds: tuple[int, ...] = (0,)
+    schedule: str = "corollary-hmc"
+    target: dict = field(default_factory=lambda: {"family": "gaussian"})
+    options: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.name not in EXPERIMENTS:
+            raise ValueError(f"unknown experiment {self.name!r}")
+        if len(self.dims) == 0:
+            raise ValueError("dimension list must be nonempty")
+        if list(self.dims) != sorted(self.dims):
+            raise ValueError("dimension list must be ascending")
+        if self.schedule not in ("fixed", "corollary-hmc", "corollary-mala"):
+            raise ValueError(f"unknown schedule {self.schedule!r}")
+        if self.name in STANDARD_GAUSSIAN_ONLY and self.target != {"family": "gaussian"}:
+            raise ValueError(f"{self.name} runs on the standard Gaussian and would "
+                             f"ignore target {self.target!r}")
+
+    def config_hash(self) -> str:
+        canonical = json.dumps(asdict(self), sort_keys=True, default=str)
+        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 def _parse_scalar(text: str):
@@ -105,8 +152,10 @@ def target_from_file(path: str) -> TargetDensity:
 _EXPERIMENT_KEYS = ("experiment", "dims", "seeds", "schedule")
 
 
-def experiment_from_file(path: str, seed: int | None = None) -> ExperimentConfig:
-    """Split a flat config into experiment fields, target.* keys and options."""
+def experiment_from_file(path: str, seed: int | None = None,
+                         name: str | None = None) -> ExperimentConfig:
+    """Split a flat config into experiment fields, target.* keys and options;
+    seed goes first in the seed list and name overrides the file's experiment."""
     raw = parse_kv(path)
     target = {k[len("target."):]: v for k, v in raw.items() if k.startswith("target.")}
     options = {
@@ -120,7 +169,7 @@ def experiment_from_file(path: str, seed: int | None = None) -> ExperimentConfig
     if seed is not None:
         seeds = (int(seed),) + tuple(s for s in seeds if s != seed)
     return ExperimentConfig(
-        name=str(raw.get("experiment", "acceptance-scaling")),
+        name=name or str(raw.get("experiment", "acceptance-scaling")),
         dims=dims,
         seeds=seeds,
         schedule=str(raw.get("schedule", "corollary-hmc")),

@@ -26,6 +26,7 @@ from scipy.special import logsumexp
 from .kernel import batch_transition
 from .leapfrog import _orbit, continuous_flow
 from .targets import TargetDensity
+from .tuning import d_ell
 
 Array = np.ndarray
 
@@ -34,10 +35,6 @@ def upsilon_ell(target: TargetDensity, ell: int) -> float:
     if target.trace_bound is None:
         raise ValueError("target declares no Hessian trace bound")
     return target.trace_bound + 2.0 * (ell - 1) * target.smoothness
-
-
-def d_ell(d: int, ell: int) -> int:
-    return d + 2 * (ell - 1)
 
 
 def _log_sum(log_terms: Array) -> float:

@@ -111,6 +111,22 @@ def test_experiment_config_validation():
     assert a.config_hash() != c.config_hash()
 
 
+@pytest.mark.parametrize(
+    "name", ["acceptance-scaling", "energy-scaling", "mixing-estimate", "mala-vs-hmc"]
+)
+def test_standard_gaussian_experiments_reject_target_keys(name):
+    with pytest.raises(ValueError, match="would ignore target"):
+        ExperimentConfig(name=name, target={"family": "ridge", "n": 3, "dim": 4})
+    ExperimentConfig(name=name, target={"family": "gaussian"})
+
+
+@pytest.mark.parametrize("q0", [0.5, [0.0, 0.0]], ids=["scalar", "wrong-length"])
+def test_overlap_check_rejects_q0_of_wrong_shape(q0):
+    cfg = ExperimentConfig(name="overlap-check", dims=(3,), options={"q0": q0, "n_mc": 100})
+    with pytest.raises(ValueError, match=r"q0 must have shape \(3,\)"):
+        run_experiment(cfg)
+
+
 def test_corollary_schedules():
     eta_h, K_h = corollary_schedule("corollary-hmc", 256, {})
     assert K_h > 1 and 0 < eta_h < 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hmclab.bench import ExperimentConfig, run_experiment, run_overlap_check
 from hmclab.cli import main
 from hmclab.config import build_target, experiment_from_file, parse_kv
 from hmclab.targets import (
@@ -148,6 +149,10 @@ class TestCli:
             assert key in payload
         assert payload["kl"] >= -36 * payload["std_error"]
 
+    def test_overlap_rejects_zero_direction(self, gaussian_cfg):
+        with pytest.raises(ValueError, match="nonzero"):
+            main(["overlap", "--config", gaussian_cfg, "--direction", "0,0", "--n-mc", "100"])
+
     def test_lemmas_json(self, tmp_path, gaussian_cfg, capsys):
         rc = main(["lemmas", "--config", gaussian_cfg, "--ell", "2",
                    "--n-mc", "2000", "--seed", "2"])
@@ -195,3 +200,26 @@ class TestCli:
         rc = main(["energy-scaling", "--config", cfg, "--out", str(out), "--seed", "1"])
         assert rc == 0
         assert out.read_text().splitlines()[0].startswith("sweep,d,eta")
+
+    def test_analysis_experiment_target_dim_defaults_to_dims(self, tmp_path):
+        # no target.* keys: the command and run_experiment both use the d = 16 Gaussian
+        cfg = write(tmp_path / "exp.cfg",
+                    "experiment = lemma-suite\ndims = 16\nn_mc = 2000\nells = 2\n")
+        out = tmp_path / "cli.csv"
+        assert main(["lemma-suite", "--config", cfg, "--out", str(out), "--seed", "0"]) == 0
+        lib = tmp_path / "lib.csv"
+        run_experiment(experiment_from_file(cfg, seed=0), out=str(lib))
+        assert out.read_text() == lib.read_text()
+
+    def test_analysis_experiment_uses_configured_target(self, tmp_path):
+        cfg = ExperimentConfig(name="overlap-check", dims=(16,), options={"n_mc": 500},
+                               target={"family": "logistic", "n": 8, "dim": 4})
+        header, rows, _ = run_overlap_check(cfg)
+        assert header[0] == "d" and rows[0][0] == 4
+        # the subcommand names the experiment when the file does not
+        path = write(tmp_path / "exp.cfg", "dims = 16\ntarget.family = ridge\ntarget.dim = 3\n"
+                                           "n_points = 1\nrestarts = 3\n")
+        out = tmp_path / "tensor.csv"
+        assert main(["tensor-report", "--config", path, "--out", str(out)]) == 0
+        row = out.read_text().splitlines()[1].split(",")
+        assert float(row[1]) > 0.0  # a nonzero third derivative: the ridge target, not a Gaussian
