@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 Array = np.ndarray
 
@@ -45,7 +45,7 @@ def effective_sample_size(x: Array) -> float:
 
 def tv_histogram(
     samples: Array,
-    cdf=norm.cdf,
+    cdf=ndtr,
     lo: float = -8.0,
     hi: float = 8.0,
     bins: int = 200,

@@ -18,7 +18,7 @@ class ConvergenceError(HmclabError):
 
 
 class SingularJacobian(HmclabError):
-    """A Newton solve hit a singular (or non-positive-determinant) Jacobian."""
+    """A momentum Jacobian has a non-positive determinant, so its log-det is undefined."""
 
 
 class BudgetExhausted(HmclabError):

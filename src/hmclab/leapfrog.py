@@ -34,6 +34,9 @@ Array = np.ndarray
 #: trajectories whose position or momentum norm exceeds this are flagged diverged
 DIVERGENCE_LIMIT = 1e8
 
+#: dense momentum Jacobians are small-dimension analysis objects
+MAX_JACOBIAN_DIM = 64
+
 
 @dataclass
 class PhaseState:
@@ -173,17 +176,16 @@ def momentum_jacobian(
     p0: Array,
     K: int,
     eta: float,
-    max_dim: int = 64,
     return_all: bool = False,
 ) -> Array | list[Array]:
     """Derivative of the K-step position w.r.t. the initial momentum.
 
     Dense (..., d, d) output; intended for overlap analysis at small d
-    (raises beyond max_dim).  With return_all, gives [D_1, ..., D_K].
+    (raises beyond MAX_JACOBIAN_DIM).  With return_all, gives [D_1, ..., D_K].
     """
     _check_schedule(eta, K)
-    if target.d > max_dim:
-        raise ValueError(f"dense momentum Jacobian capped at d <= {max_dim}")
+    if target.d > MAX_JACOBIAN_DIM:
+        raise ValueError(f"dense momentum Jacobian capped at d <= {MAX_JACOBIAN_DIM}")
     with np.errstate(over="ignore", invalid="ignore"):
         out = [jac for _, _, jac in jacobian_orbit(target, q0, p0, K, eta)]
     if not np.all(np.isfinite(out[-1])):

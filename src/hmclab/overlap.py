@@ -1,13 +1,20 @@
 """Proposal density via the inverse momentum map, and proposal-overlap KL.
 
 For a start q0, the HMC proposal is the push-forward of p ~ N(0, I) through
-the K-step position map F(q0, .).  In the regime K eta sqrt(L) <= 1/4 that
-map is invertible with inverse G(q0, .), and the proposal log-density at y is
+the K-step position map F(q0, .).  In the regime K eta sqrt(L) <= 1/4 the
+momentum derivative D = D2F stays within K eta / 16 of K eta I, so the map
+is invertible and its inverse G(q0, y) is the fixed point of
+
+    p <- p - (F(q0, p) - y) / (K eta),
+
+a contraction that shrinks the residual at least 16-fold per step and needs
+only leapfrog runs, no Jacobian.  The proposal log-density at y is
 
     log rho(y) = log phi(G(q0, y)) - log det D2F(q0, G(q0, y)),
 
-using det D2G = 1 / det D2F.  The KL divergence between proposals launched
-from q0 and from a nearby start is estimated by Monte Carlo over p after the
+using det D2G = 1 / det D2F; the log-determinant is the one place a dense
+d x d matrix is formed.  The KL divergence between proposals launched from
+q0 and from a nearby start is estimated by Monte Carlo over p after the
 same change of variables.
 """
 
@@ -18,19 +25,19 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, SingularJacobian
-from .leapfrog import jacobian_orbit
+from .leapfrog import MAX_JACOBIAN_DIM, jacobian_orbit, leapfrog_final
 from .targets import TargetDensity
 
 Array = np.ndarray
 
-#: density and KL work materializes dense Jacobians; analysis tool, not a
-#: production path
-MAX_DIM = 64
+#: Monte Carlo draws per batch of KL work; batches merge by streaming moments
+KL_CHUNK = 20_000
 
 
 def _check_dim(target: TargetDensity) -> None:
-    if target.d > MAX_DIM:
-        raise ValueError(f"overlap analysis is capped at d <= {MAX_DIM}")
+    """Density and KL work forms dense momentum Jacobians; small d only."""
+    if target.d > MAX_JACOBIAN_DIM:
+        raise ValueError(f"overlap analysis is capped at d <= {MAX_JACOBIAN_DIM}")
 
 
 def _forward_with_jacobian(
@@ -42,45 +49,6 @@ def _forward_with_jacobian(
     return q, jac
 
 
-def _newton_batch(
-    target: TargetDensity,
-    q0: Array,
-    y: Array,
-    K: int,
-    eta: float,
-    tol: float,
-    max_iter: int,
-    damping: bool,
-):
-    """Solve F(q0, p) = y for p, row by row over the batch in y."""
-    p = (y - q0) / (K * eta)
-    prev_rnorm = np.full(p.shape[:-1], np.inf)
-    prev_p = p
-    for _ in range(max_iter):
-        f, jac = _forward_with_jacobian(target, q0, p, K, eta)
-        r = f - y
-        rnorm = np.linalg.norm(r, axis=-1)
-        if np.all(rnorm <= tol):
-            return p
-        if damping:
-            worse = rnorm > prev_rnorm
-            if np.any(worse):
-                # retreat halfway toward the previous iterate and retry
-                p = np.where(worse[..., None], 0.5 * (p + prev_p), p)
-                prev_rnorm = np.where(worse, np.inf, rnorm)
-                prev_p = np.where(worse[..., None], prev_p, p)
-                continue
-        try:
-            delta = np.linalg.solve(jac, r[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian("Newton solve hit a singular Jacobian") from exc
-        prev_p, prev_rnorm = p, rnorm
-        p = p - delta
-    raise ConvergenceError(
-        f"inverse map did not reach tol={tol} within {max_iter} Newton steps"
-    )
-
-
 def inverse_map(
     target: TargetDensity,
     q0: Array,
@@ -90,18 +58,31 @@ def inverse_map(
     tol: float = 1e-10,
     max_iter: int = 50,
 ) -> Array:
-    """The momentum p with ||F_K(q0, p) - y|| <= tol.
+    """The momentum p with ||F_K(q0, p) - y|| <= tol, batched over rows of y.
 
-    Newton iteration started at p = (y - q0) / (K eta), which is nearly exact
-    because D2F is within K eta / 16 of K eta I in the invertibility regime;
-    steps that increase the residual are damped by half.
+    Fixed-point iteration p <- p - (F(q0, p) - y) / (K eta) from
+    p = (y - q0) / (K eta); each step is one leapfrog run (K+1 gradient
+    evaluations and no Hessian products).  Raises ConvergenceError when a
+    row's residual is still above tol after max_iter steps or an iterate
+    leaves the trusted region.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    _check_dim(target)
     q0 = np.asarray(q0, dtype=float)
     y = np.asarray(y, dtype=float)
-    return _newton_batch(target, q0, y, K, eta, tol, max_iter, damping=True)
+    scale = K * eta
+    p = (y - q0) / scale
+    for _ in range(max_iter):
+        f, _, ok = leapfrog_final(target, q0, p, K, eta)
+        if not ok.all():
+            raise ConvergenceError("inverse map iterate left the trusted region")
+        r = f - y
+        if np.all(np.linalg.norm(r, axis=-1) <= tol):
+            return p
+        p = p - r / scale
+    raise ConvergenceError(
+        f"inverse map did not reach tol={tol} within {max_iter} fixed-point steps"
+    )
 
 
 def _logdet(jac: Array) -> Array:
@@ -120,6 +101,7 @@ def proposal_log_density(
     tol: float = 1e-10,
 ) -> float:
     """log of the K-step proposal density at y for a chain at q0."""
+    _check_dim(target)
     q0 = np.asarray(q0, dtype=float)
     y = np.asarray(y, dtype=float)
     p = inverse_map(target, q0, y, K, eta, tol=tol)
@@ -137,7 +119,6 @@ def kl_between_proposals(
     n_mc: int,
     rng: np.random.Generator,
     tol: float = 1e-10,
-    chunk_size: int = 20_000,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of KL(P_q0 || P_q0_tilde) with its standard error.
 
@@ -152,16 +133,14 @@ def kl_between_proposals(
     q0_tilde = np.asarray(q0_tilde, dtype=float)
     n_done, mean, m2 = 0, 0.0, 0.0
     while n_done < n_mc:
-        b = min(chunk_size, n_mc - n_done)
+        b = min(KL_CHUNK, n_mc - n_done)
         p = rng.standard_normal((b, target.d))
         y, jac0 = _forward_with_jacobian(target, q0, p, K, eta)
         ld0 = _logdet(jac0)
-        if np.allclose(q0, q0_tilde):
+        if np.array_equal(q0, q0_tilde):
             p_t, ld_t = p, ld0
         else:
-            p_t = _newton_batch(
-                target, q0_tilde, y, K, eta, tol, max_iter=50, damping=False
-            )
+            p_t = inverse_map(target, q0_tilde, y, K, eta, tol=tol)
             _, jac_t = _forward_with_jacobian(target, q0_tilde, p_t, K, eta)
             ld_t = _logdet(jac_t)
         vals = 0.5 * ((p_t * p_t).sum(axis=-1) - (p * p).sum(axis=-1)) - ld0 + ld_t

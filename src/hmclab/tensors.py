@@ -23,6 +23,9 @@ from .targets import TargetDensity
 
 Array = np.ndarray
 
+#: dense third-derivative tensors hold d^3 entries; small-dimension analysis only
+MAX_TENSOR_DIM = 64
+
 
 def as_tensor3(a: Array) -> Array:
     a = np.asarray(a, dtype=float)
@@ -120,14 +123,14 @@ def tensor_report(
     return TensorNormReport(n123, n12_3, lower, ok)
 
 
-def third_derivative_tensor(target: TargetDensity, q: Array, max_dim: int = 64) -> Array:
+def third_derivative_tensor(target: TargetDensity, q: Array) -> Array:
     """Dense grad^3 f at q, built entrywise from contraction evaluations.
 
     Fills A[i, j, :] = (grad^3 f)[e_i, e_j, .] over all basis pairs in one
-    batched call and symmetrizes; small-dimension analysis only.
+    batched call and symmetrizes; raises beyond MAX_TENSOR_DIM.
     """
-    if target.d > max_dim:
-        raise ValueError(f"dense third-derivative tensors capped at d <= {max_dim}")
+    if target.d > MAX_TENSOR_DIM:
+        raise ValueError(f"dense third-derivative tensors capped at d <= {MAX_TENSOR_DIM}")
     q = np.asarray(q, dtype=float)
     basis = np.eye(target.d)
     u = np.broadcast_to(basis[:, None, :], (target.d, target.d, target.d))

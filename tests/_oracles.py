@@ -160,6 +160,7 @@ class CountingTarget(TargetDensity):
         self.gamma = inner.gamma
         self.gradient_evals = 0
         self.potential_evals = 0
+        self.hvp_rows = 0
 
     @staticmethod
     def _rows(q) -> int:
@@ -174,6 +175,7 @@ class CountingTarget(TargetDensity):
         return self.inner.gradient(q)
 
     def hessian_vec(self, q, v):
+        self.hvp_rows += int(np.prod(np.broadcast_shapes(q.shape, v.shape)[:-1]))
         return self.inner.hessian_vec(q, v)
 
     def third_contract(self, q, u, v):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -223,3 +226,15 @@ class TestCli:
         assert main(["tensor-report", "--config", path, "--out", str(out)]) == 0
         row = out.read_text().splitlines()[1].split(",")
         assert float(row[1]) > 0.0  # a nonzero third derivative: the ridge target, not a Gaussian
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # every command pays the CLI's import time; scipy.stats alone costs ~1 s
+    import hmclab
+
+    src = os.path.dirname(os.path.dirname(hmclab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, hmclab.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

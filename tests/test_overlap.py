@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from conftest import make_dense_gaussian, make_logistic, make_ridge
 from _oracles import (
+    CountingTarget,
     finite_diff_jacobian,
     gaussian_forward_blocks,
     gaussian_proposal_kl,
@@ -20,6 +21,7 @@ from hmclab.overlap import (
     proposal_log_density,
 )
 from hmclab.targets import GaussianTarget
+from hmclab.tensors import third_derivative_tensor
 
 
 def test_inverse_map_trivial_1d():
@@ -39,6 +41,52 @@ def test_inverse_map_round_trip(rng):
             assert np.linalg.norm(p_hat - p) <= 1e-9
 
 
+def test_inverse_map_round_trip_beyond_dense_cap(rng):
+    # the fixed point forms no d x d matrix, so d = 256 inverts like d = 4
+    target = make_logistic(64, 256, seed=78)
+    K = 3
+    eta = 0.25 / (K * math.sqrt(target.smoothness))
+    q0 = rng.standard_normal(256)
+    p = rng.standard_normal((4, 256))
+    y = forward_map(target, PhaseState(np.broadcast_to(q0, p.shape), p), K, eta).final.q
+    p_hat = inverse_map(target, q0, y, K, eta, tol=1e-11)
+    assert np.abs(p_hat - p).max() <= 1e-9
+
+
+def test_inverse_map_takes_no_hessian_products(rng):
+    target = CountingTarget(make_logistic(8, 4, seed=72))
+    K = 3
+    eta = 0.25 / (K * math.sqrt(target.smoothness))
+    q0, p = rng.standard_normal((2, 4))
+    y = forward_map(target, PhaseState(q0, p), K, eta).final.q
+    inverse_map(target, q0, y, K, eta)
+    assert target.gradient_evals > 0
+    assert target.hvp_rows == 0
+
+
+def test_kl_hessian_rows_per_draw():
+    # one Jacobian recursion per start: 2 (K - 1) d Hessian-vector rows per draw
+    target = CountingTarget(make_logistic(8, 4, seed=79))
+    K, n_mc = 3, 50
+    eta = 0.25 / (K * math.sqrt(target.smoothness))
+    q0 = np.zeros(4)
+    kl_between_proposals(target, q0, q0 + K * eta / 64.0, K, eta, n_mc, np.random.default_rng(3))
+    assert target.hvp_rows == 2 * (K - 1) * target.d * n_mc
+
+
+def test_dense_analyses_capped_at_d64():
+    t = GaussianTarget.standard(65)
+    q = np.zeros(65)
+    with pytest.raises(ValueError):
+        kl_between_proposals(t, q, q + 0.01, 2, 0.1, 10, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        proposal_log_density(t, q, q, 2, 0.1)
+    with pytest.raises(ValueError):
+        momentum_jacobian(t, q, q, 2, 0.1)
+    with pytest.raises(ValueError):
+        third_derivative_tensor(t, q)
+
+
 def test_inverse_map_matches_linear_solve(rng):
     t = GaussianTarget.standard(1)
     K, eta = 2, 0.1
@@ -53,6 +101,13 @@ def test_inverse_map_no_convergence():
     target = make_logistic(8, 3, seed=73)
     with pytest.raises(ConvergenceError):
         inverse_map(target, np.zeros(3), np.full(3, 2.0), 3, 0.05, tol=1e-14, max_iter=1)
+
+
+def test_inverse_map_outside_contraction_regime():
+    # K eta sqrt(L) = 200: the iterates grow geometrically until the guard stops them
+    t = GaussianTarget(np.diag([1e4, 1.0]))
+    with pytest.raises(ConvergenceError, match="trusted region"):
+        inverse_map(t, np.zeros(2), np.array([[0.3, 0.1], [-0.2, 0.4]]), 2, 1.0)
 
 
 def test_proposal_log_density_hand_value():
@@ -93,6 +148,18 @@ def test_kl_zero_at_equal_starts(rng):
     target = make_ridge(4, 3, seed=75)
     est, se = kl_between_proposals(target, np.ones(3), np.ones(3), 2, 0.08, 500, rng)
     assert est == 0.0 and se == 0.0
+
+
+def test_kl_resolves_nearby_starts_far_from_origin():
+    # starts 1e-5 apart in relative terms are distinct starts, not equal ones
+    t = GaussianTarget.standard(2)
+    K, eta = 4, 0.01
+    q0 = np.full(2, 100.0)
+    q1 = q0 + K * eta / 64.0 * np.array([1.0, 0.0])
+    est, se = kl_between_proposals(t, q0, q1, K, eta, 20_000, np.random.default_rng(13))
+    closed = gaussian_proposal_kl(np.eye(2), q0, q1, eta, K)
+    assert se > 0.0
+    assert abs(est - closed) <= 3.0 * se
 
 
 def test_kl_matches_gaussian_closed_form_1d():
