@@ -44,11 +44,13 @@ def _cmd_sample(args) -> int:
     q0 = _vector(args.q0, target.d)
     traces = run_chains(target, config, q0, args.n_steps, args.n_chains)
     traces_to_csv(traces, args.out, thin=args.thin)
-    accept = float(np.mean([t.acceptance_rate for t in traces]))
+    # chains whose every step held made no attempt and have no acceptance rate
+    rates = [t.acceptance_rate for t in traces if t.n_attempts]
+    accept = float(np.mean(rates)) if rates else None
     grads = int(sum(t.grad_evals for t in traces))
     diverged = int(sum(t.diverged.sum() for t in traces))
     print(json.dumps({"acceptance_rate": accept, "grad_evals": grads, "diverged": diverged,
-                      "out": args.out}))
+                      "out": args.out}, allow_nan=False))
     return 0
 
 

@@ -10,14 +10,13 @@ probability is min{1, exp(delta_h)}.  MALA is the K=1 special case.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .leapfrog import PhaseState, _check_schedule, leapfrog_final
+from .leapfrog import PhaseState, _check_schedule, _endpoint, leapfrog_final
 from .targets import TargetDensity
 
 Array = np.ndarray
@@ -80,7 +79,12 @@ def hmc_transition(
 
 @dataclass
 class ChainTrace:
-    """Per-step record of one chain; positions include the start state."""
+    """Per-step record of one chain; positions include the start state.
+
+    grad_evals follows the paper's cost model, K+1 gradient rows per proposal
+    attempt.  A non-lazy block of B chains evaluates B gradient rows once and
+    then K per attempt, since it carries grad f from step to step.
+    """
 
     positions: Array  # (n_steps + 1, d)
     accepted: Array  # (n_steps,) bool
@@ -110,17 +114,29 @@ class ChainTrace:
 def _run_block(
     target: TargetDensity, config: HmcConfig, starts: Array, n_steps: int, streams: list
 ) -> list[ChainTrace]:
-    """n_steps transitions of the chains at starts (B, d); chain c draws from streams[c]."""
+    """n_steps transitions of the chains at starts (B, d); chain c draws from streams[c].
+
+    The input is checked once, before the first step.  A non-lazy run carries
+    f and grad f at each chain's position from step to step, so it evaluates
+    B potential and gradient rows at the start, then K gradient rows and one
+    potential row per chain and step.  A start that is not C-ordered takes its
+    first step without the carry, so that no value computed on it is reused.
+    """
     if n_steps < 1:
         raise ValueError("need at least one step")
-    n_chains = starts.shape[0]
+    _check_schedule(config.eta, config.K)
+    q, streams = _check_block(target, starts, streams)
+    n_chains = q.shape[0]
     positions = np.empty((n_chains, n_steps + 1, target.d))
-    positions[:, 0] = starts
+    positions[:, 0] = q
     flags = np.empty((3, n_chains, n_steps), dtype=bool)  # accepted, lazy holds, diverged
     delta_h = np.empty((n_chains, n_steps))
-    q = starts
+    carry = None
     for i in range(n_steps):
-        step = batch_transition(target, q, config.eta, config.K, streams, lazy=config.lazy)
+        if carry is None and not config.lazy and q.flags.c_contiguous:
+            # not before: matmul rounds other layouts (run_chains' stride-0 start) differently
+            carry = target.potential(q), target.gradient(q)
+        step, carry = _step(target, q, config.eta, config.K, streams, config.lazy, carry)
         q = positions[:, i + 1] = step.positions
         flags[:, :, i] = step.accepted, step.holds, step.diverged
         delta_h[:, i] = step.delta_h
@@ -151,6 +167,8 @@ def run_chains(
     n_chains: int,
 ) -> list[ChainTrace]:
     """Independent chains, run as one block, with per-chain streams split from config.seed."""
+    if n_chains < 1:
+        raise ValueError("need at least one chain")
     starts = np.broadcast_to(np.asarray(q0, dtype=float), (n_chains, target.d))
     streams = [chain_rng(config.seed, c) for c in range(n_chains)]
     return _run_block(target, config, starts, n_steps, streams)
@@ -163,6 +181,19 @@ class BatchTransition:
     delta_h: Array  # (B,), NaN on holds and diverged proposals
     holds: Array  # (B,) bool lazy holds
     diverged: Array  # (B,) bool
+
+
+def _check_block(target: TargetDensity, q: Array, rng) -> tuple[Array, list]:
+    """Positions (B, d) as floats and the list of streams, of a count that divides B."""
+    q = np.asarray(q, dtype=float)
+    if q.ndim != 2 or q.shape[1] != target.d:
+        raise ValueError(f"positions must have shape (B, {target.d})")
+    streams = list(rng) if isinstance(rng, Sequence) else [rng]
+    if not all(isinstance(s, np.random.Generator) for s in streams):
+        raise TypeError("each random stream must be a numpy Generator")
+    if not streams or q.shape[0] % len(streams):
+        raise ValueError(f"{len(streams)} random streams cannot serve {q.shape[0]} chains evenly")
+    return q, streams
 
 
 def batch_transition(
@@ -185,15 +216,22 @@ def batch_transition(
     fixed seeds.
     """
     _check_schedule(eta, K)
-    q = np.asarray(q, dtype=float)
-    if q.ndim != 2 or q.shape[1] != target.d:
-        raise ValueError(f"positions must have shape (B, {target.d})")
+    q, streams = _check_block(target, q, rng)
+    return _step(target, q, eta, K, streams, lazy)[0]
+
+
+def _step(
+    target: TargetDensity, q: Array, eta: float, K: int, streams: list, lazy: bool,
+    carry: tuple[Array, Array] | None = None,
+) -> tuple[BatchTransition, tuple[Array, Array] | None]:
+    """`batch_transition` on checked input, and the carry for the next step.
+
+    carry, for non-lazy steps only, is (f(q), grad f(q)); with it the step
+    evaluates K gradient rows and one potential row per chain instead of
+    K+1 and two, and returns the carry at the new positions.  Without it the
+    step returns None in its place.
+    """
     n_chains = q.shape[0]
-    streams = list(rng) if isinstance(rng, Sequence) else [rng]
-    if not all(isinstance(s, np.random.Generator) for s in streams):
-        raise TypeError("each random stream must be a numpy Generator")
-    if not streams or n_chains % len(streams):
-        raise ValueError(f"{len(streams)} random streams cannot serve {n_chains} chains evenly")
     rows = n_chains // len(streams)
     draws = [(s.random(rows if lazy else 0), s.standard_normal((rows, target.d)), s.random(rows))
              for s in streams]  # coins (none unless lazy), momenta, uniforms
@@ -207,38 +245,47 @@ def batch_transition(
         out = BatchTransition(q.copy(), np.zeros(n_chains, dtype=bool), np.full(n_chains, math.nan),
                               holds, np.zeros(n_chains, dtype=bool))
         if not move.size:  # every chain holds
-            return out
+            return out, None
     q0 = q[move]
-    h0 = target.potential(q0) + 0.5 * (p * p).sum(axis=-1)
-    q1, p1, ok = leapfrog_final(target, q0, p, K, eta)
+    if carry is None:
+        f0 = target.potential(q0)
+        q1, p1, ok = leapfrog_final(target, q0, p, K, eta)
+    else:
+        f0, g0 = carry
+        q1, p1, ok, g1 = _endpoint(target, q0, p, K, eta, g0)
+    h0 = f0 + 0.5 * (p * p).sum(axis=-1)
     with np.errstate(invalid="ignore", over="ignore"):
-        delta_h = h0 - target.potential(q1) - 0.5 * (p1 * p1).sum(axis=-1)
+        f1 = target.potential(q1)
+        delta_h = h0 - f1 - 0.5 * (p1 * p1).sum(axis=-1)
         delta_h = np.where(ok, delta_h, math.nan)
         accept_prob = np.exp(np.minimum(delta_h, 0.0))  # NaN: no uniform falls below it
     accepted = u < accept_prob
     new_q = np.where(accepted[:, None], q1, q0)
     if not gather:
-        return BatchTransition(new_q, accepted, delta_h, holds, ~ok)
+        if carry is not None:
+            carry = np.where(accepted, f1, f0), np.where(accepted[:, None], g1, g0)
+        return BatchTransition(new_q, accepted, delta_h, holds, ~ok), carry
     out.positions[move] = new_q
     out.accepted[move] = accepted
     out.delta_h[move] = delta_h
     out.diverged[move] = ~ok
-    return out
+    return out, None
 
 
 def traces_to_csv(traces: list[ChainTrace], path: str, thin: int = 1) -> None:
-    """Columns: chain, step, accepted, delta_H, q_1..q_d."""
+    """Columns: chain, step, accepted, delta_H, q_1..q_d; reprs, no quoting, CRLF rows."""
     if thin < 1:
         raise ValueError("thinning stride must be >= 1")
     d = traces[0].positions.shape[1]
+    header = ["chain", "step", "accepted", "delta_H"] + [f"q_{i + 1}" for i in range(d)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["chain", "step", "accepted", "delta_H"] + [f"q_{i + 1}" for i in range(d)]
-        )
+        fh.write(",".join(header) + "\r\n")
         for c, trace in enumerate(traces):
-            for i in range(0, trace.n_steps, thin):
-                writer.writerow(
-                    [c, i + 1, int(trace.accepted[i]), repr(float(trace.delta_h[i]))]
-                    + [repr(float(v)) for v in trace.positions[i + 1]]
-                )
+            steps = range(1, trace.n_steps + 1, thin)
+            accepted = trace.accepted[::thin].astype(int).tolist()
+            delta_h = trace.delta_h[::thin].astype(float).tolist()
+            positions = trace.positions[1::thin].astype(float).tolist()
+            fh.writelines(
+                f"{c},{step},{a},{h!r},{','.join(map(repr, row))}\r\n"
+                for step, a, h, row in zip(steps, accepted, delta_h, positions)
+            )

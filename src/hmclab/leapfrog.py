@@ -6,8 +6,9 @@ The discrete update with step-size eta is
     p' = p - (eta / 2) (grad f(q) + grad f(q'))
 
 so a K-step trajectory costs K+1 gradient evaluations when the gradient at
-the current position is carried from step to step.  `_orbit` is the one
-K-step loop; every trajectory, endpoint and transition is read off it.
+the current position is carried from step to step, or K when the gradient
+at its start is known.  `_orbit` is the one K-step loop; every trajectory,
+endpoint and transition is read off it.
 
 The derivative D_j of the j-step position map with respect to the initial
 momentum obeys the Stormer-Verlet three-term recursion (Hairer, Lubich and
@@ -96,14 +97,18 @@ def _check_schedule(eta: float, K: int) -> None:
         raise ValueError("need at least one leapfrog step")
 
 
-def _orbit(target: TargetDensity, q: Array, p: Array, K: int, eta: float):
-    """Yield (q_j, p_j) for j = 1..K; K+1 gradient evaluations in all."""
-    g = target.gradient(q)
+def _orbit(target: TargetDensity, q: Array, p: Array, K: int, eta: float, g: Array | None = None):
+    """Yield (q_j, p_j, grad f(q_j)) for j = 1..K.
+
+    K+1 gradient evaluations in all, or K when g = grad f(q) is given.
+    """
+    if g is None:
+        g = target.gradient(q)
     for _ in range(K):
         q = q + eta * p - 0.5 * eta**2 * g
         g_prev, g = g, target.gradient(q)
         p = p - 0.5 * eta * (g_prev + g)
-        yield q, p
+        yield q, p, g
 
 
 def _in_bounds(q: Array, p: Array) -> Array:
@@ -124,11 +129,21 @@ def forward_map(
     _check_schedule(eta, K)
     states = [s0]
     with np.errstate(over="ignore", invalid="ignore"):
-        for q, p in _orbit(target, s0.q, s0.p, K, eta):
+        for q, p, _ in _orbit(target, s0.q, s0.p, K, eta):
             if not _in_bounds(q, p).all():
                 raise DivergedTrajectory("leapfrog trajectory left the trusted region")
             states.append(PhaseState(q, p))
     return Trajectory(states, eta)
+
+
+def _endpoint(
+    target: TargetDensity, q: Array, p: Array, K: int, eta: float, g: Array | None = None
+):
+    """(q_K, p_K, ok, grad f(q_K)) of `_orbit`, for an already checked schedule."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for q, p, g in _orbit(target, q, p, K, eta, g):
+            pass
+        return q, p, _in_bounds(q, p), g
 
 
 def leapfrog_final(target: TargetDensity, q: Array, p: Array, K: int, eta: float):
@@ -138,10 +153,7 @@ def leapfrog_final(target: TargetDensity, q: Array, p: Array, K: int, eta: float
     and inside the divergence guard; diverged entries hold garbage.
     """
     _check_schedule(eta, K)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for q, p in _orbit(target, q, p, K, eta):
-            pass
-        return q, p, _in_bounds(q, p)
+    return _endpoint(target, q, p, K, eta)[:3]
 
 
 def _hessian_mat(target: TargetDensity, q: Array, m: Array) -> Array:
@@ -163,7 +175,7 @@ def jacobian_orbit(target: TargetDensity, q: Array, p: Array, K: int, eta: float
     # E_0 = E_1 = 0, so the large identity part is never rounded into it
     prev = dev = 0.0
     jac = eta * eye
-    for j, (q, p) in enumerate(_orbit(target, q, p, K, eta), start=1):
+    for j, (q, p, _) in enumerate(_orbit(target, q, p, K, eta), start=1):
         yield q, p, jac
         if j < K:
             prev, dev = dev, 2.0 * dev - prev - eta**2 * _hessian_mat(target, q, jac)

@@ -315,7 +315,7 @@ def check_dynamics_diffs(
         hpc = target.hessian_vec(qc, pc)
         acc1.add((pc * hpc).sum(axis=-1) - (p0 * hp0).sum(axis=-1))
         acc2.add(np.linalg.norm(hpc - hp0, axis=-1))
-        q_leap, _ = next(_orbit(target, q0, p0, 1, t))
+        q_leap, _, _ = next(_orbit(target, q0, p0, 1, t))
         acc3.add(np.linalg.norm(qc - q_leap, axis=-1))
     L, g1 = target.smoothness, target.gamma + 1.0
     dl = d_ell(target.d, ell)
@@ -365,7 +365,7 @@ def energy_error_moment(
         q0 = sampler(b)
         p0 = rng.standard_normal((b, target.d))
         h0 = target.potential(q0) + 0.5 * (p0 * p0).sum(axis=-1)
-        q1, p1 = next(_orbit(target, q0, p0, 1, eta))
+        q1, p1, _ = next(_orbit(target, q0, p0, 1, eta))
         acc.add(h0 - target.potential(q1) - 0.5 * (p1 * p1).sum(axis=-1))
     bound = energy_error_bound(target, eta, ell)
     return _make_report("leapfrog_energy_error", ell, acc, bound, calibration)

@@ -310,12 +310,9 @@ class RidgeSeparableTarget(TargetDensity):
 
 
 def _sigmoid(z: Array) -> Array:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)), as exp(-|z|) / (1 + exp(-|z|)) for z < 0, so exp never overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 class LogisticPosteriorTarget(TargetDensity):

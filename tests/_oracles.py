@@ -7,6 +7,8 @@ quadrature, and brute-force searches.
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
 from hmclab.targets import TargetDensity
@@ -85,6 +87,32 @@ def momentum_jacobian_sum_form(target, q0, p0, K: int, eta: float) -> list[np.nd
         acc = sum((j - l) * prod for l, prod in enumerate(products, start=1))
         jacs.append(j * eta * np.eye(d) - eta**2 * acc)
     return jacs
+
+
+def sigmoid_masked(z: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid by masked gathers and scatters, one branch per sign of z."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def traces_to_csv_rows(traces, path: str, thin: int = 1) -> None:
+    """Chain traces to CSV through csv.writer, one row and one boxed value at a time."""
+    d = traces[0].positions.shape[1]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["chain", "step", "accepted", "delta_H"] + [f"q_{i + 1}" for i in range(d)]
+        )
+        for c, trace in enumerate(traces):
+            for i in range(0, trace.n_steps, thin):
+                writer.writerow(
+                    [c, i + 1, int(trace.accepted[i]), repr(float(trace.delta_h[i]))]
+                    + [repr(float(v)) for v in trace.positions[i + 1]]
+                )
 
 
 def finite_diff_gradient(f, q: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from hmclab.bench import ExperimentConfig, run_experiment, run_overlap_check
 from hmclab.cli import main
 from hmclab.config import build_target, experiment_from_file, parse_kv
+from hmclab.kernel import HmcConfig, run_chains
 from hmclab.targets import (
     GaussianTarget,
     LogisticPosteriorTarget,
@@ -119,6 +120,33 @@ class TestCli:
         delta_h = np.loadtxt(out, delimiter=",", skiprows=1)[:, 3]
         # without lazy holds, delta_H is NaN exactly on diverged proposals
         assert 0 < info["diverged"] == int(np.isnan(delta_h).sum())
+
+    @pytest.mark.parametrize("n_chains, expected", [(1, None), (3, 1.0)])
+    def test_sample_json_without_attempts(self, tmp_path, gaussian_cfg, capsys, n_chains,
+                                          expected):
+        # seed 5: chains 0 and 1 hold at their one step, chain 2 attempts and accepts
+        out = tmp_path / "trace.csv"
+        rc = main(["sample", "--config", gaussian_cfg, "--eta", "0.3", "--K", "2", "--lazy",
+                   "--n-steps", "1", "--n-chains", str(n_chains), "--seed", "5",
+                   "--out", str(out)])
+        assert rc == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        info = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert info["acceptance_rate"] == expected
+
+    def test_sample_json_acceptance_is_chain_mean(self, tmp_path, capsys):
+        cfg = write(tmp_path / "logistic.cfg", "family = logistic\nn = 12\ndim = 3\ndata_seed = 2\n")
+        out = tmp_path / "trace.csv"
+        main(["sample", "--config", cfg, "--eta", "0.9", "--K", "3", "--n-steps", "60",
+              "--n-chains", "4", "--seed", "6", "--out", str(out)])
+        info = json.loads(capsys.readouterr().out)
+        traces = run_chains(build_target(parse_kv(cfg)), HmcConfig(eta=0.9, K=3, seed=6),
+                            np.zeros(3), 60, 4)
+        assert 0.0 < info["acceptance_rate"] < 1.0
+        assert info["acceptance_rate"] == float(np.mean([t.acceptance_rate for t in traces]))
 
     def test_tune_json(self, capsys):
         rc = main(["tune", "--L", "1.0", "--d", "256", "--M", "10", "--epsilon", "0.05",

@@ -5,9 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import make_logistic, make_ridge
-from _oracles import CountingTarget, ZeroTarget, hermite_mean_acceptance
+from _oracles import CountingTarget, ZeroTarget, hermite_mean_acceptance, traces_to_csv_rows
 from hmclab.diagnostics import integrated_autocorr_time
 from hmclab.kernel import (
+    ChainTrace,
     HmcConfig,
     acceptance_prob,
     batch_transition,
@@ -315,6 +316,102 @@ def test_traces_to_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "chain,step,accepted,delta_H,q_1,q_2"
     assert len(lines) == 1 + 2 * 5
+
+
+def _special_values_trace() -> ChainTrace:
+    # signed zeros, subnormals, extremes, infinities and NaN, as a chain may record them
+    values = [0.0, -0.0, 5e-324, -1e-310, 1e300, -1.7976931348623157e308, math.inf, -math.inf,
+              math.nan, 0.1, 1 / 3, -2.5]
+    positions = np.array([np.roll(values, k) for k in range(8)])
+    steps = positions.shape[0] - 1
+    flags = np.arange(steps) % 2 == 0
+    return ChainTrace(positions, flags, ~flags, np.zeros(steps, dtype=bool),
+                      np.array(values[:steps]), 0)
+
+
+@pytest.mark.parametrize("thin", [1, 3, 7])
+@pytest.mark.parametrize("case", ["lazy-logistic", "diverging-cubic-ridge", "special-values"])
+def test_traces_to_csv_matches_csv_writer(tmp_path, case, thin):
+    if case == "lazy-logistic":  # NaN delta_H on holds
+        traces = run_chains(make_logistic(8, 3, seed=68), HmcConfig(eta=0.5, K=3, lazy=True, seed=2),
+                            np.full(3, 0.3), 40, n_chains=3)
+        assert any(t.lazy_holds.any() for t in traces)
+    elif case == "diverging-cubic-ridge":  # NaN delta_H on diverged proposals
+        traces = run_chains(make_ridge(3, 2, seed=1, potential=cubic_potential()),
+                            HmcConfig(eta=1.6, K=4, seed=1), np.zeros(2), 50, n_chains=2)
+        assert any(t.diverged.any() for t in traces)
+    else:
+        traces = [_special_values_trace()] * 2
+    ours, rows = tmp_path / "ours.csv", tmp_path / "rows.csv"
+    traces_to_csv(traces, str(ours), thin=thin)
+    traces_to_csv_rows(traces, str(rows), thin=thin)
+    assert ours.read_bytes() == rows.read_bytes()
+    if case == "special-values":
+        assert b"-0.0," in ours.read_bytes() and b"nan" in ours.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "target, config, q0",
+    [
+        # off the origin, where matmul's rounding depends on the layout of its input
+        (make_logistic(64, 32, seed=32), HmcConfig(eta=0.6, K=4, seed=2),
+         np.random.default_rng(1).standard_normal(32)),
+        (GaussianTarget.standard(3), HmcConfig(eta=1.2, K=3, seed=4), np.ones(3)),
+        # unbounded below: some proposals diverge
+        (make_ridge(3, 2, seed=1, potential=cubic_potential()), HmcConfig(eta=1.2, K=4, seed=3),
+         np.zeros(2)),
+    ],
+    ids=["logistic", "gaussian", "cubic-ridge"],
+)
+@pytest.mark.parametrize("n_chains", [1, 8])
+def test_non_lazy_chains_match_public_transitions(target, config, q0, n_chains):
+    # the driver carries f and grad f; a loop of public transitions evaluates them afresh
+    n_steps = 30
+    traces = run_chains(target, config, q0, n_steps, n_chains)
+    q = np.broadcast_to(q0, (n_chains, target.d))
+    streams = [chain_rng(config.seed, c) for c in range(n_chains)]
+    for i in range(n_steps):
+        step = batch_transition(target, q, config.eta, config.K, streams)
+        q = step.positions
+        assert np.array_equal(q, [t.positions[i + 1] for t in traces])
+        assert np.array_equal(step.accepted, [t.accepted[i] for t in traces])
+        assert np.array_equal(step.diverged, [t.diverged[i] for t in traces])
+        assert np.array_equal(step.delta_h, [t.delta_h[i] for t in traces], equal_nan=True)
+    assert any(not t.accepted.all() for t in traces)  # rejected chains carry their values
+
+
+def test_non_lazy_chain_gradient_accounting():
+    target = CountingTarget(make_logistic(5, 3, seed=63))
+    config = HmcConfig(eta=0.3, K=4, seed=29)
+    n_steps = 200
+    trace = run_chain(target, config, np.full(3, 0.5), n_steps)
+    assert 0 < trace.accepted.sum() < n_steps
+    # f and grad f are evaluated once at the start and then carried
+    assert target.gradient_evals == 1 + n_steps * config.K
+    assert target.potential_evals == 1 + n_steps
+    assert trace.grad_evals == n_steps * (config.K + 1)  # the paper's cost model
+
+
+def test_run_chains_stride_zero_start_accounting():
+    # the shared start is a stride-0 view: the first step evaluates afresh, then the carry starts
+    target = CountingTarget(make_logistic(5, 3, seed=63))
+    config = HmcConfig(eta=0.3, K=4, seed=29)
+    n_chains, n_steps = 4, 50
+    run_chains(target, config, np.full(3, 0.5), n_steps, n_chains)
+    assert target.gradient_evals == n_chains * (2 + n_steps * config.K)
+    assert target.potential_evals == n_chains * (2 + n_steps)
+
+
+@pytest.mark.parametrize("q0", [0.5, np.zeros(2), np.zeros((2, 3))], ids=["scalar", "length", "2d"])
+def test_run_chain_rejects_bad_start(q0):
+    with pytest.raises(ValueError, match=r"positions must have shape \(B, 3\)"):
+        run_chain(GaussianTarget.standard(3), HmcConfig(eta=0.5, K=5), q0, 5)
+
+
+@pytest.mark.parametrize("n_chains", [0, -1])
+def test_run_chains_needs_a_chain(n_chains):
+    with pytest.raises(ValueError, match="need at least one chain"):
+        run_chains(GaussianTarget.standard(3), HmcConfig(eta=0.5, K=5), np.zeros(3), 5, n_chains)
 
 
 def test_detailed_balance_binned_small():

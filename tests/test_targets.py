@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import make_dense_gaussian, make_logistic, make_mixed_ridge, make_ridge
-from _oracles import finite_diff_gradient
+from _oracles import finite_diff_gradient, sigmoid_masked
 from hmclab.errors import UnsupportedCapability
 from hmclab.targets import (
     GaussianTarget,
@@ -19,6 +20,7 @@ from hmclab.targets import (
     eval_potential,
     eval_third_contract,
     quadratic_potential,
+    _sigmoid,
     tanh_activation,
 )
 
@@ -197,6 +199,18 @@ def test_logistic_is_convex(rng):
         q = 3.0 * rng.standard_normal(4)
         v = rng.standard_normal(4)
         assert float(v @ t.hessian_vec(q, v)) >= 0.0
+
+
+def test_sigmoid_bit_identical_to_masked_branches(rng):
+    edges = [0.0, -0.0, math.inf, -math.inf, 800.0, -800.0, 745.2, -745.2, 709.8, -709.8,
+             36.8, -36.8, 1e-310, -1e-310, 5e-324, -5e-324, 1e300, -1e300]
+    z = np.concatenate([edges, 40.0 * rng.standard_normal(4000)]).reshape(2, -1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours, oracle = _sigmoid(z), sigmoid_masked(z)
+    assert ours.shape == z.shape
+    assert np.array_equal(ours.view(np.uint64), oracle.view(np.uint64))
+    assert np.isnan(_sigmoid(np.array([math.nan]))).all()
 
 
 def test_logistic_csv_roundtrip(tmp_path):
