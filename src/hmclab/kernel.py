@@ -247,7 +247,7 @@ def _step(
         if not move.size:  # every chain holds
             return out, None
     q0 = q[move]
-    if carry is None:
+    if carry is None:  # through the public endpoint, which perfbench's tracer times
         f0 = target.potential(q0)
         q1, p1, ok = leapfrog_final(target, q0, p, K, eta)
     else:
