@@ -3,21 +3,23 @@
 Each experiment consumes an ExperimentConfig, derives one RNG stream per
 grid point from (seed, point index) so results do not depend on execution
 order, and emits CSV rows plus a JSON summary sidecar carrying the config
-hash, git description and wall time.  Outputs are bit-identical across
-reruns with a fixed seed.  `overlap_report`, `lemma_reports` and
-`tensors.tensor_report` compute the analyses that both the runners and the
-`hmclab overlap|lemmas|tensor` commands print.
+hash, git description, Python, numpy and scipy versions, and wall time.
+Outputs are bit-identical across reruns with a fixed seed.  `overlap_report`,
+`lemma_reports` and `tensors.tensor_report` compute the analyses that both
+the runners and the `hmclab overlap|lemmas|tensor` commands print.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import platform
 import subprocess
 import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 from .config import ExperimentConfig, build_target
 from .errors import BudgetExhausted
@@ -112,6 +114,8 @@ def write_sidecar(path: str, cfg: ExperimentConfig, summary: dict, wall_time: fl
     payload = {
         "config_hash": cfg.config_hash(),
         "git_describe": _git_describe(),
+        "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                     "scipy": scipy.__version__},
         "wall_time_s": wall_time,
         "summary": summary,
     }

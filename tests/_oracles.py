@@ -8,9 +8,12 @@ quadrature, and brute-force searches.
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
+from hmclab.kernel import BatchTransition, chain_rng
+from hmclab.leapfrog import _endpoint, leapfrog_final
 from hmclab.targets import TargetDensity
 
 
@@ -113,6 +116,66 @@ def traces_to_csv_rows(traces, path: str, thin: int = 1) -> None:
                     [c, i + 1, int(trace.accepted[i]), repr(float(trace.delta_h[i]))]
                     + [repr(float(v)) for v in trace.positions[i + 1]]
                 )
+
+
+def unblocked_step(target, q, eta: float, K: int, streams: list, lazy: bool, carry=None):
+    """One transition of all moving rows at once, each pass over the full batch.
+
+    The kernel's step before it integrated in row blocks: the same draws, the
+    same evaluator rows and the same carry, as whole-batch arrays.
+    """
+    n_chains = q.shape[0]
+    rows = n_chains // len(streams)
+    draws = [(s.random(rows if lazy else 0), s.standard_normal((rows, target.d)), s.random(rows))
+             for s in streams]
+    coins, p, u = draws[0] if len(draws) == 1 else (np.concatenate(x) for x in zip(*draws))
+    holds = coins < 0.5 if lazy else np.zeros(n_chains, dtype=bool)
+    gather = lazy and holds.any()
+    move = np.flatnonzero(~holds) if gather else slice(None)
+    p, u = p[move], u[move]
+    if gather:
+        out = BatchTransition(q.copy(), np.zeros(n_chains, dtype=bool), np.full(n_chains, math.nan),
+                              holds, np.zeros(n_chains, dtype=bool))
+        if not move.size:
+            return out, None
+    q0 = q[move]
+    if carry is None:
+        f0 = target.potential(q0)
+        q1, p1, ok = leapfrog_final(target, q0, p, K, eta)
+    else:
+        f0, g0 = carry
+        q1, p1, ok, g1 = _endpoint(target, q0, p, K, eta, g0)
+    h0 = f0 + 0.5 * (p * p).sum(axis=-1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        f1 = target.potential(q1)
+        delta_h = h0 - f1 - 0.5 * (p1 * p1).sum(axis=-1)
+        delta_h = np.where(ok, delta_h, math.nan)
+        accept_prob = np.exp(np.minimum(delta_h, 0.0))
+    accepted = u < accept_prob
+    new_q = np.where(accepted[:, None], q1, q0)
+    if not gather:
+        if carry is not None:
+            carry = np.where(accepted, f1, f0), np.where(accepted[:, None], g1, g0)
+        return BatchTransition(new_q, accepted, delta_h, holds, ~ok), carry
+    out.positions[move] = new_q
+    out.accepted[move] = accepted
+    out.delta_h[move] = delta_h
+    out.diverged[move] = ~ok
+    return out, None
+
+
+def unblocked_run_chains(target, config, q0, n_steps: int, n_chains: int) -> list:
+    """The steps of `run_chains` through `unblocked_step`, with the same carry schedule."""
+    q = np.broadcast_to(np.asarray(q0, dtype=float), (n_chains, target.d))
+    streams = [chain_rng(config.seed, c) for c in range(n_chains)]
+    steps, carry = [], None
+    for _ in range(n_steps):
+        if carry is None and not config.lazy and q.flags.c_contiguous:
+            carry = target.potential(q), target.gradient(q)
+        step, carry = unblocked_step(target, q, config.eta, config.K, streams, config.lazy, carry)
+        steps.append(step)
+        q = step.positions
+    return steps
 
 
 def finite_diff_gradient(f, q: np.ndarray, h: float = 1e-6) -> np.ndarray:

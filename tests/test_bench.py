@@ -1,8 +1,10 @@
 import json
 import math
+import platform
 
 import numpy as np
 import pytest
+import scipy
 from numpy.testing import assert_allclose
 from scipy.stats import norm
 
@@ -282,6 +284,8 @@ def test_write_csv_and_sidecar_bit_identical(tmp_path):
     for key in ("config_hash", "git_describe", "wall_time_s"):
         assert key in sidecar
     assert sidecar["config_hash"] == cfg.config_hash()
+    assert sidecar["versions"] == {"python": platform.python_version(), "numpy": np.__version__,
+                                   "scipy": scipy.__version__}
 
 
 def test_write_csv_formats(tmp_path):

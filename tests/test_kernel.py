@@ -4,12 +4,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import make_logistic, make_ridge
-from _oracles import CountingTarget, ZeroTarget, hermite_mean_acceptance, traces_to_csv_rows
+from conftest import make_dense_gaussian, make_logistic, make_ridge
+from _oracles import (
+    CountingTarget,
+    ZeroTarget,
+    hermite_mean_acceptance,
+    traces_to_csv_rows,
+    unblocked_run_chains,
+    unblocked_step,
+)
 from hmclab.diagnostics import integrated_autocorr_time
 from hmclab.kernel import (
     ChainTrace,
     HmcConfig,
+    _run_block,
     acceptance_prob,
     batch_transition,
     chain_rng,
@@ -412,6 +420,117 @@ def test_run_chain_rejects_bad_start(q0):
 def test_run_chains_needs_a_chain(n_chains):
     with pytest.raises(ValueError, match="need at least one chain"):
         run_chains(GaussianTarget.standard(3), HmcConfig(eta=0.5, K=5), np.zeros(3), 5, n_chains)
+
+
+@pytest.mark.parametrize("q0", [0.5, np.zeros(2), np.zeros((2, 3))], ids=["scalar", "length", "2d"])
+def test_run_chains_rejects_bad_start(q0):
+    with pytest.raises(ValueError, match=r"positions must have shape \(B, 3\)"):
+        run_chains(GaussianTarget.standard(3), HmcConfig(eta=0.5, K=5), q0, 5, 2)
+
+
+def _block_rows(d: int) -> int:
+    """Rows per block of the kernel's row blocking: max(256, 16384 // d)."""
+    return max(256, 16384 // d)
+
+
+def _assert_same_step(ours, ref):
+    for name in ("positions", "accepted", "holds", "diverged"):
+        assert np.array_equal(getattr(ours, name), getattr(ref, name)), name
+    assert np.array_equal(ours.delta_h, ref.delta_h, equal_nan=True)
+
+
+def test_row_blocks_match_unblocked_step_gaussian():
+    # B on both sides of the one-, two- and three-block edges of the moving rows
+    hp = pytest.importorskip("hypothesis")
+    st = hp.strategies
+
+    @hp.settings(derandomize=True, deadline=None, max_examples=60)
+    @hp.given(st.sampled_from([8, 16, 32, 64, 100]), st.integers(1, 4), st.integers(-2, 2),
+              st.integers(1, 4), st.booleans(), st.sampled_from([1, 2, 3]), st.integers(0, 2**16))
+    def check(d, edge, offset, K, lazy, groups, seed):
+        n_chains = edge * _block_rows(d) + offset
+        n_streams = math.gcd(n_chains, groups)  # one block stream, or G that divide B
+        target = GaussianTarget.diagonal(np.linspace(0.5, 2.0, d))
+        q = np.random.default_rng(seed).standard_normal((n_chains, d))
+        ours = [np.random.default_rng(seed + j) for j in range(n_streams)]
+        ref = [np.random.default_rng(seed + j) for j in range(n_streams)]
+        q_ref = q
+        for _ in range(2):
+            step = batch_transition(target, q, 0.4, K, ours if n_streams > 1 else ours[0], lazy)
+            expected, _ = unblocked_step(target, q_ref, 0.4, K, ref, lazy)
+            _assert_same_step(step, expected)
+            q, q_ref = step.positions, expected.positions
+        assert all(a.random() == b.random() for a, b in zip(ours, ref))
+
+    check()
+
+
+_WIDE_TARGETS = [
+    pytest.param(make_logistic(40, 16, seed=16), 0.3, 3, False, id="logistic-16"),
+    pytest.param(make_logistic(40, 32, seed=32), 0.3, 3, False, id="logistic-32"),
+    pytest.param(make_logistic(40, 256, seed=256), 0.1, 3, False, id="logistic-256"),
+    pytest.param(make_dense_gaussian(24, seed=24), 0.3, 3, False, id="dense-gaussian"),
+    # unbounded below: some proposals diverge
+    pytest.param(make_ridge(6, 16, seed=1, potential=cubic_potential()), 1.0, 4, True,
+                 id="cubic-ridge"),
+]
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+@pytest.mark.parametrize("target, eta, K, diverges", _WIDE_TARGETS)
+def test_wide_batch_transition_matches_unblocked_step(target, eta, K, diverges, lazy):
+    rows = _block_rows(target.d)
+    n_chains = max(2048, 5 * rows)
+    q = 0.5 * np.random.default_rng(7).standard_normal((n_chains, target.d))
+    rng, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
+    q_ref, accepted, diverged = q, 0, 0
+    for _ in range(3):
+        step = batch_transition(target, q, eta, K, rng, lazy=lazy)
+        expected, _ = unblocked_step(target, q_ref, eta, K, [rng_ref], lazy)
+        _assert_same_step(step, expected)
+        assert (~step.holds).sum() >= 2 * rows  # two row blocks or more
+        q, q_ref = step.positions, expected.positions
+        accepted += int(step.accepted.sum())
+        diverged += int(step.diverged.sum())
+    assert accepted > 0
+    assert (diverged > 0) == diverges
+
+
+@pytest.mark.parametrize("target, eta, K, diverges", _WIDE_TARGETS)
+def test_wide_carried_chains_match_unblocked_steps(target, eta, K, diverges):
+    config = HmcConfig(eta=eta, K=K, seed=5)
+    q0 = np.full(target.d, 0.3)
+    n_steps, n_chains = 3, max(2048, 2 * _block_rows(target.d))
+    traces = run_chains(target, config, q0, n_steps, n_chains)
+    for i, expected in enumerate(unblocked_run_chains(target, config, q0, n_steps, n_chains)):
+        assert np.array_equal(np.array([t.positions[i + 1] for t in traces]), expected.positions)
+        assert np.array_equal([t.accepted[i] for t in traces], expected.accepted)
+        assert np.array_equal([t.diverged[i] for t in traces], expected.diverged)
+        assert np.array_equal([t.delta_h[i] for t in traces], expected.delta_h, equal_nan=True)
+    assert any(t.diverged.any() for t in traces) == diverges
+
+
+def test_wide_block_accounting():
+    # moving rows span at least three row blocks; counts are rows, whatever the blocking
+    inner = make_logistic(20, 64, seed=64)
+    K, n_chains = 3, 2048
+    q = np.random.default_rng(4).standard_normal((n_chains, 64))
+    target = CountingTarget(inner)
+    step = batch_transition(target, q, 0.5, K, np.random.default_rng(4), lazy=True)
+    moving = int((~step.holds).sum())
+    assert moving >= 3 * _block_rows(64)
+    assert target.gradient_evals == moving * (K + 1)
+    assert target.potential_evals == 2 * moving
+    assert np.array_equal(step.positions[step.holds], q[step.holds])
+    assert 0 < step.accepted.sum() < moving
+    # the carried path: f and grad f once at the start, then K gradient rows and one potential row
+    target = CountingTarget(inner)
+    n_steps = 4
+    config = HmcConfig(eta=0.5, K=K, seed=4)
+    streams = [np.random.default_rng(4)]
+    _run_block(target, config, q, n_steps, streams)
+    assert target.gradient_evals == n_chains * (1 + n_steps * K)
+    assert target.potential_evals == n_chains * (1 + n_steps)
 
 
 def test_detailed_balance_binned_small():
