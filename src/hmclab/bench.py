@@ -192,19 +192,18 @@ def calibrate_acceptance_constant(
     d: int,
     seed: int,
     target_accept: float = 0.85,
-    n_chains: int = 64,
-    n_steps: int = 16,
 ) -> float:
-    """Pilot bisection for a in eta = a d^(-1/4): acceptance falls as a grows."""
+    """Pilot bisection for a in eta = a d^(-1/4): acceptance falls as a grows.
+
+    Each of its 12 rounds runs 64 exact-start chains for 16 transitions.
+    """
     lo, hi = 0.2, 2.0
     target_g = GaussianTarget.standard(d)
     for _ in range(12):
         mid = 0.5 * (lo + hi)
         rng = _rng(seed, 999, int(mid * 1e6) % (2**31))
-        start = target_g.sample_exact(n_chains, rng)
-        acc, _, _ = _mean_acceptance(
-            target_g, start, mid * d**-0.25, math.ceil(d**0.25), n_steps, rng
-        )
+        start = target_g.sample_exact(64, rng)
+        acc, _, _ = _mean_acceptance(target_g, start, mid * d**-0.25, math.ceil(d**0.25), 16, rng)
         if acc > target_accept:
             lo = mid
         else:
@@ -227,7 +226,7 @@ def run_acceptance_scaling(cfg: ExperimentConfig):
     rows = []
     for idx, d in enumerate(cfg.dims):
         if cfg.schedule == "fixed":
-            eta, K = float(opts.get("eta", 0.4)), int(opts.get("K", 1))
+            eta, K = corollary_schedule("fixed", d, opts)
         else:
             eta, K = float(a) * d**-0.25, math.ceil(d**0.25)
         rng = _rng(seed, idx)

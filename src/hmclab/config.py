@@ -73,6 +73,9 @@ class ExperimentConfig:
         if self.name in STANDARD_GAUSSIAN_ONLY and self.target != {"family": "gaussian"}:
             raise ValueError(f"{self.name} runs on the standard Gaussian and would "
                              f"ignore target {self.target!r}")
+        if self.name == "acceptance-scaling" and self.schedule == "corollary-mala":
+            raise ValueError("acceptance-scaling runs the fixed or corollary-hmc schedule, "
+                             "not corollary-mala")
 
     def config_hash(self) -> str:
         canonical = json.dumps(asdict(self), sort_keys=True, default=str)

@@ -5,21 +5,21 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtr
 
+from .targets import random_unit_rows
+
 Array = np.ndarray
 
 
-def autocorrelation(x: Array, max_lag: int | None = None) -> Array:
-    """Normalized autocorrelation of a scalar series, via FFT."""
+def autocorrelation(x: Array) -> Array:
+    """Normalized autocorrelation of a scalar series at lags 0..n-1, via FFT."""
     x = np.asarray(x, dtype=float)
     n = x.size
-    if max_lag is None:
-        max_lag = n - 1
     centered = x - x.mean()
     size = 1 << (2 * n - 1).bit_length()
     f = np.fft.rfft(centered, n=size)
-    acov = np.fft.irfft(f * np.conj(f), n=size)[: max_lag + 1]
+    acov = np.fft.irfft(f * np.conj(f), n=size)[:n]
     if acov[0] <= 0:
-        return np.zeros(max_lag + 1)
+        return np.zeros(n)
     return acov / acov[0]
 
 
@@ -43,48 +43,35 @@ def effective_sample_size(x: Array) -> float:
     return x.size / integrated_autocorr_time(x)
 
 
-def tv_histogram(
-    samples: Array,
-    cdf=ndtr,
-    lo: float = -8.0,
-    hi: float = 8.0,
-    bins: int = 200,
-) -> float:
-    """Half L1 distance between a histogram of samples and an exact law.
+#: histogram TV: 200 equal bins on [-8, 8], the tails folded into the end bins
+_TV_EDGES = np.linspace(-8.0, 8.0, 201)
 
-    Samples are clipped into [lo, hi] so tail mass lands in the end bins,
+
+def tv_histogram(samples: Array) -> float:
+    """Half L1 distance between a histogram of samples and N(0, 1).
+
+    Samples are clipped into [-8, 8] so tail mass lands in the end bins,
     and the exact bin probabilities absorb the tails the same way.  This is
     a biased (upward, by binning noise) estimator, not a certificate.
     """
-    samples = np.clip(np.asarray(samples, dtype=float).ravel(), lo, hi)
-    edges = np.linspace(lo, hi, bins + 1)
-    counts, _ = np.histogram(samples, bins=edges)
-    probs = np.diff(cdf(edges))
-    probs[0] += cdf(edges[0])
-    probs[-1] += 1.0 - cdf(edges[-1])
+    samples = np.clip(np.asarray(samples, dtype=float).ravel(), _TV_EDGES[0], _TV_EDGES[-1])
+    counts, _ = np.histogram(samples, bins=_TV_EDGES)
+    cdf = ndtr(_TV_EDGES)
+    probs = np.diff(cdf)
+    probs[0] += cdf[0]
+    probs[-1] += 1.0 - cdf[-1]
     return 0.5 * float(np.abs(counts / samples.size - probs).sum())
 
 
-def random_directions(n: int, d: int, rng: np.random.Generator) -> Array:
-    a = rng.standard_normal((n, d))
-    return a / np.linalg.norm(a, axis=1, keepdims=True)
-
-
-def tv_projection_estimate(
-    samples: Array,
-    projected_std,
-    rng: np.random.Generator,
-    n_projections: int = 64,
-    bins: int = 200,
-) -> float:
-    """Average histogram-TV over random 1D projections against exact marginals.
+def tv_projection_estimate(samples: Array, projected_std, rng: np.random.Generator) -> float:
+    """Average histogram-TV over 64 random 1D projections against exact marginals.
 
     projected_std(directions) must return the exact standard deviation of
     the target along each unit direction; each projection is standardized
     and compared against N(0, 1).
     """
     samples = np.asarray(samples, dtype=float)
-    dirs = random_directions(n_projections, samples.shape[1], rng)
+    dirs = random_unit_rows(64, samples.shape[1], rng)
     stds = np.asarray(projected_std(dirs), dtype=float)
     projected = samples @ dirs.T / stds
-    return float(np.mean([tv_histogram(projected[:, j], bins=bins) for j in range(n_projections)]))
+    return float(np.mean([tv_histogram(column) for column in projected.T]))

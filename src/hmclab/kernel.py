@@ -55,13 +55,6 @@ def hamiltonian(target: TargetDensity, s: PhaseState) -> Array:
     return target.potential(s.q) + 0.5 * (s.p * s.p).sum(axis=-1)
 
 
-def acceptance_prob(delta_h: float) -> float:
-    """min{1, exp(delta_h)}; NaN is treated as certain rejection."""
-    if math.isnan(delta_h):
-        return 0.0
-    return math.exp(min(delta_h, 0.0))
-
-
 @dataclass(frozen=True)
 class TransitionResult:
     position: Array
@@ -125,8 +118,7 @@ def _run_block(
     The input is checked once, before the first step.  A non-lazy run carries
     f and grad f at each chain's position from step to step, so it evaluates
     B potential and gradient rows at the start, then K gradient rows and one
-    potential row per chain and step.  A start that is not C-ordered takes its
-    first step without the carry, so that no value computed on it is reused.
+    potential row per chain and step.
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
@@ -137,11 +129,8 @@ def _run_block(
     positions[:, 0] = q
     flags = np.empty((3, n_chains, n_steps), dtype=bool)  # accepted, lazy holds, diverged
     delta_h = np.empty((n_chains, n_steps))
-    carry = None
+    carry = None if config.lazy else (target.potential(q), target.gradient(q))
     for i in range(n_steps):
-        if carry is None and not config.lazy and q.flags.c_contiguous:
-            # not before: matmul rounds other layouts (run_chains' stride-0 start) differently
-            carry = target.potential(q), target.gradient(q)
         step, carry = _step(target, q, config.eta, config.K, streams, config.lazy, carry)
         q = positions[:, i + 1] = step.positions
         flags[:, :, i] = step.accepted, step.holds, step.diverged
@@ -196,7 +185,11 @@ class BatchTransition:
 
 
 def _check_block(target: TargetDensity, q: Array, rng) -> tuple[Array, list]:
-    """Positions (B, d) as floats and the list of streams, of a count that divides B."""
+    """C-ordered positions (B, d) as floats and the list of streams, of a count that divides B.
+
+    matmul rounds rows of other layouts (a stride-0 broadcast start) differently,
+    so a chain's path would depend on the layout of its start.
+    """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[1] != target.d:
         raise ValueError(f"positions must have shape (B, {target.d})")
@@ -205,7 +198,7 @@ def _check_block(target: TargetDensity, q: Array, rng) -> tuple[Array, list]:
         raise TypeError("each random stream must be a numpy Generator")
     if not streams or q.shape[0] % len(streams):
         raise ValueError(f"{len(streams)} random streams cannot serve {q.shape[0]} chains evenly")
-    return q, streams
+    return np.ascontiguousarray(q), streams
 
 
 def batch_transition(

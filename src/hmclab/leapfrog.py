@@ -22,7 +22,6 @@ K-1 Hessian-matrix products and O(d^2) memory per batch entry.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,25 +68,6 @@ class Trajectory:
     @property
     def final(self) -> PhaseState:
         return self.states[-1]
-
-    def positions(self) -> Array:
-        return np.stack([s.q for s in self.states])
-
-    def momenta(self) -> Array:
-        return np.stack([s.p for s in self.states])
-
-    def to_csv(self, path: str) -> None:
-        """Debug dump with columns k, q_1..q_d, p_1..p_d (single states only)."""
-        if self.states[0].q.ndim != 1:
-            raise ValueError("CSV dump supports unbatched trajectories only")
-        d = self.states[0].q.shape[0]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["k"] + [f"q_{i + 1}" for i in range(d)] + [f"p_{i + 1}" for i in range(d)]
-            )
-            for k, s in enumerate(self.states):
-                writer.writerow([k] + [repr(float(v)) for v in s.q] + [repr(float(v)) for v in s.p])
 
 
 def _check_schedule(eta: float, K: int) -> None:

@@ -10,8 +10,9 @@ The dimension-like constants are
     d_ell       = d + 2 (ell - 1).
 
 Bounds stated without a universal constant (gradient-norm, quadratic-form
-moments) are hard; the rest carry a recorded calibration constant and the
-report's slack ratio is the measurement.
+moments) are hard.  The rest are stated here with their universal constant
+c = 1, recorded as each report's calibration, and the report's slack ratio
+is the measurement.
 """
 
 from __future__ import annotations
@@ -81,11 +82,6 @@ class MomentAccumulator:
             return 0.0, -math.inf
         return math.copysign(1.0, net), hi + math.log(abs(net)) - math.log(self.n)
 
-    def mean_power(self) -> float:
-        """Signed E[X^power]; may overflow for extreme inputs, prefer norm_and_se."""
-        sign, log_m = self._log_mean_power()
-        return sign * math.exp(log_m) if sign else 0.0
-
     def norm_and_se(self) -> tuple[float, float]:
         sign, log_m = self._log_mean_power()
         if sign == 0.0:
@@ -109,7 +105,8 @@ class MomentReport:
     std_error: float
     bound: float
     n_samples: int
-    calibration: float = 1.0  # constant applied to the bound, 1 when constant-free
+    #: universal constant in the bound: every check states its bound with c = 1
+    calibration = 1.0
 
     @property
     def slack_ratio(self) -> float:
@@ -139,9 +136,9 @@ class MomentReport:
         )
 
 
-def _make_report(name, ell, acc, bound, calibration=1.0) -> MomentReport:
+def _make_report(name, ell, acc, bound) -> MomentReport:
     norm, se = acc.norm_and_se()
-    return MomentReport(name, ell, norm, se, calibration * bound, acc.n, calibration)
+    return MomentReport(name, ell, norm, se, bound, acc.n)
 
 
 def exact_gaussian_sampler(target, rng: np.random.Generator):
@@ -156,16 +153,15 @@ def chain_stationary_sampler(
     K: int = 1,
     warmup: int = 2000,
     n_chains: int = 64,
-    thin: int = 4,
-    q0: Array | None = None,
 ):
     """Approximate stationary draws from long Metropolized HMC runs.
 
-    Runs n_chains coupled-seed chains past `warmup`, then harvests every
-    `thin`-th state.  The draws are correlated and only approximately
-    stationary; checks using them say so in their documentation.
+    Runs n_chains coupled-seed chains from the origin past `warmup`, then
+    harvests every 4th state.  The draws are correlated and only
+    approximately stationary; checks using them say so in their
+    documentation.
     """
-    state = np.zeros((n_chains, target.d)) if q0 is None else np.tile(q0, (n_chains, 1))
+    state = np.zeros((n_chains, target.d))
     for _ in range(warmup):
         state = batch_transition(target, state, eta, K, rng).positions
 
@@ -174,7 +170,7 @@ def chain_stationary_sampler(
         out = np.empty((n, target.d))
         filled = 0
         while filled < n:
-            for _ in range(thin):
+            for _ in range(4):
                 state = batch_transition(target, state, eta, K, rng).positions
             take = min(n_chains, n - filled)
             out[filled : filled + take] = state[:take]
@@ -244,16 +240,15 @@ def check_chaos_moments(
     rng: np.random.Generator,
     norm_123: float | None = None,
     norm_12_3: float | None = None,
-    calibration: float = 1.0,
 ) -> tuple[MomentReport, MomentReport]:
     """Gaussian-chaos moments of the third derivative at x.
 
     Checks [E (T[p,p,p])^ell]^(1/ell) against
-    c (ell^(3/2) ||T||_{123} + ell^(1/2) d^(1/2) ||T||_{12}{3}) and
+    ell^(3/2) ||T||_{123} + ell^(1/2) d^(1/2) ||T||_{12}{3} and
     [E ||T[p,p,.]||^(2 ell)]^(1/ell) against
-    c (ell^2 ||T||_{123}^2 + ell^2 d ||T||_{12}{3}^2), with the calibration
-    constant c recorded in the reports.  Tensor norms are computed here when
-    not supplied (small d only).
+    ell^2 ||T||_{123}^2 + ell^2 d ||T||_{12}{3}^2, that is, with the
+    universal constant c = 1.  Tensor norms are computed here when not
+    supplied (small d only).
     """
     x = np.asarray(x, dtype=float)
     if norm_123 is None or norm_12_3 is None:
@@ -276,8 +271,8 @@ def check_chaos_moments(
     b1 = ell**1.5 * norm_123 + math.sqrt(ell * target.d) * norm_12_3
     b2 = ell**2 * norm_123**2 + ell**2 * target.d * norm_12_3**2
     return (
-        _make_report("third_ppp", ell, acc_ppp, b1, calibration),
-        _make_report("third_pp_norm_sq", ell, acc_ppn, b2, calibration),
+        _make_report("third_ppp", ell, acc_ppp, b1),
+        _make_report("third_pp_norm_sq", ell, acc_ppn, b2),
     )
 
 
@@ -289,7 +284,6 @@ def check_dynamics_diffs(
     sampler,
     rng: np.random.Generator,
     tol: float = 1e-9,
-    calibration: float = 1.0,
 ) -> tuple[MomentReport, MomentReport, MomentReport]:
     """Drift of Hessian quadratic forms along the flow, and the
     discrete-versus-continuous position gap after one leapfrog step of size t.
@@ -300,7 +294,8 @@ def check_dynamics_diffs(
       (ii)  [E ||H_t p_t - H_0 p_0||^(2 ell)]^(1/(2 ell))
                 vs c t (gamma+1) ell^(1/2) L^(3/2) d_ell^(1/2);
       (iii) [E ||q_cont - q_leap||^(2 ell)]^(1/(2 ell))
-                vs t^3 L^(1/2) Upsilon_ell^(1/2)   (constant-free).
+                vs t^3 L^(1/2) Upsilon_ell^(1/2)   (constant-free),
+    with the universal constant c = 1 in (i) and (ii).
     """
     if target.gamma is None:
         raise ValueError("target declares no gamma; estimate it first")
@@ -323,8 +318,8 @@ def check_dynamics_diffs(
     b2 = t * g1 * math.sqrt(ell) * L**1.5 * math.sqrt(dl)
     b3 = t**3 * math.sqrt(L) * math.sqrt(upsilon_ell(target, ell))
     return (
-        _make_report("php_drift", ell, acc1, b1, calibration),
-        _make_report("hp_drift", ell, acc2, b2, calibration),
+        _make_report("php_drift", ell, acc1, b1),
+        _make_report("hp_drift", ell, acc2, b2),
         _make_report("leapfrog_position_gap", ell, acc3, b3),
     )
 
@@ -350,13 +345,12 @@ def energy_error_moment(
     n_mc: int,
     sampler,
     rng: np.random.Generator,
-    calibration: float = 1.0,
 ) -> MomentReport:
     """Moment norm of the Hamiltonian error of one leapfrog step of size eta.
 
     [E (H(q0, p0) - H(q_eta, p_eta))^ell]^(1/ell) over the stationary
-    coupling, against energy_error_bound with the calibration recorded.
-    The bound uses the gamma+1 form, which stays informative at gamma=0.
+    coupling, against energy_error_bound, the bound with c = 1.  The bound
+    uses the gamma+1 form, which stays informative at gamma=0.
     """
     if ell % 2 != 0:
         raise ValueError("the energy error is signed; use even ell")
@@ -368,4 +362,4 @@ def energy_error_moment(
         q1, p1, _ = next(_orbit(target, q0, p0, 1, eta))
         acc.add(h0 - target.potential(q1) - 0.5 * (p1 * p1).sum(axis=-1))
     bound = energy_error_bound(target, eta, ell)
-    return _make_report("leapfrog_energy_error", ell, acc, bound, calibration)
+    return _make_report("leapfrog_energy_error", ell, acc, bound)

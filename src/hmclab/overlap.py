@@ -98,13 +98,12 @@ def proposal_log_density(
     y: Array,
     K: int,
     eta: float,
-    tol: float = 1e-10,
 ) -> float:
     """log of the K-step proposal density at y for a chain at q0."""
     _check_dim(target)
     q0 = np.asarray(q0, dtype=float)
     y = np.asarray(y, dtype=float)
-    p = inverse_map(target, q0, y, K, eta, tol=tol)
+    p = inverse_map(target, q0, y, K, eta)
     _, jac = _forward_with_jacobian(target, q0, p, K, eta)
     log_phi = -0.5 * (p * p).sum(axis=-1) - 0.5 * target.d * math.log(2.0 * math.pi)
     return log_phi - _logdet(jac)
@@ -118,7 +117,6 @@ def kl_between_proposals(
     eta: float,
     n_mc: int,
     rng: np.random.Generator,
-    tol: float = 1e-10,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of KL(P_q0 || P_q0_tilde) with its standard error.
 
@@ -140,7 +138,7 @@ def kl_between_proposals(
         if np.array_equal(q0, q0_tilde):
             p_t, ld_t = p, ld0
         else:
-            p_t = inverse_map(target, q0_tilde, y, K, eta, tol=tol)
+            p_t = inverse_map(target, q0_tilde, y, K, eta)
             _, jac_t = _forward_with_jacobian(target, q0_tilde, p_t, K, eta)
             ld_t = _logdet(jac_t)
         vals = 0.5 * ((p_t * p_t).sum(axis=-1) - (p * p).sum(axis=-1)) - ld0 + ld_t

@@ -166,12 +166,11 @@ def unblocked_step(target, q, eta: float, K: int, streams: list, lazy: bool, car
 
 def unblocked_run_chains(target, config, q0, n_steps: int, n_chains: int) -> list:
     """The steps of `run_chains` through `unblocked_step`, with the same carry schedule."""
-    q = np.broadcast_to(np.asarray(q0, dtype=float), (n_chains, target.d))
+    q = np.tile(np.asarray(q0, dtype=float), (n_chains, 1))
     streams = [chain_rng(config.seed, c) for c in range(n_chains)]
-    steps, carry = [], None
+    steps = []
+    carry = None if config.lazy else (target.potential(q), target.gradient(q))
     for _ in range(n_steps):
-        if carry is None and not config.lazy and q.flags.c_contiguous:
-            carry = target.potential(q), target.gradient(q)
         step, carry = unblocked_step(target, q, config.eta, config.K, streams, config.lazy, carry)
         steps.append(step)
         q = step.positions

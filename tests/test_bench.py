@@ -122,6 +122,14 @@ def test_standard_gaussian_experiments_reject_target_keys(name):
     ExperimentConfig(name=name, target={"family": "gaussian"})
 
 
+@pytest.mark.parametrize("options", [{}, {"accept_constant": 1.0}], ids=["calibrated", "given"])
+def test_acceptance_scaling_rejects_mala_schedule(options):
+    # acceptance-scaling has no MALA schedule, whether or not the constant a is given
+    with pytest.raises(ValueError, match="not corollary-mala"):
+        ExperimentConfig(name="acceptance-scaling", dims=(4,), schedule="corollary-mala",
+                         options=options)
+
+
 @pytest.mark.parametrize("q0", [0.5, [0.0, 0.0]], ids=["scalar", "wrong-length"])
 def test_overlap_check_rejects_q0_of_wrong_shape(q0):
     cfg = ExperimentConfig(name="overlap-check", dims=(3,), options={"q0": q0, "n_mc": 100})

@@ -18,7 +18,6 @@ from hmclab.kernel import (
     ChainTrace,
     HmcConfig,
     _run_block,
-    acceptance_prob,
     batch_transition,
     chain_rng,
     hamiltonian,
@@ -35,14 +34,6 @@ def test_hamiltonian_values():
     assert hamiltonian(t, PhaseState(np.zeros(2), np.ones(2))) == 1.0
     assert hamiltonian(t, PhaseState(np.ones(2), np.zeros(2))) == 1.0
     assert hamiltonian(ZeroTarget(2), PhaseState(np.ones(2), np.zeros(2))) == 0.0
-
-
-def test_acceptance_prob_values():
-    assert acceptance_prob(0.0) == 1.0
-    assert_allclose(acceptance_prob(-math.log(4.0)), 0.25)
-    assert_allclose(acceptance_prob(-0.0278320), 0.972552, atol=5e-7)
-    assert acceptance_prob(12.3) == 1.0
-    assert acceptance_prob(math.nan) == 0.0
 
 
 def test_harmonic_single_step_delta_h():
@@ -279,6 +270,9 @@ def test_stream_groups_match_block_calls(target, eta, K, exact, diverges, lazy):
             assert np.array_equal(q, q_alone)
         else:
             assert_allclose(q, q_alone, rtol=0, atol=1e-12)
+        # a diverged row is never accepted, and its delta_h is NaN
+        assert not (step.accepted & step.diverged).any()
+        assert np.isnan(step.delta_h[step.diverged]).all()
         rejected += int((~step.accepted & ~step.holds).sum())
         diverged += int(step.diverged.sum())
     assert rejected > 0
@@ -401,13 +395,13 @@ def test_non_lazy_chain_gradient_accounting():
 
 
 def test_run_chains_stride_zero_start_accounting():
-    # the shared start is a stride-0 view: the first step evaluates afresh, then the carry starts
+    # the shared start is copied to C order, so the carry starts at the first step
     target = CountingTarget(make_logistic(5, 3, seed=63))
     config = HmcConfig(eta=0.3, K=4, seed=29)
     n_chains, n_steps = 4, 50
     run_chains(target, config, np.full(3, 0.5), n_steps, n_chains)
-    assert target.gradient_evals == n_chains * (2 + n_steps * config.K)
-    assert target.potential_evals == n_chains * (2 + n_steps)
+    assert target.gradient_evals == n_chains * (1 + n_steps * config.K)
+    assert target.potential_evals == n_chains * (1 + n_steps)
 
 
 @pytest.mark.parametrize("q0", [0.5, np.zeros(2), np.zeros((2, 3))], ids=["scalar", "length", "2d"])

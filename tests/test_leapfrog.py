@@ -281,18 +281,6 @@ def test_schedule_checks(K, eta):
             call()
 
 
-def test_trajectory_csv(tmp_path, rng):
-    target = make_ridge(3, 2, seed=52)
-    traj = forward_map(target, PhaseState(rng.standard_normal(2), rng.standard_normal(2)), 4, 0.1)
-    path = tmp_path / "traj.csv"
-    traj.to_csv(str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "k,q_1,q_2,p_1,p_2"
-    assert len(lines) == 6
-    loaded = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert_allclose(loaded[:, 1:3], traj.positions(), atol=0)
-
-
 def test_batched_forward_matches_scalar(rng):
     target = make_logistic(5, 3, seed=53)
     q = rng.standard_normal((6, 3))
