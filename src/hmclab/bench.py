@@ -24,7 +24,7 @@ import scipy
 from .config import ExperimentConfig, build_target
 from .errors import BudgetExhausted
 from .diagnostics import integrated_autocorr_time, tv_projection_estimate
-from .kernel import batch_transition
+from .kernel import _drive
 from .moments import (
     MomentReport,
     chain_stationary_sampler,
@@ -175,15 +175,17 @@ def _mean_acceptance(
     rng: np.random.Generator,
 ) -> tuple[float, float, int]:
     """Mean acceptance, its 95% CI half-width from between-chain spread, and
-    the gradient evaluations spent."""
-    q = start
-    flags = np.empty((n_steps, start.shape[0]), dtype=bool)
-    for i in range(n_steps):
-        step = batch_transition(target, q, eta, K, rng)
-        q = step.positions
-        flags[i] = step.accepted
-    chain_means = flags.mean(axis=0)
+    the gradient evaluations of the paper's (K+1) cost model; the chains
+    run from a copy of start and carry grad f, so they evaluate n_chains *
+    (1 + n_steps * K) gradient rows."""
     n_chains = start.shape[0]
+    flags = np.empty((n_steps, n_chains), dtype=bool)
+
+    def record(i, step):
+        flags[i] = step.accepted
+
+    _drive(target, np.array(start, dtype=float), eta, K, [rng], False, n_steps, None, record)
+    chain_means = flags.mean(axis=0)
     ci = 1.96 * float(chain_means.std(ddof=1)) / math.sqrt(n_chains)
     return float(flags.mean()), ci, n_steps * n_chains * (K + 1)
 
@@ -217,6 +219,9 @@ def run_acceptance_scaling(cfg: ExperimentConfig):
     opts = cfg.options
     seed = cfg.seeds[0]
     n_chains = int(opts.get("n_chains", 160))
+    if n_chains < 2:
+        raise ValueError(f"acceptance-scaling needs n_chains >= 2 for its between-chain CI, "
+                         f"got {n_chains}")
     n_steps = int(opts.get("n_steps", 32))
     a = opts.get("accept_constant")
     if a is None and cfg.schedule == "corollary-hmc":
@@ -273,11 +278,15 @@ def run_mixing_estimate(cfg: ExperimentConfig):
         done_steps = 0
         grads = 0
         hit = None
+        carry = None
+
+        def count(i, step):
+            nonlocal grads
+            grads += int((~step.holds).sum()) * (K + 1)
+
         for ckpt in checkpoints:
-            for _ in range(ckpt - done_steps):
-                step = batch_transition(target, q, eta, K, rng, lazy=lazy)
-                q = step.positions
-                grads += int((~step.holds).sum()) * (K + 1)
+            # the driver draws only its own steps from rng, so the TV projections keep their draws
+            q, carry = _drive(target, q, eta, K, [rng], lazy, ckpt - done_steps, carry, count)
             done_steps = ckpt
             tv = tv_projection_estimate(q, stds, rng)
             rows.append((d, ckpt, tv, grads))
@@ -302,11 +311,13 @@ def _iact_rows(target, eta, K, n_iters, n_rep, streams, method, d, seeds):
     q = np.concatenate([target.sample_exact(n_rep, rng) for rng in streams])
     series_q1 = np.empty((n_iters, q.shape[0]))
     series_qq = np.empty((n_iters, q.shape[0]))
-    for i in range(n_iters):
-        step = batch_transition(target, q, eta, K, streams)
+
+    def record(i, step):
         q = step.positions
         series_q1[i] = q[:, 0]
         series_qq[i] = (q * q).sum(axis=1)
+
+    _drive(target, q, eta, K, streams, False, n_iters, None, record)
     rows = []
     for j, seed in enumerate(seeds):
         chains = range(j * n_rep, (j + 1) * n_rep)
@@ -332,6 +343,10 @@ def run_mala_vs_hmc(cfg: ExperimentConfig):
     n_rep = int(opts.get("n_rep", 4))
     eta_h, K_h = corollary_schedule("corollary-hmc", d, opts)
     eta_m, K_m = corollary_schedule("corollary-mala", d, opts)
+    for method, K in (("hmc", K_h), ("mala", K_m)):
+        if budget // (K + 1) < 2:
+            raise ValueError(f"grad_budget = {budget} gives {method} (K = {K}) fewer than "
+                             f"2 transitions; IACT needs at least 2")
     hmc = _iact_rows(target, eta_h, K_h, budget // (K_h + 1), n_rep,
                      [_rng(seed, 0) for seed in cfg.seeds], "hmc", d, cfg.seeds)
     mala = _iact_rows(target, eta_m, K_m, budget // (K_m + 1), n_rep,

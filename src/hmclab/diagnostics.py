@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import ndtr
 
@@ -27,8 +29,15 @@ def integrated_autocorr_time(x: Array) -> float:
     """IACT by Geyer's initial-positive-sequence truncation.
 
     Sums pair blocks rho(2m) + rho(2m+1) while they stay positive; for an
-    uncorrelated series the result is about 1.
+    uncorrelated series the result is about 1.  A constant series (a chain
+    that never moved) has no effective samples: its IACT is inf.  Fewer
+    than 2 values raise ValueError.
     """
+    x = np.asarray(x, dtype=float)
+    if x.size < 2:
+        raise ValueError(f"IACT needs at least 2 values, got {x.size}")
+    if (x == x[0]).all():
+        return math.inf
     rho = autocorrelation(x)
     if rho.size % 2 == 1:
         rho = rho[:-1]

@@ -10,6 +10,7 @@ probability is min{1, exp(delta_h)}.  MALA is the K=1 special case.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -115,26 +116,25 @@ def _run_block(
 ) -> list[ChainTrace]:
     """n_steps transitions of the chains at starts (B, d); chain c draws from streams[c].
 
-    The input is checked once, before the first step.  A non-lazy run carries
-    f and grad f at each chain's position from step to step, so it evaluates
-    B potential and gradient rows at the start, then K gradient rows and one
-    potential row per chain and step.
+    The chains are stepped by `_drive` on a copy of starts, so a non-lazy run
+    evaluates B potential and gradient rows at the start, then K gradient
+    rows and one potential row per chain and step.
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
-    _check_schedule(config.eta, config.K)
-    q, streams = _check_block(target, starts, streams)
+    q, streams = _check_block(target, np.array(starts, dtype=float, order="C"), streams)
     n_chains = q.shape[0]
     positions = np.empty((n_chains, n_steps + 1, target.d))
     positions[:, 0] = q
     flags = np.empty((3, n_chains, n_steps), dtype=bool)  # accepted, lazy holds, diverged
     delta_h = np.empty((n_chains, n_steps))
-    carry = None if config.lazy else (target.potential(q), target.gradient(q))
-    for i in range(n_steps):
-        step, carry = _step(target, q, config.eta, config.K, streams, config.lazy, carry)
-        q = positions[:, i + 1] = step.positions
+
+    def record(i: int, step: BatchTransition) -> None:
+        positions[:, i + 1] = step.positions
         flags[:, :, i] = step.accepted, step.holds, step.diverged
         delta_h[:, i] = step.delta_h
+
+    _drive(target, q, config.eta, config.K, streams, config.lazy, n_steps, None, record)
     grad_evals = (n_steps - flags[1].sum(axis=1)) * (config.K + 1)
     return [
         ChainTrace(positions[c], *flags[:, c], delta_h[c], int(grad_evals[c]), config)
@@ -187,6 +187,7 @@ class BatchTransition:
 def _check_block(target: TargetDensity, q: Array, rng) -> tuple[Array, list]:
     """C-ordered positions (B, d) as floats and the list of streams, of a count that divides B.
 
+    q comes back as is when it already is such an array, else as a copy.
     matmul rounds rows of other layouts (a stride-0 broadcast start) differently,
     so a chain's path would depend on the layout of its start.
     """
@@ -219,23 +220,94 @@ def batch_transition(
     B of them give each chain its own.  All draws come before any
     integration.  Held chains are not integrated; the moving rows are
     integrated in row blocks of at least max(256, 16384 // d) rows (see
-    `_step`).
+    `_step`).  The step runs on a copy of q, which is left as it was.
     Diverged proposals count as rejections.  Results are reproducible for
     fixed seeds.
     """
     _check_schedule(eta, K)
-    q, streams = _check_block(target, q, rng)
-    return _step(target, q, eta, K, streams, lazy)[0]
+    q, streams = _check_block(target, np.array(q, dtype=float, order="C"), rng)
+    return _step(target, q, eta, K, _draw(streams, lazy, _draw_buffers(*q.shape, lazy)), lazy)
+
+
+def _block_rows(d: int) -> int:
+    """Fewest rows of a row block at dimension d."""
+    return max(_MIN_BLOCK_ROWS, _BLOCK_DOUBLES // d)
+
+
+def _draw_buffers(n_chains: int, d: int, lazy: bool) -> tuple:
+    """Empty (coins, momenta, uniforms) for one step of n_chains chains; no coins unless lazy."""
+    return np.empty(n_chains) if lazy else None, np.empty((n_chains, d)), np.empty(n_chains)
+
+
+def _draw(streams: list, lazy: bool, draws: tuple) -> tuple:
+    """Fill draws (from `_draw_buffers`) in `batch_transition`'s order, as its calls would.
+
+    Stream g fills rows g*B/G to (g+1)*B/G - 1: coins (if lazy), momenta, uniforms.
+    """
+    coins, p, u = draws
+    rows = p.shape[0] // len(streams)
+    for g, s in enumerate(streams):
+        part = slice(g * rows, (g + 1) * rows)
+        if lazy:
+            s.random(out=coins[part])
+        s.standard_normal(out=p[part])
+        s.random(out=u[part])
+    return draws
+
+
+def _drive(
+    target: TargetDensity, q: Array, eta: float, K: int, streams, lazy: bool, n_steps: int,
+    carry: tuple[Array, Array] | None = None, on_step=None,
+) -> tuple[Array, tuple[Array, Array] | None]:
+    """n_steps transitions of the chains at q (B, d): the one chain loop; returns (q, carry).
+
+    The input is checked once.  q is stepped in place when it is a C-ordered
+    float array (else a copy is), so the caller hands over an array it no
+    longer needs and reads the positions from the result.  After step i,
+    on_step(i, step) gets the step's `BatchTransition`, whose positions are
+    the live array: it copies what it keeps and draws nothing from the streams.
+    A non-lazy run carries (f, grad f), evaluated at q unless carry holds it,
+    and returns it at the final positions; a lazy run returns None.
+
+    The run owns the streams for its n_steps steps and draws nothing beyond
+    them, so callers may draw from them between runs.  When a step spans two
+    row blocks or more, one worker thread, alive for this call only, fills
+    step i+1's draws into the second of two buffers while step i integrates.
+    Every stream yields the values, in the order, of a `batch_transition`
+    loop, and the positions equal that loop's bit for bit.
+    """
+    _check_schedule(eta, K)
+    q, streams = _check_block(target, q, streams)
+    n_chains, d = q.shape
+    if lazy:
+        carry = None
+    elif carry is None:
+        carry = (target.potential(q), target.gradient(q))
+    prefetch = n_steps > 1 and n_chains >= 2 * _block_rows(d)
+    if prefetch:  # a wide step: draws are worth a thread hand-off
+        from concurrent.futures import ThreadPoolExecutor
+    buffers = [_draw_buffers(n_chains, d, lazy) for _ in range(2 if prefetch else 1)]
+    with ThreadPoolExecutor(max_workers=1) if prefetch else contextlib.nullcontext() as pool:
+        ahead = None  # step i's draws in flight on the worker
+        for i in range(n_steps):
+            draws = _draw(streams, lazy, buffers[0]) if ahead is None else ahead.result()
+            ahead = (pool.submit(_draw, streams, lazy, buffers[(i + 1) % 2])
+                     if prefetch and i + 1 < n_steps else None)
+            step = _step(target, q, eta, K, draws, lazy, carry)
+            if on_step is not None:
+                on_step(i, step)
+    return q, carry
 
 
 def _step(
-    target: TargetDensity, q: Array, eta: float, K: int, streams: list, lazy: bool,
+    target: TargetDensity, q: Array, eta: float, K: int, draws: tuple, lazy: bool,
     carry: tuple[Array, Array] | None = None,
-) -> tuple[BatchTransition, tuple[Array, Array] | None]:
-    """`batch_transition` on checked input, and the carry for the next step.
+) -> BatchTransition:
+    """One transition of the chains at q (B, d), C-ordered, with the step's draws made.
 
-    Every draw of the step comes first, in the order `batch_transition`
-    documents.  The moving rows are then split into near-equal row blocks of
+    q, and the carry when given, are updated in place, and the result's
+    positions are q itself.  draws are the step's (coins, momenta, uniforms)
+    from `_draw`.  The moving rows are split into near-equal row blocks of
     at least max(256, 16384 // d) rows, and each block runs its whole
     pipeline (gather, f0, the K leapfrog steps, the divergence guard, f1,
     delta_h and the accept test) before the next starts, so a block's working
@@ -246,30 +318,23 @@ def _step(
 
     carry, for non-lazy steps only, is (f(q), grad f(q)); with it the step
     evaluates K gradient rows and one potential row per chain instead of
-    K+1 and two, and returns the carry at the new positions.  Without it the
-    step returns None in its place.
+    K+1 and two, and leaves the carry at the new positions.
     """
+    coins, p, u = draws
     n_chains, d = q.shape
-    rows = n_chains // len(streams)
-    draws = [(s.random(rows if lazy else 0), s.standard_normal((rows, d)), s.random(rows))
-             for s in streams]  # coins (none unless lazy), momenta, uniforms
-    coins, p, u = draws[0] if len(draws) == 1 else (np.concatenate(x) for x in zip(*draws))
-    del draws  # with G streams, frees the per-stream pieces of the concatenated draws
     holds = coins < 0.5 if lazy else np.zeros(n_chains, dtype=bool)
     gather = lazy and holds.any()  # without holds every row moves: blocks are slices
     if gather:  # held rows keep their positions, with no acceptance and NaN delta_h
         move = np.flatnonzero(~holds)
-        out = BatchTransition(q.copy(), np.zeros(n_chains, dtype=bool), np.full(n_chains, math.nan),
+        out = BatchTransition(q, np.zeros(n_chains, dtype=bool), np.full(n_chains, math.nan),
                               holds, np.zeros(n_chains, dtype=bool))
         if not move.size:  # every chain holds
-            return out, None
+            return out
     else:  # the blocks write every row
-        out = BatchTransition(np.empty((n_chains, d)), np.empty(n_chains, dtype=bool),
-                              np.empty(n_chains), holds, np.empty(n_chains, dtype=bool))
+        out = BatchTransition(q, np.empty(n_chains, dtype=bool), np.empty(n_chains), holds,
+                              np.empty(n_chains, dtype=bool))
     n = move.size if gather else n_chains
-    if carry is not None:  # (f, grad f) at q in, at the new positions out
-        (f_q, g_q), carry = carry, (np.empty(n_chains), np.empty((n_chains, d)))
-    n_blocks = max(1, n // max(_MIN_BLOCK_ROWS, _BLOCK_DOUBLES // d))
+    n_blocks = max(1, n // _block_rows(d))
     for i in range(n_blocks):
         a, b = n * i // n_blocks, n * (i + 1) // n_blocks
         block = move[a:b] if gather else slice(a, b)
@@ -278,7 +343,7 @@ def _step(
             f0 = target.potential(q0)
             q1, p1, ok = leapfrog_final(target, q0, p0, K, eta)
         else:
-            f0, g0 = f_q[block], g_q[block]
+            f0, g0 = carry[0][block], carry[1][block]
             q1, p1, ok, g1 = _endpoint(target, q0, p0, K, eta, g0)
         h0 = f0 + 0.5 * (p0 * p0).sum(axis=-1)
         with np.errstate(invalid="ignore", over="ignore"):
@@ -287,14 +352,14 @@ def _step(
             delta_h = np.where(ok, delta_h, math.nan)
             accept_prob = np.exp(np.minimum(delta_h, 0.0))  # NaN: no uniform falls below it
         accepted = u0 < accept_prob
-        out.positions[block] = np.where(accepted[:, None], q1, q0)
+        q[block] = np.where(accepted[:, None], q1, q0)  # q0 may be a view of these rows
         out.accepted[block] = accepted
         out.delta_h[block] = delta_h
         out.diverged[block] = ~ok
         if carry is not None:
             carry[0][block] = np.where(accepted, f1, f0)
             carry[1][block] = np.where(accepted[:, None], g1, g0)
-    return out, carry
+    return out
 
 
 def traces_to_csv(traces: list[ChainTrace], path: str, thin: int = 1) -> None:

@@ -17,7 +17,8 @@ Wanner, Geometric Numerical Integration)
     D_{j+1} = 2 D_j - D_{j-1} - eta^2 H(q_j) D_j,      D_0 = 0,  D_1 = eta I,
 
 which `jacobian_orbit` runs alongside the trajectory with dense matrices:
-K-1 Hessian-matrix products and O(d^2) memory per batch entry.
+K gradient rows, K-1 Hessian-matrix products and O(d^2) memory per batch
+entry.
 """
 
 from __future__ import annotations
@@ -77,15 +78,23 @@ def _check_schedule(eta: float, K: int) -> None:
         raise ValueError("need at least one leapfrog step")
 
 
-def _orbit(target: TargetDensity, q: Array, p: Array, K: int, eta: float, g: Array | None = None):
+def _orbit(
+    target: TargetDensity, q: Array, p: Array, K: int, eta: float, g: Array | None = None,
+    last_gradient: bool = True,
+):
     """Yield (q_j, p_j, grad f(q_j)) for j = 1..K.
 
     K+1 gradient evaluations in all, or K when g = grad f(q) is given.
+    Without last_gradient the last yield is (q_K, None, None): p_K needs
+    grad f(q_K), which is then not evaluated, one evaluation fewer.
     """
     if g is None:
         g = target.gradient(q)
-    for _ in range(K):
+    for j in range(1, K + 1):
         q = q + eta * p - 0.5 * eta**2 * g
+        if j == K and not last_gradient:
+            yield q, None, None
+            return
         g_prev, g = g, target.gradient(q)
         p = p - 0.5 * eta * (g_prev + g)
         yield q, p, g
@@ -143,11 +152,12 @@ def _hessian_mat(target: TargetDensity, q: Array, m: Array) -> Array:
 
 
 def jacobian_orbit(target: TargetDensity, q: Array, p: Array, K: int, eta: float):
-    """Yield (q_j, p_j, D_j) for j = 1..K, batched over the leading axes.
+    """Yield (q_j, D_j) for j = 1..K, batched over the leading axes.
 
     D_j is the dense (..., d, d) derivative of q_j with respect to the
-    initial momentum, from the three-term recursion in the module docstring;
-    no Hessian product is taken after the last step.
+    initial momentum, from the three-term recursion in the module docstring.
+    Neither reads grad f(q_K) or H(q_K): a batch entry costs K gradient
+    rows and K-1 Hessian-matrix products.
     """
     q, p = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(p, dtype=float))
     eye = np.broadcast_to(np.eye(target.d), q.shape[:-1] + (target.d, target.d))
@@ -155,8 +165,8 @@ def jacobian_orbit(target: TargetDensity, q: Array, p: Array, K: int, eta: float
     # E_0 = E_1 = 0, so the large identity part is never rounded into it
     prev = dev = 0.0
     jac = eta * eye
-    for j, (q, p, _) in enumerate(_orbit(target, q, p, K, eta), start=1):
-        yield q, p, jac
+    for j, (q, _, _) in enumerate(_orbit(target, q, p, K, eta, last_gradient=False), start=1):
+        yield q, jac
         if j < K:
             prev, dev = dev, 2.0 * dev - prev - eta**2 * _hessian_mat(target, q, jac)
             jac = (j + 1) * eta * eye + dev
@@ -179,7 +189,7 @@ def momentum_jacobian(
     if target.d > MAX_JACOBIAN_DIM:
         raise ValueError(f"dense momentum Jacobian capped at d <= {MAX_JACOBIAN_DIM}")
     with np.errstate(over="ignore", invalid="ignore"):
-        out = [jac for _, _, jac in jacobian_orbit(target, q0, p0, K, eta)]
+        out = [jac for _, jac in jacobian_orbit(target, q0, p0, K, eta)]
     if not np.all(np.isfinite(out[-1])):
         raise DivergedTrajectory("Jacobian recursion left the trusted region")
     return out if return_all else out[-1]

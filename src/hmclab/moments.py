@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .kernel import batch_transition
+from .kernel import _drive
 from .leapfrog import _orbit, continuous_flow
 from .targets import TargetDensity
 from .tuning import d_ell
@@ -161,20 +161,20 @@ def chain_stationary_sampler(
     approximately stationary; checks using them say so in their
     documentation.
     """
-    state = np.zeros((n_chains, target.d))
-    for _ in range(warmup):
-        state = batch_transition(target, state, eta, K, rng).positions
+    state, carry = _drive(target, np.zeros((n_chains, target.d)), eta, K, [rng], False, warmup)
 
     def sample(n: int) -> Array:
-        nonlocal state
+        nonlocal state, carry
         out = np.empty((n, target.d))
-        filled = 0
-        while filled < n:
-            for _ in range(4):
-                state = batch_transition(target, state, eta, K, rng).positions
-            take = min(n_chains, n - filled)
-            out[filled : filled + take] = state[:take]
-            filled += take
+
+        def harvest(i, step):
+            if i % 4 == 3:
+                filled = i // 4 * n_chains
+                out[filled : filled + n_chains] = step.positions[: n - filled]
+
+        # one run per call: callers draw from rng between calls, never during one
+        state, carry = _drive(target, state, eta, K, [rng], False, 4 * -(-n // n_chains),
+                              carry, harvest)
         return out
 
     return sample

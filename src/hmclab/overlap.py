@@ -44,7 +44,7 @@ def _forward_with_jacobian(
     target: TargetDensity, q0: Array, p: Array, K: int, eta: float
 ):
     """Final position of K leapfrog steps and D2F_K, batched over p."""
-    for q, _, jac in jacobian_orbit(target, q0, p, K, eta):
+    for q, jac in jacobian_orbit(target, q0, p, K, eta):
         pass
     return q, jac
 

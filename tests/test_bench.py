@@ -1,6 +1,7 @@
 import json
 import math
 import platform
+import threading
 
 import numpy as np
 import pytest
@@ -34,6 +35,18 @@ def test_iact_iid_series(rng):
     assert abs(tau - 1.0) <= 0.2
     ess = effective_sample_size(rng.standard_normal(20000))
     assert 15000 <= ess <= 25000
+
+
+def test_iact_of_a_constant_series_is_infinite():
+    # a chain that never moved has no effective samples
+    assert integrated_autocorr_time(np.full(50, 0.1)) == math.inf
+    assert effective_sample_size(np.full(50, 0.1)) == 0.0
+
+
+@pytest.mark.parametrize("x", [[], [1.5]])
+def test_iact_needs_two_values(x):
+    with pytest.raises(ValueError, match="at least 2 values"):
+        integrated_autocorr_time(np.array(x))
 
 
 def test_iact_ar1_series(rng):
@@ -157,8 +170,9 @@ def test_mean_acceptance_gradient_accounting():
     gen = np.random.default_rng(0)
     start = inner.sample_exact(32, gen)
     _, _, grads = _mean_acceptance(counting, start, 0.3, 3, 10, gen)
-    assert grads == 32 * 10 * 4
-    assert counting.gradient_evals == grads
+    assert grads == 32 * 10 * 4  # the paper's (K+1) model, as the grad_evals column reports it
+    # the chains carry grad f: one row per chain at the start, then K per transition
+    assert counting.gradient_evals == 32 * (1 + 10 * 3)
 
 
 def test_acceptance_scaling_single_dimension_row():
@@ -213,6 +227,18 @@ def test_mixing_estimate_seed_agreement_within_factor_two():
     assert hi <= 2 * lo
 
 
+def test_mixing_estimate_leaves_no_worker_thread():
+    # 8192 chains at d = 4 span two row blocks, so each checkpoint's run prefetches its draws
+    cfg = ExperimentConfig(
+        name="mixing-estimate", dims=(4,), seeds=(0,),
+        options={"epsilon": 0.1, "n_chains": 8192, "lazy": True},
+    )
+    before = threading.active_count()
+    _, rows, _ = run_experiment(cfg)
+    assert threading.active_count() == before
+    assert rows == run_experiment(cfg)[1]
+
+
 def test_mixing_estimate_budget_exhausted():
     cfg = ExperimentConfig(
         name="mixing-estimate", dims=(8,), seeds=(1,), schedule="fixed",
@@ -222,6 +248,22 @@ def test_mixing_estimate_budget_exhausted():
         },
     )
     with pytest.raises(BudgetExhausted):
+        run_experiment(cfg)
+
+
+@pytest.mark.parametrize("budget", [1, 3, 5])
+def test_mala_vs_hmc_rejects_budget_below_two_transitions(budget):
+    # at d = 16 HMC runs K = 3: budget // 4 < 2 transitions; MALA (K = 1) needs budget >= 4
+    cfg = ExperimentConfig(name="mala-vs-hmc", dims=(16,), seeds=(0,),
+                           options={"grad_budget": budget, "n_rep": 2})
+    with pytest.raises(ValueError, match=f"grad_budget = {budget} "):
+        run_experiment(cfg)
+
+
+def test_acceptance_scaling_rejects_single_chain():
+    cfg = ExperimentConfig(name="acceptance-scaling", dims=(16,), seeds=(0,),
+                           options={"accept_constant": 1.0, "n_chains": 1, "n_steps": 8})
+    with pytest.raises(ValueError, match="n_chains >= 2"):
         run_experiment(cfg)
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -15,8 +16,10 @@ from _oracles import (
 )
 from hmclab.diagnostics import integrated_autocorr_time
 from hmclab.kernel import (
+    BatchTransition,
     ChainTrace,
     HmcConfig,
+    _drive,
     _run_block,
     batch_transition,
     chain_rng,
@@ -525,6 +528,100 @@ def test_wide_block_accounting():
     _run_block(target, config, q, n_steps, streams)
     assert target.gradient_evals == n_chains * (1 + n_steps * K)
     assert target.potential_evals == n_chains * (1 + n_steps)
+
+
+_DRIVE_TARGETS = [GaussianTarget.diagonal(np.linspace(0.5, 2.0, 64)), make_logistic(40, 16, seed=16)]
+
+
+def test_drive_matches_public_transitions():
+    # B within one row block (steps draw in line) and across two or more (the worker prefetches)
+    hp = pytest.importorskip("hypothesis")
+    st = hp.strategies
+
+    @hp.settings(derandomize=True, deadline=None, max_examples=40)
+    @hp.given(st.sampled_from(range(len(_DRIVE_TARGETS))), st.booleans(), st.integers(0, 3),
+              st.integers(1, 3), st.booleans(), st.sampled_from([1, 2, 3]), st.integers(1, 4),
+              st.integers(0, 2**16))
+    def check(which, wide, extra, K, lazy, n_streams, n_steps, seed):
+        target = _DRIVE_TARGETS[which]
+        rows = _block_rows(target.d)
+        per_stream = (-(-2 * rows // n_streams) if wide else 1 + seed % 40) + extra
+        n_chains = n_streams * per_stream
+        assert (n_chains >= 2 * rows) == wide
+        q = 0.5 * np.random.default_rng(seed).standard_normal((n_chains, target.d))
+        ours = [np.random.default_rng(seed + j) for j in range(n_streams)]
+        ref = [np.random.default_rng(seed + j) for j in range(n_streams)]
+        steps = []
+
+        def record(i, step):
+            steps.append(BatchTransition(step.positions.copy(), step.accepted, step.delta_h,
+                                         step.holds, step.diverged))
+
+        final, carry = _drive(target, q.copy(), 0.3, K, ours, lazy, n_steps, None, record)
+        assert len(steps) == n_steps
+        assert (carry is None) == lazy
+        q_ref = q
+        for step in steps:
+            expected = batch_transition(target, q_ref, 0.3, K, ref if n_streams > 1 else ref[0],
+                                        lazy)
+            _assert_same_step(step, expected)
+            q_ref = expected.positions
+        assert np.array_equal(final, q_ref)
+        if not lazy:  # the carry is f and grad f at the final positions
+            assert np.array_equal(carry[0], target.potential(final))
+            assert np.array_equal(carry[1], target.gradient(final))
+        assert all(a.random() == b.random() for a, b in zip(ours, ref))
+
+    check()
+
+
+class _CountingPool(concurrent.futures.ThreadPoolExecutor):
+    made: list = []
+
+    def __init__(self, max_workers=None, **kwargs):
+        _CountingPool.made.append(max_workers)
+        super().__init__(max_workers, **kwargs)
+
+
+@pytest.fixture
+def counted_pools(monkeypatch):
+    _CountingPool.made = []
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _CountingPool)
+    return _CountingPool.made
+
+
+@pytest.mark.parametrize("n_chains, n_steps, pools", [(512, 3, [1]), (511, 3, []), (512, 1, [])])
+def test_drive_prefetches_only_wide_runs_of_several_steps(counted_pools, n_chains, n_steps, pools):
+    target = GaussianTarget.standard(64)  # two row blocks are 512 rows
+    q = np.zeros((n_chains, 64))
+    _drive(target, q, 0.3, 2, [np.random.default_rng(0)], True, n_steps)
+    assert counted_pools == pools  # one worker thread at most, and only where it pays
+
+
+def test_drive_steps_its_array_in_place():
+    target = GaussianTarget.standard(3)
+    q = np.random.default_rng(1).standard_normal((4, 3))
+    final, _ = _drive(target, q, 0.5, 2, [np.random.default_rng(1)], False, 3)
+    assert final is q
+    # any other layout or dtype is stepped on a C-ordered float copy
+    q_f = np.asfortranarray(np.random.default_rng(1).standard_normal((4, 3)))
+    start = q_f.copy()
+    final, _ = _drive(target, q_f, 0.5, 2, [np.random.default_rng(1)], False, 3)
+    assert final is not q_f and np.array_equal(q_f, start)
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_callers_start_is_left_alone(lazy):
+    target = GaussianTarget.standard(3)
+    config = HmcConfig(eta=0.5, K=2, lazy=lazy, seed=3)
+    q0 = np.array([0.5, -1.0, 2.0])
+    block = np.tile(q0, (4, 1))
+    run_chain(target, config, q0, 5)
+    run_chains(target, config, q0, 5, 4)
+    step = batch_transition(target, block, 0.5, 2, np.random.default_rng(3), lazy)
+    assert np.array_equal(q0, [0.5, -1.0, 2.0])
+    assert np.array_equal(block, np.tile(q0, (4, 1)))
+    assert not np.shares_memory(step.positions, block)
 
 
 def test_detailed_balance_binned_small():

@@ -169,6 +169,19 @@ def test_momentum_jacobian_matches_sum_form_oracle():
     check()
 
 
+@pytest.mark.parametrize("K", [1, 2, 5])
+def test_momentum_jacobian_evaluation_counts(K):
+    # grad f(q_K) is never read: K gradient rows and (K - 1) d Hessian-vector rows per entry
+    target = CountingTarget(make_logistic(6, 3, seed=K))
+    q0, p0 = np.random.default_rng(K).standard_normal((2, 4, 3))
+    jacs = momentum_jacobian(target, q0, p0, K, 0.2, return_all=True)
+    assert target.gradient_evals == 4 * K
+    assert target.hvp_rows == 4 * (K - 1) * 3
+    for b in range(4):
+        for jac, ref in zip(jacs, momentum_jacobian_sum_form(target.inner, q0[b], p0[b], K, 0.2)):
+            assert_allclose(jac[b], ref, rtol=1e-12, atol=1e-14)
+
+
 def test_momentum_jacobian_batch_consistency(rng):
     target = make_ridge(4, 3, seed=49)
     p0 = rng.standard_normal((5, 3))
