@@ -123,10 +123,6 @@ def write_sidecar(path: str, cfg: ExperimentConfig, summary: dict, wall_time: fl
         json.dump(payload, fh, indent=2, default=str)
 
 
-def _as_list(value) -> list:
-    return list(value) if isinstance(value, (list, tuple, np.ndarray)) else [value]
-
-
 def fit_loglog_slope(x, y) -> float:
     x = np.log(np.asarray(x, dtype=float))
     y = np.log(np.asarray(y, dtype=float))
@@ -145,24 +141,22 @@ def gaussian_projected_std(target: GaussianTarget):
     return stds
 
 
-def corollary_schedule(schedule: str, d: int, options: dict) -> tuple[float, int]:
-    """(eta, K) for one grid point under the requested parameter schedule."""
+# The corollaries' free constants: warmness M and tolerance epsilon (ln(M / epsilon) = 2),
+# the isoperimetric coefficient psi and the universal constants c and c'.
+_M, _EPSILON, _PSI, _C, _C_PRIME = math.e, 1.0 / math.e, 1.0, 1.0, 2.0
+
+
+def corollary_schedule(schedule: str, target: TargetDensity,
+                       cfg: ExperimentConfig) -> tuple[float, int]:
+    """(eta, K) for one grid point: cfg's eta and K under the fixed schedule, else
+    the HMC or MALA corollary at the target's dimension and declared L and gamma."""
     if schedule == "fixed":
-        return float(options.get("eta", 0.4)), int(options.get("K", 1))
-    tp = TheoryParams(
-        L=float(options.get("L", 1.0)),
-        gamma=float(options.get("gamma", 0.0)),
-        d=d,
-        M=float(options.get("M", math.e)),
-        epsilon=float(options.get("epsilon_theory", 1.0 / math.e)),
-        psi=float(options.get("psi", 1.0)),
-        c=float(options.get("c", 1.0)),
-        c_prime=float(options.get("c_prime", 2.0)),
-    )
-    if schedule == "corollary-mala":
-        tuned = mala_step_size(tp)
-    else:
-        tuned = best_hmc_params(tp)
+        return float(cfg.option("eta")), int(cfg.option("K"))
+    if target.gamma is None:
+        raise ValueError("target declares no gamma; estimate it first")
+    tp = TheoryParams(L=target.smoothness, gamma=target.gamma, d=target.d, M=_M,
+                      epsilon=_EPSILON, psi=_PSI, c=_C, c_prime=_C_PRIME)
+    tuned = mala_step_size(tp) if schedule == "corollary-mala" else best_hmc_params(tp)
     return tuned.eta, tuned.K
 
 
@@ -216,26 +210,23 @@ def calibrate_acceptance_constant(
 def run_acceptance_scaling(cfg: ExperimentConfig):
     """Mean acceptance across dimensions under eta = a d^(-1/4), K = ceil(d^(1/4)),
     or under a fixed (eta, K) control."""
-    opts = cfg.options
     seed = cfg.seeds[0]
-    n_chains = int(opts.get("n_chains", 160))
+    n_chains = int(cfg.option("n_chains"))
     if n_chains < 2:
         raise ValueError(f"acceptance-scaling needs n_chains >= 2 for its between-chain CI, "
                          f"got {n_chains}")
-    n_steps = int(opts.get("n_steps", 32))
-    a = opts.get("accept_constant")
+    n_steps = int(cfg.option("n_steps"))
+    a = cfg.option("accept_constant")
     if a is None and cfg.schedule == "corollary-hmc":
-        a = calibrate_acceptance_constant(
-            cfg.dims[0], seed, float(opts.get("pilot_target", 0.85))
-        )
+        a = calibrate_acceptance_constant(cfg.dims[0], seed)
     rows = []
     for idx, d in enumerate(cfg.dims):
+        target = GaussianTarget.standard(d)
         if cfg.schedule == "fixed":
-            eta, K = corollary_schedule("fixed", d, opts)
+            eta, K = corollary_schedule("fixed", target, cfg)
         else:
             eta, K = float(a) * d**-0.25, math.ceil(d**0.25)
         rng = _rng(seed, idx)
-        target = GaussianTarget.standard(d)
         start = target.sample_exact(n_chains, rng)
         acc, ci, grads = _mean_acceptance(target, start, eta, K, n_steps, rng)
         rows.append((d, eta, K, acc, ci, grads))
@@ -255,19 +246,18 @@ def run_mixing_estimate(cfg: ExperimentConfig):
     estimator is biased upward by binning; it is a diagnostic, not a
     certificate.
     """
-    opts = cfg.options
     seed = cfg.seeds[0]
-    epsilon = float(opts.get("epsilon", 0.1))
-    n_chains = int(opts.get("n_chains", 16384))
-    step_cap = int(opts.get("step_cap", 1024))
-    lazy = bool(opts.get("lazy", False))
-    warm = WarmStartSpec(opts.get("warm_start", "scaled-covariance"), float(opts.get("warm_s", 0.5)))
+    epsilon = float(cfg.option("epsilon"))
+    n_chains = int(cfg.option("n_chains"))
+    step_cap = int(cfg.option("step_cap"))
+    lazy = bool(cfg.option("lazy"))
+    warm = WarmStartSpec(cfg.option("warm_start"), float(cfg.option("warm_s")))
     rows = []
     summary = {"epsilon": epsilon, "mixing_steps": {}, "warmness_M": {}}
     for idx, d in enumerate(cfg.dims):
-        eta, K = corollary_schedule(cfg.schedule, d, opts)
-        rng = _rng(seed, idx)
         target = GaussianTarget.standard(d)
+        eta, K = corollary_schedule(cfg.schedule, target, cfg)
+        rng = _rng(seed, idx)
         q = warm.draw(target, n_chains, rng)
         stds = gaussian_projected_std(target)
         checkpoints = []
@@ -332,17 +322,16 @@ def run_mala_vs_hmc(cfg: ExperimentConfig):
     """Gradient evaluations per effective sample at matched budgets.
 
     The K > 1 schedule comes from the HMC corollary and the K = 1 control
-    from the MALA corollary; the free constants c, c' are the calibrated
-    defaults recorded in the summary.  Each method runs the chains of every
-    seed as one block.
+    from the MALA corollary, both at the module's constants c = 1, c' = 2;
+    the summary records each method's (eta, K).  Each method runs the chains
+    of every seed as one block.
     """
-    opts = cfg.options
     d = cfg.dims[-1]
     target = GaussianTarget.standard(d)
-    budget = int(opts.get("grad_budget", 120_000))
-    n_rep = int(opts.get("n_rep", 4))
-    eta_h, K_h = corollary_schedule("corollary-hmc", d, opts)
-    eta_m, K_m = corollary_schedule("corollary-mala", d, opts)
+    budget = int(cfg.option("grad_budget"))
+    n_rep = int(cfg.option("n_rep"))
+    eta_h, K_h = corollary_schedule("corollary-hmc", target, cfg)
+    eta_m, K_m = corollary_schedule("corollary-mala", target, cfg)
     for method, K in (("hmc", K_h), ("mala", K_m)):
         if budget // (K + 1) < 2:
             raise ValueError(f"grad_budget = {budget} gives {method} (K = {K}) fewer than "
@@ -372,31 +361,19 @@ def run_mala_vs_hmc(cfg: ExperimentConfig):
 
 def run_energy_scaling(cfg: ExperimentConfig):
     """Single-leapfrog energy-error moment against step-size and dimension."""
-    opts = cfg.options
     seed = cfg.seeds[0]
-    ell = int(opts.get("ell", 2))
-    n_mc = int(opts.get("n_mc", 100_000))
-    etas = [float(e) for e in _as_list(opts.get("etas", np.geomspace(0.02, 0.2, 7)))]
-    eta_fixed = float(opts.get("eta_fixed", 0.05))
-    d_fixed = int(opts.get("d_fixed", 64))
+    ell = int(cfg.option("ell"))
+    n_mc = int(cfg.option("n_mc"))
+    etas = [float(e) for e in np.atleast_1d(cfg.option("etas"))]
+    eta_fixed, d_fixed = 0.05, 64  # the d-sweep's step size, the eta-sweep's dimension
+    points = [("eta-sweep", d_fixed, eta) for eta in etas]
+    points += [("d-sweep", d, eta_fixed) for d in cfg.dims]
     rows = []
-    point = 0
-    for eta in etas:
-        target = GaussianTarget.standard(d_fixed)
-        rng = _rng(seed, point)
-        rep = energy_error_moment(
-            target, eta, ell, n_mc, exact_gaussian_sampler(target, rng), rng
-        )
-        rows.append(("eta-sweep", d_fixed, eta, ell, rep.empirical, rep.std_error, rep.bound))
-        point += 1
-    for d in cfg.dims:
+    for point, (sweep, d, eta) in enumerate(points):
         target = GaussianTarget.standard(d)
         rng = _rng(seed, point)
-        rep = energy_error_moment(
-            target, eta_fixed, ell, n_mc, exact_gaussian_sampler(target, rng), rng
-        )
-        rows.append(("d-sweep", d, eta_fixed, ell, rep.empirical, rep.std_error, rep.bound))
-        point += 1
+        rep = energy_error_moment(target, eta, ell, n_mc, exact_gaussian_sampler(target, rng), rng)
+        rows.append((sweep, d, eta, ell, rep.empirical, rep.std_error, rep.bound))
     header = ["sweep", "d", "eta", "ell", "empirical", "std_error", "bound"]
     eta_rows = [r for r in rows if r[0] == "eta-sweep"]
     d_rows = [r for r in rows if r[0] == "d-sweep"]
@@ -441,11 +418,11 @@ def overlap_report(target: TargetDensity, q0, direction, separation, K: int, eta
 
 def run_overlap_check(cfg: ExperimentConfig):
     """KL between proposals from two nearby starts, with the lemma bounds."""
-    opts = cfg.options
     target = _analysis_target(cfg)
-    K, eta = int(opts.get("K", 2)), float(opts.get("eta", 0.1))
-    rep = overlap_report(target, opts.get("q0", np.zeros(target.d)), None, opts.get("separation"),
-                         K, eta, int(opts.get("n_mc", 20_000)), _rng(cfg.seeds[0], 0))
+    K, eta = int(cfg.option("K")), float(cfg.option("eta"))
+    q0 = cfg.option("q0")
+    rep = overlap_report(target, np.zeros(target.d) if q0 is None else q0, None, None,
+                         K, eta, int(cfg.option("n_mc")), _rng(cfg.seeds[0], 0))
     header = ["d", "K", "eta", "separation", "kl", "std_error",
               "pinsker_tv", "lemma_bound", "lemma_bound_proof_form"]
     row = (target.d, K, eta, *(rep[h] for h in header[3:]))
@@ -457,7 +434,8 @@ def lemma_reports(target: TargetDensity, ells, eta: float, n_mc: int, rng: np.ra
                   sampler_warmup: int = 2000) -> list[MomentReport]:
     """Every moment check at each order in ells, in report order.  Draws are
     exact for Gaussian targets and come from HMC runs at sampler_eta
-    otherwise; the continuous-drift checks run when t is given."""
+    otherwise.  The energy-error check, and the continuous-drift checks when
+    t is given, need the target's gamma and run only when it declares one."""
     if isinstance(target, GaussianTarget):
         sampler = exact_gaussian_sampler(target, rng)
     else:
@@ -470,24 +448,23 @@ def lemma_reports(target: TargetDensity, ells, eta: float, n_mc: int, rng: np.ra
             check_grad_norm_moment(target, ell, n_mc, sampler),
             check_php_moment(target, x, ell, n_mc, rng),
             check_gradhp_moment(target, even, n_mc, sampler, rng),
-            energy_error_moment(target, eta, even, n_mc, sampler, rng),
         ]
+        if target.gamma is not None:
+            reports.append(energy_error_moment(target, eta, even, n_mc, sampler, rng))
         if target.has_third and target.d <= 16:
             reports += check_chaos_moments(target, x, ell, n_mc, rng)
-        if t is not None:
+        if t is not None and target.gamma is not None:
             reports += check_dynamics_diffs(target, t, ell, n_mc, sampler, rng)
     return reports
 
 
 def run_lemma_suite(cfg: ExperimentConfig):
     """All moment checks at the configured orders, one row per report."""
-    opts = cfg.options
+    t = cfg.option("t")
     reports = lemma_reports(
-        _analysis_target(cfg), [int(e) for e in _as_list(opts.get("ells", (2, 4)))],
-        float(opts.get("eta", 0.05)), int(opts.get("n_mc", 50_000)), _rng(cfg.seeds[0], 0),
-        t=float(opts["t"]) if "t" in opts else None,
-        sampler_eta=float(opts.get("sampler_eta", 0.1)),
-        sampler_warmup=int(opts.get("sampler_warmup", 2000)),
+        _analysis_target(cfg), [int(e) for e in np.atleast_1d(cfg.option("ells"))],
+        float(cfg.option("eta")), int(cfg.option("n_mc")), _rng(cfg.seeds[0], 0),
+        t=None if t is None else float(t), sampler_warmup=int(cfg.option("sampler_warmup")),
     )
     header = ["quantity", "ell", "empirical", "std_error",
               "bound", "slack_ratio", "violated", "calibration"]
@@ -498,15 +475,13 @@ def run_lemma_suite(cfg: ExperimentConfig):
 
 def run_tensor_report(cfg: ExperimentConfig):
     """Tensor-norm reports of the third derivative at sampled points."""
-    opts = cfg.options
     target = _analysis_target(cfg)
-    n_points = int(opts.get("n_points", 4))
-    scale = float(opts.get("point_scale", 1.0))
-    restarts = int(opts.get("restarts", 20))
+    n_points = int(cfg.option("n_points"))
+    restarts = int(cfg.option("restarts"))
     rng = _rng(cfg.seeds[0], 0)
     rows = []
     for i in range(n_points):
-        q = scale * rng.standard_normal(target.d)
+        q = rng.standard_normal(target.d)
         rep = tensor_report(third_derivative_tensor(target, q), restarts=restarts, rng=rng)
         rows.append(
             (i, rep.norm_123, rep.norm_12_3, rep.norm_1_2_3_lower, rep.partition_ordering_ok)

@@ -13,10 +13,11 @@ bare string.  Target files name a family plus family-specific parameters:
     precision = 2.0, 3.0, 0.5    # diagonal; omit for identity
 
 Experiment files add experiment-level keys (experiment, dims, seeds,
-schedule) next to `target.`-prefixed target keys.  The analysis experiments
-(overlap-check, lemma-suite, tensor-report) build their target from these,
-with `dim` defaulting to the first entry of `dims`; the others run on the
-standard Gaussian and accept no target keys.
+schedule), `target.`-prefixed target keys and the options that OPTIONS
+declares; a key that no experiment declares is rejected.  The analysis
+experiments (overlap-check, lemma-suite, tensor-report) build their target
+from the target keys, with `dim` defaulting to the first entry of `dims`;
+the others run on the standard Gaussian and accept no target keys.
 """
 
 from __future__ import annotations
@@ -38,15 +39,24 @@ from .targets import (
 )
 
 
-EXPERIMENTS = (
-    "acceptance-scaling",
-    "energy-scaling",
-    "mixing-estimate",
-    "overlap-check",
-    "lemma-suite",
-    "tensor-report",
-    "mala-vs-hmc",
-)
+# Each experiment's options and their defaults; its runner reads no other key.
+OPTIONS = {
+    "acceptance-scaling": {"n_chains": 160, "n_steps": 32, "accept_constant": None,
+                           "eta": 0.4, "K": 1},
+    "energy-scaling": {"ell": 2, "n_mc": 100_000, "etas": np.geomspace(0.02, 0.2, 7)},
+    "mixing-estimate": {"epsilon": 0.1, "n_chains": 16384, "step_cap": 1024, "lazy": False,
+                        "warm_start": "scaled-covariance", "warm_s": 0.5, "eta": 0.4, "K": 1},
+    "overlap-check": {"K": 2, "eta": 0.1, "q0": None, "n_mc": 20_000},
+    "lemma-suite": {"ells": (2, 4), "eta": 0.05, "n_mc": 50_000, "t": None,
+                    "sampler_warmup": 2000},
+    "tensor-report": {"n_points": 4, "restarts": 20},
+    "mala-vs-hmc": {"grad_budget": 120_000, "n_rep": 4},
+}
+EXPERIMENTS = tuple(OPTIONS)
+# One file may serve several subcommands, so a key is valid when any experiment declares it.
+_DECLARED = {key for defaults in OPTIONS.values() for key in defaults}
+# Only these read the schedule; the others accept its default alone.
+_SCHEDULED = ("acceptance-scaling", "mixing-estimate")
 # These always run on GaussianTarget.standard(d) and read no target keys.
 STANDARD_GAUSSIAN_ONLY = ("acceptance-scaling", "energy-scaling", "mixing-estimate",
                           "mala-vs-hmc")
@@ -70,12 +80,24 @@ class ExperimentConfig:
             raise ValueError("dimension list must be ascending")
         if self.schedule not in ("fixed", "corollary-hmc", "corollary-mala"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
+        if self.name not in _SCHEDULED and self.schedule != "corollary-hmc":
+            raise ValueError(f"{self.name} reads no schedule and would ignore {self.schedule!r}")
+        unknown = sorted(set(self.options) - _DECLARED)
+        if unknown:
+            raise ValueError(f"no experiment declares option {', '.join(unknown)}")
         if self.name in STANDARD_GAUSSIAN_ONLY and self.target != {"family": "gaussian"}:
             raise ValueError(f"{self.name} runs on the standard Gaussian and would "
                              f"ignore target {self.target!r}")
         if self.name == "acceptance-scaling" and self.schedule == "corollary-mala":
             raise ValueError("acceptance-scaling runs the fixed or corollary-hmc schedule, "
                              "not corollary-mala")
+
+    def option(self, key: str):
+        """The configured value of key, or this experiment's default for it."""
+        defaults = OPTIONS[self.name]
+        if key not in defaults:
+            raise KeyError(f"{self.name} has no option {key!r}")
+        return self.options.get(key, defaults[key])
 
     def config_hash(self) -> str:
         canonical = json.dumps(asdict(self), sort_keys=True, default=str)
@@ -165,10 +187,8 @@ def experiment_from_file(path: str, seed: int | None = None,
         k: v for k, v in raw.items()
         if not k.startswith("target.") and k not in _EXPERIMENT_KEYS
     }
-    dims = raw.get("dims", [16])
-    dims = tuple(int(d) for d in (dims if isinstance(dims, list) else [dims]))
-    seeds = raw.get("seeds", [0])
-    seeds = tuple(int(s) for s in (seeds if isinstance(seeds, list) else [seeds]))
+    dims = tuple(int(d) for d in np.atleast_1d(raw.get("dims", 16)))
+    seeds = tuple(int(s) for s in np.atleast_1d(raw.get("seeds", 0)))
     if seed is not None:
         seeds = (int(seed),) + tuple(s for s in seeds if s != seed)
     return ExperimentConfig(

@@ -29,9 +29,11 @@ def integrated_autocorr_time(x: Array) -> float:
     """IACT by Geyer's initial-positive-sequence truncation.
 
     Sums pair blocks rho(2m) + rho(2m+1) while they stay positive; for an
-    uncorrelated series the result is about 1.  A constant series (a chain
-    that never moved) has no effective samples: its IACT is inf.  Fewer
-    than 2 values raise ValueError.
+    uncorrelated series the result is about 1.  Like Stan, it caps the
+    effective sample size at n log10(n), so tau >= 1 / log10(n): a
+    non-constant 2-value series gives tau = 0 before the cap.  A constant
+    series (a chain that never moved) has no effective samples: its IACT is
+    inf.  Fewer than 2 values raise ValueError.
     """
     x = np.asarray(x, dtype=float)
     if x.size < 2:
@@ -45,7 +47,7 @@ def integrated_autocorr_time(x: Array) -> float:
     negative = np.nonzero(blocks <= 0)[0]
     cutoff = negative[0] if negative.size else blocks.size
     tau = -1.0 + 2.0 * float(blocks[:cutoff].sum())
-    return max(tau, 1e-12)
+    return max(tau, 1.0 / math.log10(x.size))
 
 
 def effective_sample_size(x: Array) -> float:

@@ -195,11 +195,12 @@ def check_grad_norm_moment(
     target: TargetDensity, ell: int, n_mc: int, sampler
 ) -> MomentReport:
     """[E ||grad f(q)||^(2 ell)]^(1/ell) against Upsilon_ell; constant-free."""
+    bound = upsilon_ell(target, ell)
     acc = MomentAccumulator(power=2 * ell, root=ell)
     for b in _chunks(n_mc):
         q = sampler(b)
         acc.add(np.linalg.norm(target.gradient(q), axis=-1))
-    return _make_report("grad_norm", ell, acc, upsilon_ell(target, ell))
+    return _make_report("grad_norm", ell, acc, bound)
 
 
 def check_php_moment(
@@ -207,11 +208,12 @@ def check_php_moment(
 ) -> MomentReport:
     """[E (p' H p)^ell]^(1/ell) at fixed x against Upsilon_ell; constant-free."""
     x = np.asarray(x, dtype=float)
+    bound = upsilon_ell(target, ell)
     acc = MomentAccumulator(power=ell, root=ell)
     for b in _chunks(n_mc):
         p = rng.standard_normal((b, target.d))
         acc.add((p * target.hessian_vec(x, p)).sum(axis=-1))
-    return _make_report("p_hessian_p", ell, acc, upsilon_ell(target, ell))
+    return _make_report("p_hessian_p", ell, acc, bound)
 
 
 def check_gradhp_moment(
@@ -223,12 +225,12 @@ def check_gradhp_moment(
     """
     if ell % 2 != 0:
         raise ValueError("the moment norm of this signed quantity needs even ell")
+    bound = math.sqrt(ell) * target.smoothness * math.sqrt(upsilon_ell(target, ell))
     acc = MomentAccumulator(power=ell, root=ell)
     for b in _chunks(n_mc):
         q = sampler(b)
         p = rng.standard_normal((b, target.d))
         acc.add((target.gradient(q) * target.hessian_vec(q, p)).sum(axis=-1))
-    bound = math.sqrt(ell) * target.smoothness * math.sqrt(upsilon_ell(target, ell))
     return _make_report("grad_hessian_p", ell, acc, bound)
 
 
@@ -299,6 +301,11 @@ def check_dynamics_diffs(
     """
     if target.gamma is None:
         raise ValueError("target declares no gamma; estimate it first")
+    L, g1 = target.smoothness, target.gamma + 1.0
+    dl = d_ell(target.d, ell)
+    b1 = t * g1 * ell**1.5 * L**1.5 * math.sqrt(dl)
+    b2 = t * g1 * math.sqrt(ell) * L**1.5 * math.sqrt(dl)
+    b3 = t**3 * math.sqrt(L) * math.sqrt(upsilon_ell(target, ell))
     acc1 = MomentAccumulator(power=ell, root=ell)
     acc2 = MomentAccumulator(power=2 * ell, root=2 * ell)
     acc3 = MomentAccumulator(power=2 * ell, root=2 * ell)
@@ -312,11 +319,6 @@ def check_dynamics_diffs(
         acc2.add(np.linalg.norm(hpc - hp0, axis=-1))
         q_leap, _, _ = next(_orbit(target, q0, p0, 1, t))
         acc3.add(np.linalg.norm(qc - q_leap, axis=-1))
-    L, g1 = target.smoothness, target.gamma + 1.0
-    dl = d_ell(target.d, ell)
-    b1 = t * g1 * ell**1.5 * L**1.5 * math.sqrt(dl)
-    b2 = t * g1 * math.sqrt(ell) * L**1.5 * math.sqrt(dl)
-    b3 = t**3 * math.sqrt(L) * math.sqrt(upsilon_ell(target, ell))
     return (
         _make_report("php_drift", ell, acc1, b1),
         _make_report("hp_drift", ell, acc2, b2),
@@ -354,6 +356,7 @@ def energy_error_moment(
     """
     if ell % 2 != 0:
         raise ValueError("the energy error is signed; use even ell")
+    bound = energy_error_bound(target, eta, ell)
     acc = MomentAccumulator(power=ell, root=ell)
     for b in _chunks(n_mc):
         q0 = sampler(b)
@@ -361,5 +364,4 @@ def energy_error_moment(
         h0 = target.potential(q0) + 0.5 * (p0 * p0).sum(axis=-1)
         q1, p1, _ = next(_orbit(target, q0, p0, 1, eta))
         acc.add(h0 - target.potential(q1) - 0.5 * (p1 * p1).sum(axis=-1))
-    bound = energy_error_bound(target, eta, ell)
     return _make_report("leapfrog_energy_error", ell, acc, bound)

@@ -295,9 +295,15 @@ class CubicFormTarget(TargetDensity):
         return np.einsum("ijk,...j,...k->...i", self.a, q, v)
 
     def third_contract(self, q, u, v):
-        out = np.einsum("ijk,...i,...j->...k", self.a, u, v)
-        shape = np.broadcast_shapes(q.shape, u.shape, v.shape)
-        return np.broadcast_to(out, shape).copy()
+        # A[u, v, .] as a (rows, d^2) @ (d^2, d) matmul, 1024 rows at a time to bound memory
+        d = self.d
+        uv_shape = np.broadcast_shapes(u.shape, v.shape)
+        u, v = (np.broadcast_to(w, uv_shape).reshape(-1, d) for w in (u, v))
+        a = self.a.reshape(d * d, d)
+        out = np.concatenate([(u[i:i + 1024, :, None] * v[i:i + 1024, None, :]).reshape(-1, d * d)
+                              @ a for i in range(0, u.shape[0], 1024)])
+        shape = np.broadcast_shapes(q.shape, uv_shape)
+        return np.broadcast_to(out.reshape(uv_shape), shape).copy()
 
 
 class ZeroTarget(TargetDensity):

@@ -20,6 +20,7 @@ from hmclab.bench import (
     run_experiment,
     write_csv,
 )
+from hmclab.config import EXPERIMENTS, OPTIONS
 from hmclab.diagnostics import (
     effective_sample_size,
     integrated_autocorr_time,
@@ -28,6 +29,7 @@ from hmclab.diagnostics import (
 )
 from hmclab.errors import BudgetExhausted
 from hmclab.targets import GaussianTarget
+from hmclab.tuning import TheoryParams, best_hmc_params
 
 
 def test_iact_iid_series(rng):
@@ -47,6 +49,20 @@ def test_iact_of_a_constant_series_is_infinite():
 def test_iact_needs_two_values(x):
     with pytest.raises(ValueError, match="at least 2 values"):
         integrated_autocorr_time(np.array(x))
+
+
+def test_iact_floor_is_stans_ess_cap():
+    # a non-constant 2-value series has rho(1) = -1/2 and a Geyer sum of 0; ESS <= n log10(n)
+    assert integrated_autocorr_time(np.array([0.3, -1.2])) == 1.0 / math.log10(2)
+
+
+def test_mala_vs_hmc_smallest_budget_gives_a_finite_ratio():
+    # budget 9 at d = 16: HMC (K = 3) runs 2 transitions, MALA 4
+    cfg = ExperimentConfig(name="mala-vs-hmc", dims=(16,), seeds=(0,),
+                           options={"grad_budget": 9, "n_rep": 4})
+    _, _, summary = run_experiment(cfg)
+    for ratio in summary["median_cost_ratio_mala_over_hmc"].values():
+        assert math.isfinite(ratio) and ratio < 1e3
 
 
 def test_iact_ar1_series(rng):
@@ -151,12 +167,53 @@ def test_overlap_check_rejects_q0_of_wrong_shape(q0):
 
 
 def test_corollary_schedules():
-    eta_h, K_h = corollary_schedule("corollary-hmc", 256, {})
+    target = GaussianTarget.standard(256)
+    cfg = ExperimentConfig(name="mixing-estimate", options={"eta": 0.33, "K": 5})
+    eta_h, K_h = corollary_schedule("corollary-hmc", target, cfg)
     assert K_h > 1 and 0 < eta_h < 1
-    eta_m, K_m = corollary_schedule("corollary-mala", 256, {})
+    eta_m, K_m = corollary_schedule("corollary-mala", target, cfg)
     assert K_m == 1 and eta_m > eta_h
-    eta_f, K_f = corollary_schedule("fixed", 256, {"eta": 0.33, "K": 5})
+    eta_f, K_f = corollary_schedule("fixed", target, cfg)
     assert (eta_f, K_f) == (0.33, 5)
+
+
+def test_corollary_schedule_reads_the_targets_constants():
+    cfg = ExperimentConfig(name="mala-vs-hmc")
+    standard = corollary_schedule("corollary-hmc", GaussianTarget.standard(64), cfg)
+    # the standard Gaussian's L = 1 and gamma = 0, with M = e, epsilon = 1/e, psi = c = 1, c' = 2
+    tp = TheoryParams(L=1.0, gamma=0.0, d=64, M=math.e, epsilon=1.0 / math.e, c_prime=2.0)
+    assert standard == (best_hmc_params(tp).eta, best_hmc_params(tp).K)
+    stiff = corollary_schedule("corollary-hmc", GaussianTarget(4.0 * np.eye(64)), cfg)
+    assert stiff[0] == pytest.approx(standard[0] / 2.0, rel=1e-12)  # eta^2 ~ 1 / L
+    undeclared = GaussianTarget.standard(4)
+    undeclared.gamma = None
+    with pytest.raises(ValueError, match="declares no gamma"):
+        corollary_schedule("corollary-mala", undeclared, cfg)
+
+
+@pytest.mark.parametrize("key", ["n_chain", "pilot_target", "L", "c_prime"])
+def test_experiment_config_rejects_undeclared_option(key):
+    # a misspelt or retired key would otherwise run the defaults silently
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig(name="acceptance-scaling", options={key: 2, "accept_constant": 1.0})
+
+
+def test_option_defaults_come_from_the_table():
+    cfg = ExperimentConfig(name="acceptance-scaling", options={"n_steps": 8, "n_mc": 5})
+    assert cfg.option("n_steps") == 8
+    assert cfg.option("n_chains") == OPTIONS["acceptance-scaling"]["n_chains"] == 160
+    with pytest.raises(KeyError, match="n_mc"):
+        cfg.option("n_mc")  # declared by other experiments, so allowed in the file, never read here
+    assert EXPERIMENTS == tuple(OPTIONS)
+
+
+@pytest.mark.parametrize("name", ["energy-scaling", "overlap-check", "lemma-suite",
+                                  "tensor-report", "mala-vs-hmc"])
+@pytest.mark.parametrize("schedule", ["fixed", "corollary-mala"])
+def test_experiments_without_a_schedule_reject_one(name, schedule):
+    with pytest.raises(ValueError, match=f"would ignore '{schedule}'"):
+        ExperimentConfig(name=name, schedule=schedule)
+    ExperimentConfig(name=name, schedule="corollary-hmc")
 
 
 def test_fit_loglog_slope():

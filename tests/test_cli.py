@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -80,6 +81,19 @@ class TestConfigParsing:
         assert cfg.target == {"family": "gaussian"}
         override = experiment_from_file(str(tmp_path / "e.cfg"), seed=7)
         assert override.seeds[0] == 7
+
+    def test_experiment_from_file_rejects_undeclared_key(self, tmp_path):
+        path = write(tmp_path / "typo.cfg", "experiment = mixing-estimate\ndims = 4\nn_chain = 8\n")
+        with pytest.raises(ValueError, match="n_chain"):
+            experiment_from_file(path)
+        with pytest.raises(ValueError, match="n_chain"):
+            main(["mixing-estimate", "--config", path, "--out", str(tmp_path / "m.csv")])
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_experiment_from_file_rejects_an_ignored_schedule(self, tmp_path):
+        path = write(tmp_path / "e.cfg", "experiment = energy-scaling\nschedule = fixed\n")
+        with pytest.raises(ValueError, match="reads no schedule"):
+            experiment_from_file(path)
 
 
 @pytest.fixture
@@ -202,6 +216,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.count('"quantity"') == 9
         assert "leapfrog_position_gap" in out
+
+    @pytest.mark.parametrize("t", [None, "0.1"])
+    def test_lemmas_on_a_target_without_gamma(self, tmp_path, capsys, t):
+        # the two-layer family declares no gamma: the energy and drift checks are skipped
+        cfg = write(tmp_path / "twolayer.cfg", "family = two-layer\nm = 2\nn = 4\ndprime = 3\n")
+        rc = main(["lemmas", "--config", cfg, "--n-mc", "2000", "--seed", "0"]
+                  + ([] if t is None else ["--t", t]))
+        assert rc == 0
+        quantities = re.findall(r'"quantity": "(\w+)"', capsys.readouterr().out)
+        assert quantities == ["grad_norm", "p_hessian_p", "grad_hessian_p",
+                              "third_ppp", "third_pp_norm_sq"]
 
     def test_experiment_subcommand(self, tmp_path, capsys):
         cfg = write(tmp_path / "exp.cfg", """

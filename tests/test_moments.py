@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import make_logistic, make_ridge
-from _oracles import ZeroTarget, chi2_moment
+from _oracles import CountingTarget, ZeroTarget, chi2_moment
 from hmclab.kernel import hamiltonian
 from hmclab.leapfrog import PhaseState, forward_map
 from hmclab.moments import (
@@ -324,6 +324,29 @@ def test_energy_error_requires_even_ell():
     t = GaussianTarget.standard(1)
     with pytest.raises(ValueError):
         energy_error_moment(t, 0.1, 3, 10, lambda n: np.zeros((n, 1)), np.random.default_rng(0))
+
+
+class _NoDraws:
+    def __call__(self, n):
+        raise AssertionError("a draw came before the bound")
+
+    standard_normal = __call__
+
+
+@pytest.mark.parametrize("check, missing", [
+    (lambda t, s: check_grad_norm_moment(t, 2, 100, s), "trace_bound"),
+    (lambda t, s: check_php_moment(t, np.zeros(3), 2, 100, s), "trace_bound"),
+    (lambda t, s: check_gradhp_moment(t, 2, 100, s, s), "trace_bound"),
+    (lambda t, s: check_dynamics_diffs(t, 0.1, 2, 100, s, s), "trace_bound"),
+    (lambda t, s: energy_error_moment(t, 0.1, 2, 100, s, s), "gamma"),
+], ids=["grad_norm", "php", "gradhp", "dynamics", "energy"])
+def test_moment_checks_fail_before_sampling(check, missing):
+    # a bound the target cannot state raises before any draw or evaluator call
+    target = CountingTarget(GaussianTarget.standard(3))
+    setattr(target, missing, None)
+    with pytest.raises(ValueError, match="declares no"):
+        check(target, _NoDraws())
+    assert target.gradient_evals == target.potential_evals == target.hvp_rows == 0
 
 
 def test_energy_error_moment_below_bound_gaussian():
