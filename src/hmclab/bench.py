@@ -2,7 +2,7 @@
 
 Each experiment consumes an ExperimentConfig, derives one RNG stream per
 grid point from (seed, point index) so results do not depend on execution
-order, and emits CSV rows plus a JSON summary sidecar carrying the config
+order, and emits CSV rows plus a JSON summary sidecar with the config
 hash, git description, Python, numpy and scipy versions, and wall time.
 Outputs are bit-identical across reruns with a fixed seed.  `overlap_report`,
 `lemma_reports` and `tensors.tensor_report` compute the analyses that both
@@ -39,7 +39,7 @@ from .moments import (
 from .overlap import kl_between_proposals, kl_lemma_bound, kl_proof_form_bound
 from .targets import GaussianTarget, TargetDensity
 from .tensors import tensor_report, third_derivative_tensor
-from .tuning import TheoryParams, best_hmc_params, mala_step_size
+from .tuning import COROLLARY_CONSTANTS, TheoryParams, best_hmc_params, mala_step_size
 
 Array = np.ndarray
 
@@ -141,11 +141,6 @@ def gaussian_projected_std(target: GaussianTarget):
     return stds
 
 
-# The corollaries' free constants: warmness M and tolerance epsilon (ln(M / epsilon) = 2),
-# the isoperimetric coefficient psi and the universal constants c and c'.
-_M, _EPSILON, _PSI, _C, _C_PRIME = math.e, 1.0 / math.e, 1.0, 1.0, 2.0
-
-
 def corollary_schedule(schedule: str, target: TargetDensity,
                        cfg: ExperimentConfig) -> tuple[float, int]:
     """(eta, K) for one grid point: cfg's eta and K under the fixed schedule, else
@@ -154,8 +149,8 @@ def corollary_schedule(schedule: str, target: TargetDensity,
         return float(cfg.option("eta")), int(cfg.option("K"))
     if target.gamma is None:
         raise ValueError("target declares no gamma; estimate it first")
-    tp = TheoryParams(L=target.smoothness, gamma=target.gamma, d=target.d, M=_M,
-                      epsilon=_EPSILON, psi=_PSI, c=_C, c_prime=_C_PRIME)
+    tp = TheoryParams(L=target.smoothness, gamma=target.gamma, d=target.d,
+                      **COROLLARY_CONSTANTS)
     tuned = mala_step_size(tp) if schedule == "corollary-mala" else best_hmc_params(tp)
     return tuned.eta, tuned.K
 
@@ -170,15 +165,11 @@ def _mean_acceptance(
 ) -> tuple[float, float, int]:
     """Mean acceptance, its 95% CI half-width from between-chain spread, and
     the gradient evaluations of the paper's (K+1) cost model; the chains
-    run from a copy of start and carry grad f, so they evaluate n_chains *
+    run non-lazily from a copy of start, so they evaluate n_chains *
     (1 + n_steps * K) gradient rows."""
     n_chains = start.shape[0]
-    flags = np.empty((n_steps, n_chains), dtype=bool)
-
-    def record(i, step):
-        flags[i] = step.accepted
-
-    _drive(target, np.array(start, dtype=float), eta, K, [rng], False, n_steps, None, record)
+    flags = np.array([s.accepted for s in
+                      _drive(target, np.array(start, dtype=float), eta, K, [rng], False, n_steps)])
     chain_means = flags.mean(axis=0)
     ci = 1.96 * float(chain_means.std(ddof=1)) / math.sqrt(n_chains)
     return float(flags.mean()), ci, n_steps * n_chains * (K + 1)
@@ -268,15 +259,11 @@ def run_mixing_estimate(cfg: ExperimentConfig):
         done_steps = 0
         grads = 0
         hit = None
-        carry = None
-
-        def count(i, step):
-            nonlocal grads
-            grads += int((~step.holds).sum()) * (K + 1)
-
         for ckpt in checkpoints:
-            # the driver draws only its own steps from rng, so the TV projections keep their draws
-            q, carry = _drive(target, q, eta, K, [rng], lazy, ckpt - done_steps, carry, count)
+            # the run steps q in place and draws only its own steps from rng, so the TV
+            # projections keep their draws; no step outlives the sum
+            grads += (K + 1) * sum(int((~s.holds).sum()) for s in
+                                   _drive(target, q, eta, K, [rng], lazy, ckpt - done_steps))
             done_steps = ckpt
             tv = tv_projection_estimate(q, stds, rng)
             rows.append((d, ckpt, tv, grads))
@@ -301,13 +288,9 @@ def _iact_rows(target, eta, K, n_iters, n_rep, streams, method, d, seeds):
     q = np.concatenate([target.sample_exact(n_rep, rng) for rng in streams])
     series_q1 = np.empty((n_iters, q.shape[0]))
     series_qq = np.empty((n_iters, q.shape[0]))
-
-    def record(i, step):
-        q = step.positions
+    for i, _ in enumerate(_drive(target, q, eta, K, streams, False, n_iters)):  # steps q
         series_q1[i] = q[:, 0]
         series_qq[i] = (q * q).sum(axis=1)
-
-    _drive(target, q, eta, K, streams, False, n_iters, None, record)
     rows = []
     for j, seed in enumerate(seeds):
         chains = range(j * n_rep, (j + 1) * n_rep)
@@ -322,7 +305,7 @@ def run_mala_vs_hmc(cfg: ExperimentConfig):
     """Gradient evaluations per effective sample at matched budgets.
 
     The K > 1 schedule comes from the HMC corollary and the K = 1 control
-    from the MALA corollary, both at the module's constants c = 1, c' = 2;
+    from the MALA corollary, both at `COROLLARY_CONSTANTS` (c = 1, c' = 2);
     the summary records each method's (eta, K).  Each method runs the chains
     of every seed as one block.
     """

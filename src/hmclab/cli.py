@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -26,7 +25,7 @@ from . import bench
 from .config import EXPERIMENTS, experiment_from_file, target_from_file
 from .kernel import HmcConfig, run_chains, traces_to_csv
 from .tensors import tensor_report, third_derivative_tensor
-from .tuning import TheoryParams, best_hmc_params, mala_step_size
+from .tuning import COROLLARY_CONSTANTS, TheoryParams, best_hmc_params, mala_step_size
 
 
 def _vector(text: str | None, d: int) -> np.ndarray:
@@ -55,10 +54,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    tp = TheoryParams(
-        L=args.L, gamma=args.gamma, d=args.d, M=args.M,
-        epsilon=args.epsilon, psi=args.psi, c=args.c, c_prime=args.c_prime,
-    )
+    tp = TheoryParams(L=args.L, gamma=args.gamma, d=args.d,
+                      **{key: getattr(args, key) for key in COROLLARY_CONSTANTS})
     tuned = mala_step_size(tp) if args.mala else best_hmc_params(tp)
     print(tuned.to_json())
     return 0
@@ -125,11 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=float, required=True)
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--M", type=float, default=math.e)
-    p.add_argument("--epsilon", type=float, default=1.0 / math.e)
-    p.add_argument("--psi", type=float, default=1.0)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--c-prime", type=float, default=1.0)
+    for key, value in COROLLARY_CONSTANTS.items():  # --M, --epsilon, --psi, --c, --c-prime
+        p.add_argument("--" + key.replace("_", "-"), type=float, default=value)
     p.add_argument("--mala", action="store_true", help="use the K=1 corollary")
     p.set_defaults(func=_cmd_tune)
 

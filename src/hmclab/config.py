@@ -2,7 +2,8 @@
 
 The format is flat text, one `key = value` per line, with `#` comments.
 Values parse as int, float, bool, a comma-separated list of those, or a
-bare string.  Target files name a family plus family-specific parameters:
+bare string.  Target files name a family plus the keys that TARGET_KEYS
+declares for it; a key that no family declares is rejected:
 
     family = logistic
     alpha2 = 1.0
@@ -134,40 +135,48 @@ def parse_kv(path: str) -> dict:
     return out
 
 
+# Each target family's keys and their defaults; build_target reads no other key.
+TARGET_KEYS = {
+    "gaussian": {"dim": 2, "precision": None},
+    "ridge": {"dim": 4, "n": 4, "directions_seed": 0, "potential": "logcosh"},
+    "logistic": {"dim": 4, "n": 8, "alpha2": 1.0, "data": None, "data_seed": 0},
+    "two-layer": {"m": 3, "n": 4, "dprime": 3, "data_seed": 0},
+}
+# Analysis experiments add `dim` whatever the family, so a key is valid when any family declares it.
+_TARGET_DECLARED = {"family"} | {key for keys in TARGET_KEYS.values() for key in keys}
+
+
 def build_target(cfg: dict) -> TargetDensity:
     """Construct a built-in target family from parsed key/value pairs."""
+    unknown = sorted(set(cfg) - _TARGET_DECLARED)
+    if unknown:
+        raise ValueError(f"no target family declares key {', '.join(unknown)}")
     family = str(cfg.get("family", "gaussian")).lower()
+    family = "two-layer" if family == "twolayer" else family
+    if family not in TARGET_KEYS:
+        raise ValueError(f"unknown target family {family!r}")
+    opt = {**TARGET_KEYS[family], **cfg}
     if family == "gaussian":
-        dim = int(cfg.get("dim", 2))
-        precision = cfg.get("precision")
+        precision = opt["precision"]
         if precision is None:
-            return GaussianTarget.standard(dim)
+            return GaussianTarget.standard(int(opt["dim"]))
         if isinstance(precision, str):
             return GaussianTarget(np.loadtxt(precision, delimiter=",", ndmin=2))
         values = np.atleast_1d(np.asarray(precision, dtype=float))
         if values.size == 1:
-            return GaussianTarget(float(values[0]) * np.eye(dim))
+            return GaussianTarget(float(values[0]) * np.eye(int(opt["dim"])))
         return GaussianTarget.diagonal(values)
     if family == "ridge":
-        dim = int(cfg.get("dim", 4))
-        n = int(cfg.get("n", 4))
-        rng = np.random.default_rng(int(cfg.get("directions_seed", 0)))
-        potential = named_potential(str(cfg.get("potential", "logcosh")))
-        return RidgeSeparableTarget(random_unit_rows(n, dim, rng), potential)
+        rng = np.random.default_rng(int(opt["directions_seed"]))
+        return RidgeSeparableTarget(random_unit_rows(int(opt["n"]), int(opt["dim"]), rng),
+                                    named_potential(str(opt["potential"])))
+    rng = np.random.default_rng(int(opt["data_seed"]))
     if family == "logistic":
-        alpha2 = float(cfg.get("alpha2", 1.0))
-        if "data" in cfg:
-            return LogisticPosteriorTarget.from_csv(str(cfg["data"]), alpha2)
-        rng = np.random.default_rng(int(cfg.get("data_seed", 0)))
-        return LogisticPosteriorTarget.synthetic(
-            int(cfg.get("n", 8)), int(cfg.get("dim", 4)), alpha2, rng
-        )
-    if family in ("two-layer", "twolayer"):
-        rng = np.random.default_rng(int(cfg.get("data_seed", 0)))
-        return TwoLayerNetTarget.synthetic(
-            int(cfg.get("m", 3)), int(cfg.get("n", 4)), int(cfg.get("dprime", 3)), rng
-        )
-    raise ValueError(f"unknown target family {family!r}")
+        alpha2 = float(opt["alpha2"])
+        if opt["data"] is not None:
+            return LogisticPosteriorTarget.from_csv(str(opt["data"]), alpha2)
+        return LogisticPosteriorTarget.synthetic(int(opt["n"]), int(opt["dim"]), alpha2, rng)
+    return TwoLayerNetTarget.synthetic(int(opt["m"]), int(opt["n"]), int(opt["dprime"]), rng)
 
 
 def target_from_file(path: str) -> TargetDensity:

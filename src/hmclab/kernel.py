@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import contextlib
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,7 +92,6 @@ class ChainTrace:
     diverged: Array  # (n_steps,) bool
     delta_h: Array  # (n_steps,), NaN on lazy holds
     grad_evals: int
-    config: HmcConfig = field(repr=False, default=None)
 
     @property
     def n_steps(self) -> int:
@@ -128,18 +127,14 @@ def _run_block(
     positions[:, 0] = q
     flags = np.empty((3, n_chains, n_steps), dtype=bool)  # accepted, lazy holds, diverged
     delta_h = np.empty((n_chains, n_steps))
-
-    def record(i: int, step: BatchTransition) -> None:
+    for i, step in enumerate(_drive(target, q, config.eta, config.K, streams, config.lazy,
+                                    n_steps)):
         positions[:, i + 1] = step.positions
         flags[:, :, i] = step.accepted, step.holds, step.diverged
         delta_h[:, i] = step.delta_h
-
-    _drive(target, q, config.eta, config.K, streams, config.lazy, n_steps, None, record)
     grad_evals = (n_steps - flags[1].sum(axis=1)) * (config.K + 1)
-    return [
-        ChainTrace(positions[c], *flags[:, c], delta_h[c], int(grad_evals[c]), config)
-        for c in range(n_chains)
-    ]
+    return [ChainTrace(positions[c], *flags[:, c], delta_h[c], int(grad_evals[c]))
+            for c in range(n_chains)]
 
 
 def run_chain(
@@ -220,13 +215,11 @@ def batch_transition(
     B of them give each chain its own.  All draws come before any
     integration.  Held chains are not integrated; the moving rows are
     integrated in row blocks of at least max(256, 16384 // d) rows (see
-    `_step`).  The step runs on a copy of q, which is left as it was.
-    Diverged proposals count as rejections.  Results are reproducible for
-    fixed seeds.
+    `_step`).  This is a one-step `_drive` run on a copy of q, which is left
+    as it was.  Diverged proposals count as rejections.  Results are
+    reproducible for fixed seeds.
     """
-    _check_schedule(eta, K)
-    q, streams = _check_block(target, np.array(q, dtype=float, order="C"), rng)
-    return _step(target, q, eta, K, _draw(streams, lazy, _draw_buffers(*q.shape, lazy)), lazy)
+    return next(_drive(target, np.array(q, dtype=float, order="C"), eta, K, rng, lazy, 1))
 
 
 def _block_rows(d: int) -> int:
@@ -240,7 +233,7 @@ def _draw_buffers(n_chains: int, d: int, lazy: bool) -> tuple:
 
 
 def _draw(streams: list, lazy: bool, draws: tuple) -> tuple:
-    """Fill draws (from `_draw_buffers`) in `batch_transition`'s order, as its calls would.
+    """Fill draws (from `_draw_buffers`) in the kernel's order; see `batch_transition`.
 
     Stream g fills rows g*B/G to (g+1)*B/G - 1: coins (if lazy), momenta, uniforms.
     """
@@ -255,34 +248,29 @@ def _draw(streams: list, lazy: bool, draws: tuple) -> tuple:
     return draws
 
 
-def _drive(
-    target: TargetDensity, q: Array, eta: float, K: int, streams, lazy: bool, n_steps: int,
-    carry: tuple[Array, Array] | None = None, on_step=None,
-) -> tuple[Array, tuple[Array, Array] | None]:
-    """n_steps transitions of the chains at q (B, d): the one chain loop; returns (q, carry).
+def _drive(target: TargetDensity, q: Array, eta: float, K: int, streams, lazy: bool,
+           n_steps: int) -> Iterator[BatchTransition]:
+    """Generator of n_steps transitions of the chains at q (B, d): the one chain loop.
 
-    The input is checked once.  q is stepped in place when it is a C-ordered
-    float array (else a copy is), so the caller hands over an array it no
-    longer needs and reads the positions from the result.  After step i,
-    on_step(i, step) gets the step's `BatchTransition`, whose positions are
-    the live array: it copies what it keeps and draws nothing from the streams.
-    A non-lazy run carries (f, grad f), evaluated at q unless carry holds it,
-    and returns it at the final positions; a lazy run returns None.
+    It yields each step's `BatchTransition`.  Its positions are the live
+    array, stepped in place: q itself when q is a C-ordered float array (else
+    a copy).  So a caller hands over an array it no longer needs, copies what
+    it keeps of each step, and draws nothing from the streams inside its loop.
+    The input is checked at the first `next()`.  A non-lazy run evaluates
+    (f, grad f) at q and carries them from step to step.
 
     The run owns the streams for its n_steps steps and draws nothing beyond
     them, so callers may draw from them between runs.  When a step spans two
-    row blocks or more, one worker thread, alive for this call only, fills
+    row blocks or more, one worker thread, alive for this run only, fills
     step i+1's draws into the second of two buffers while step i integrates.
-    Every stream yields the values, in the order, of a `batch_transition`
-    loop, and the positions equal that loop's bit for bit.
+    A run closed early joins that worker, and its streams have then drawn at
+    most one step ahead.  Every stream yields the values, in the order, of
+    one-step runs, and the positions equal theirs bit for bit.
     """
     _check_schedule(eta, K)
     q, streams = _check_block(target, q, streams)
     n_chains, d = q.shape
-    if lazy:
-        carry = None
-    elif carry is None:
-        carry = (target.potential(q), target.gradient(q))
+    carry = None if lazy else (target.potential(q), target.gradient(q))
     prefetch = n_steps > 1 and n_chains >= 2 * _block_rows(d)
     if prefetch:  # a wide step: draws are worth a thread hand-off
         from concurrent.futures import ThreadPoolExecutor
@@ -293,15 +281,12 @@ def _drive(
             draws = _draw(streams, lazy, buffers[0]) if ahead is None else ahead.result()
             ahead = (pool.submit(_draw, streams, lazy, buffers[(i + 1) % 2])
                      if prefetch and i + 1 < n_steps else None)
-            step = _step(target, q, eta, K, draws, lazy, carry)
-            if on_step is not None:
-                on_step(i, step)
-    return q, carry
+            yield _step(target, q, eta, K, draws, lazy, carry)
 
 
 def _step(
     target: TargetDensity, q: Array, eta: float, K: int, draws: tuple, lazy: bool,
-    carry: tuple[Array, Array] | None = None,
+    carry: tuple[Array, Array] | None,
 ) -> BatchTransition:
     """One transition of the chains at q (B, d), C-ordered, with the step's draws made.
 
@@ -316,9 +301,10 @@ def _step(
     small-M paths, which round rows differently from the full product; with
     it, blocked steps equal whole-batch ones bit for bit on OpenBLAS 0.3.31.
 
-    carry, for non-lazy steps only, is (f(q), grad f(q)); with it the step
-    evaluates K gradient rows and one potential row per chain instead of
-    K+1 and two, and leaves the carry at the new positions.
+    carry is None for lazy steps, which evaluate K+1 gradient rows and two
+    potential rows per moving chain.  For non-lazy steps it is
+    (f(q), grad f(q)); the step then evaluates K gradient rows and one
+    potential row per chain and leaves the carry at the new positions.
     """
     coins, p, u = draws
     n_chains, d = q.shape

@@ -161,20 +161,17 @@ def chain_stationary_sampler(
     approximately stationary; checks using them say so in their
     documentation.
     """
-    state, carry = _drive(target, np.zeros((n_chains, target.d)), eta, K, [rng], False, warmup)
+    state = np.zeros((n_chains, target.d))  # stepped in place by every run
+    for _ in _drive(target, state, eta, K, [rng], False, warmup):
+        pass
 
     def sample(n: int) -> Array:
-        nonlocal state, carry
         out = np.empty((n, target.d))
-
-        def harvest(i, step):
+        # one run per call: callers draw from rng between calls, never during one
+        for i, _ in enumerate(_drive(target, state, eta, K, [rng], False, 4 * -(-n // n_chains))):
             if i % 4 == 3:
                 filled = i // 4 * n_chains
-                out[filled : filled + n_chains] = step.positions[: n - filled]
-
-        # one run per call: callers draw from rng between calls, never during one
-        state, carry = _drive(target, state, eta, K, [rng], False, 4 * -(-n // n_chains),
-                              carry, harvest)
+                out[filled : filled + n_chains] = state[: n - filled]
         return out
 
     return sample

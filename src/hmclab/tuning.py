@@ -3,8 +3,8 @@
 Implements the closed-form step-size/step-count choices for Metropolized
 HMC and for MALA, plus the two inequalities the mixing-time theorem places
 on (K, eta).  The theory's universal constants are exposed as the knobs c
-and c_prime (default 1); predicted step counts are therefore "up to a
-universal constant".  Natural logarithms throughout.
+and c_prime; predicted step counts are therefore "up to a universal
+constant".  Natural logarithms throughout.
 """
 
 from __future__ import annotations
@@ -12,6 +12,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict
+
+#: The corollaries' free constants, shared by the experiments' schedules and `hmclab tune`:
+#: warmness M and tolerance epsilon (ln(M / epsilon) = 2), the isoperimetric coefficient psi
+#: and the universal constants c and c'.
+COROLLARY_CONSTANTS = {"M": math.e, "epsilon": 1.0 / math.e, "psi": 1.0, "c": 1.0, "c_prime": 2.0}
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hmclab.bench import ExperimentConfig, run_experiment, run_overlap_check
+from hmclab.bench import ExperimentConfig, corollary_schedule, run_experiment, run_overlap_check
 from hmclab.cli import main
 from hmclab.config import build_target, experiment_from_file, parse_kv
 from hmclab.kernel import HmcConfig, run_chains
@@ -89,6 +89,21 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="n_chain"):
             main(["mixing-estimate", "--config", path, "--out", str(tmp_path / "m.csv")])
         assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("cfg, key", [
+        ({"family": "logistic", "alpha": 5.0, "dim": 3, "n": 4}, "alpha"),
+        ({"family": "gaussian", "dims": 8}, "dims"),
+        ({"family": "ridge", "dim": 3, "potental": "sine"}, "potental"),
+    ])
+    def test_build_target_rejects_undeclared_key(self, tmp_path, cfg, key):
+        # each misspelling used to build the family's default instead
+        with pytest.raises(ValueError, match=key):
+            build_target(cfg)
+        path = write(tmp_path / "typo.cfg", "".join(f"{k} = {v}\n" for k, v in cfg.items()))
+        with pytest.raises(ValueError, match=key):
+            main(["sample", "--config", path, "--eta", "0.3", "--K", "2",
+                  "--out", str(tmp_path / "trace.csv")])
+        assert not (tmp_path / "trace.csv").exists()
 
     def test_experiment_from_file_rejects_an_ignored_schedule(self, tmp_path):
         path = write(tmp_path / "e.cfg", "experiment = energy-scaling\nschedule = fixed\n")
@@ -176,6 +191,16 @@ class TestCli:
         main(["tune", "--L", "2.0", "--d", "64", "--mala"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["K"] == 1
+
+    @pytest.mark.parametrize("mala", [False, True])
+    def test_tune_defaults_are_the_experiments_schedule(self, capsys, mala):
+        main(["tune", "--L", "1", "--d", "64"] + (["--mala"] if mala else []))
+        payload = json.loads(capsys.readouterr().out)
+        cfg = ExperimentConfig(name="mixing-estimate")
+        schedule = "corollary-mala" if mala else "corollary-hmc"
+        eta, K = corollary_schedule(schedule, GaussianTarget.standard(64), cfg)
+        assert (payload["eta"], payload["K"], payload["ell"]) == (eta, K, 8)
+        assert K == (1 if mala else 5)
 
     def test_tensor_json(self, tmp_path, capsys):
         cfg = write(tmp_path / "ridge.cfg", "family = ridge\nn = 3\ndim = 3\npotential = sine\n")

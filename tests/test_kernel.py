@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -534,7 +535,8 @@ _DRIVE_TARGETS = [GaussianTarget.diagonal(np.linspace(0.5, 2.0, 64)), make_logis
 
 
 def test_drive_matches_public_transitions():
-    # B within one row block (steps draw in line) and across two or more (the worker prefetches)
+    # B within one row block (steps draw in line) and across two or more (the worker prefetches);
+    # the reference is the whole-batch oracle with the same carry, since batch_transition is _drive
     hp = pytest.importorskip("hypothesis")
     st = hp.strategies
 
@@ -551,25 +553,18 @@ def test_drive_matches_public_transitions():
         q = 0.5 * np.random.default_rng(seed).standard_normal((n_chains, target.d))
         ours = [np.random.default_rng(seed + j) for j in range(n_streams)]
         ref = [np.random.default_rng(seed + j) for j in range(n_streams)]
-        steps = []
-
-        def record(i, step):
-            steps.append(BatchTransition(step.positions.copy(), step.accepted, step.delta_h,
-                                         step.holds, step.diverged))
-
-        final, carry = _drive(target, q.copy(), 0.3, K, ours, lazy, n_steps, None, record)
+        final = q.copy()
+        steps = [BatchTransition(s.positions.copy(), s.accepted, s.delta_h, s.holds, s.diverged)
+                 for s in _drive(target, final, 0.3, K, ours if n_streams > 1 else ours[0],
+                                 lazy, n_steps)]
         assert len(steps) == n_steps
-        assert (carry is None) == lazy
         q_ref = q
+        carry = None if lazy else (target.potential(q), target.gradient(q))
         for step in steps:
-            expected = batch_transition(target, q_ref, 0.3, K, ref if n_streams > 1 else ref[0],
-                                        lazy)
+            expected, carry = unblocked_step(target, q_ref, 0.3, K, ref, lazy, carry)
             _assert_same_step(step, expected)
             q_ref = expected.positions
         assert np.array_equal(final, q_ref)
-        if not lazy:  # the carry is f and grad f at the final positions
-            assert np.array_equal(carry[0], target.potential(final))
-            assert np.array_equal(carry[1], target.gradient(final))
         assert all(a.random() == b.random() for a, b in zip(ours, ref))
 
     check()
@@ -594,20 +589,36 @@ def counted_pools(monkeypatch):
 def test_drive_prefetches_only_wide_runs_of_several_steps(counted_pools, n_chains, n_steps, pools):
     target = GaussianTarget.standard(64)  # two row blocks are 512 rows
     q = np.zeros((n_chains, 64))
-    _drive(target, q, 0.3, 2, [np.random.default_rng(0)], True, n_steps)
+    for _ in _drive(target, q, 0.3, 2, [np.random.default_rng(0)], True, n_steps):
+        pass
     assert counted_pools == pools  # one worker thread at most, and only where it pays
+
+
+@pytest.mark.parametrize("consumed", [True, False], ids=["to-the-end", "closed-after-one"])
+def test_drive_joins_its_worker(consumed):
+    target = GaussianTarget.standard(64)
+    before = threading.active_count()
+    steps = _drive(target, np.zeros((512, 64)), 0.3, 2, [np.random.default_rng(0)], True, 4)
+    next(steps)
+    assert threading.active_count() == before + 1  # the prefetch worker
+    if consumed:
+        assert len(list(steps)) == 3
+    else:
+        steps.close()
+    assert threading.active_count() == before
 
 
 def test_drive_steps_its_array_in_place():
     target = GaussianTarget.standard(3)
     q = np.random.default_rng(1).standard_normal((4, 3))
-    final, _ = _drive(target, q, 0.5, 2, [np.random.default_rng(1)], False, 3)
-    assert final is q
+    assert all(s.positions is q for s in _drive(target, q, 0.5, 2, [np.random.default_rng(1)],
+                                                False, 3))
     # any other layout or dtype is stepped on a C-ordered float copy
     q_f = np.asfortranarray(np.random.default_rng(1).standard_normal((4, 3)))
     start = q_f.copy()
-    final, _ = _drive(target, q_f, 0.5, 2, [np.random.default_rng(1)], False, 3)
-    assert final is not q_f and np.array_equal(q_f, start)
+    for step in _drive(target, q_f, 0.5, 2, [np.random.default_rng(1)], False, 3):
+        assert step.positions is not q_f and step.positions.flags.c_contiguous
+    assert np.array_equal(q_f, start)
 
 
 @pytest.mark.parametrize("lazy", [False, True])
