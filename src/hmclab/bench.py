@@ -19,9 +19,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
-from .config import ExperimentConfig, build_target
+from .config import TARGET_KEYS, ExperimentConfig, build_target, target_family
 from .errors import BudgetExhausted
 from .diagnostics import integrated_autocorr_time, tv_projection_estimate
 from .kernel import _drive
@@ -111,6 +110,8 @@ def write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
 
 
 def write_sidecar(path: str, cfg: ExperimentConfig, summary: dict, wall_time: float) -> None:
+    import scipy  # for its version alone: importing hmclab loads no SciPy module
+
     payload = {
         "config_hash": cfg.config_hash(),
         "git_describe": _git_describe(),
@@ -368,8 +369,10 @@ def run_energy_scaling(cfg: ExperimentConfig):
 
 
 def _analysis_target(cfg: ExperimentConfig) -> TargetDensity:
-    """The target named by cfg.target, with `dim` defaulting to dims[0]."""
-    return build_target({"dim": cfg.dims[0], **cfg.target})
+    """The target named by cfg.target, with `dim` defaulting to dims[0] when
+    its family declares `dim` (two-layer does not)."""
+    dim = {"dim": cfg.dims[0]} if "dim" in TARGET_KEYS[target_family(cfg.target)] else {}
+    return build_target({**dim, **cfg.target})
 
 
 def overlap_report(target: TargetDensity, q0, direction, separation, K: int, eta: float,

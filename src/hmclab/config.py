@@ -3,7 +3,7 @@
 The format is flat text, one `key = value` per line, with `#` comments.
 Values parse as int, float, bool, a comma-separated list of those, or a
 bare string.  Target files name a family plus the keys that TARGET_KEYS
-declares for it; a key that no family declares is rejected:
+declares for it; a key that the family does not declare is rejected:
 
     family = logistic
     alpha2 = 1.0
@@ -17,7 +17,8 @@ Experiment files add experiment-level keys (experiment, dims, seeds,
 schedule), `target.`-prefixed target keys and the options that OPTIONS
 declares; a key that no experiment declares is rejected.  The analysis
 experiments (overlap-check, lemma-suite, tensor-report) build their target
-from the target keys, with `dim` defaulting to the first entry of `dims`;
+from the target keys, with `dim` defaulting to the first entry of `dims`
+for every family that declares `dim`;
 the others run on the standard Gaussian and accept no target keys.
 """
 
@@ -142,19 +143,23 @@ TARGET_KEYS = {
     "logistic": {"dim": 4, "n": 8, "alpha2": 1.0, "data": None, "data_seed": 0},
     "two-layer": {"m": 3, "n": 4, "dprime": 3, "data_seed": 0},
 }
-# Analysis experiments add `dim` whatever the family, so a key is valid when any family declares it.
-_TARGET_DECLARED = {"family"} | {key for keys in TARGET_KEYS.values() for key in keys}
 
 
-def build_target(cfg: dict) -> TargetDensity:
-    """Construct a built-in target family from parsed key/value pairs."""
-    unknown = sorted(set(cfg) - _TARGET_DECLARED)
-    if unknown:
-        raise ValueError(f"no target family declares key {', '.join(unknown)}")
+def target_family(cfg: dict) -> str:
+    """The TARGET_KEYS family that cfg names (gaussian when it names none)."""
     family = str(cfg.get("family", "gaussian")).lower()
     family = "two-layer" if family == "twolayer" else family
     if family not in TARGET_KEYS:
         raise ValueError(f"unknown target family {family!r}")
+    return family
+
+
+def build_target(cfg: dict) -> TargetDensity:
+    """Construct a built-in target family from parsed key/value pairs."""
+    family = target_family(cfg)
+    stray = sorted(set(cfg) - {"family"} - set(TARGET_KEYS[family]))
+    if stray:
+        raise ValueError(f"target family {family!r} declares no key {', '.join(stray)}")
     opt = {**TARGET_KEYS[family], **cfg}
     if family == "gaussian":
         precision = opt["precision"]

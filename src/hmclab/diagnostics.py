@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.special import ndtr
 
 from .targets import random_unit_rows
 
@@ -58,6 +58,23 @@ def effective_sample_size(x: Array) -> float:
 _TV_EDGES = np.linspace(-8.0, 8.0, 201)
 
 
+@functools.cache
+def _tv_bin_probs() -> Array:
+    """N(0, 1) probability of each _TV_EDGES bin, tails folded into the end bins.
+
+    Computed once per process, read-only.  scipy.special loads here, on the
+    first TV estimate, so importing hmclab loads no SciPy module.
+    """
+    from scipy.special import ndtr
+
+    cdf = ndtr(_TV_EDGES)
+    probs = np.diff(cdf)
+    probs[0] += cdf[0]
+    probs[-1] += 1.0 - cdf[-1]
+    probs.flags.writeable = False
+    return probs
+
+
 def tv_histogram(samples: Array) -> float:
     """Half L1 distance between a histogram of samples and N(0, 1).
 
@@ -67,11 +84,7 @@ def tv_histogram(samples: Array) -> float:
     """
     samples = np.clip(np.asarray(samples, dtype=float).ravel(), _TV_EDGES[0], _TV_EDGES[-1])
     counts, _ = np.histogram(samples, bins=_TV_EDGES)
-    cdf = ndtr(_TV_EDGES)
-    probs = np.diff(cdf)
-    probs[0] += cdf[0]
-    probs[-1] += 1.0 - cdf[-1]
-    return 0.5 * float(np.abs(counts / samples.size - probs).sum())
+    return 0.5 * float(np.abs(counts / samples.size - _tv_bin_probs()).sum())
 
 
 def tv_projection_estimate(samples: Array, projected_std, rng: np.random.Generator) -> float:

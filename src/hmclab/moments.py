@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .kernel import _drive
 from .leapfrog import _orbit, continuous_flow
@@ -39,8 +38,24 @@ def upsilon_ell(target: TargetDensity, ell: int) -> float:
 
 
 def _log_sum(log_terms: Array) -> float:
-    """log sum exp(log_terms), with -inf for an empty selection."""
-    return logsumexp(log_terms) if log_terms.size else -math.inf
+    """log sum exp(log_terms) of a 1-D array, with -inf for an empty selection.
+
+    SciPy 1.17's logsumexp algorithm, bit for bit, without importing SciPy:
+    the m entries equal to the maximum a are kept out of the shifted sum s,
+    and the result is log1p(s / m) + log(m) + a, or log(sum exp) when that
+    is not finite (every entry -inf, or an overflow).
+    """
+    if not log_terms.size:
+        return -math.inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = log_terms.max()
+        at_top = log_terms == top
+        count = np.float64(np.count_nonzero(at_top))
+        rest = np.exp(np.where(at_top, -np.inf, log_terms) - top).sum() / count
+        out = np.log1p(rest) + np.log(count) + top
+        if not np.isfinite(out):
+            out = np.log(np.exp(log_terms).sum())
+    return float(out)
 
 
 class MomentAccumulator:

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import hmclab
 from hmclab.targets import (
     GaussianTarget,
     LogisticPosteriorTarget,
@@ -36,3 +41,12 @@ def make_dense_gaussian(d: int, seed: int) -> GaussianTarget:
     gen = np.random.default_rng(seed)
     a = gen.standard_normal((d, d))
     return GaussianTarget(a @ a.T / d + np.eye(d))
+
+
+def run_python(code: str, *args: str) -> str:
+    """Stdout of `python -c code args` in a fresh interpreter that imports this hmclab."""
+    src = os.path.dirname(os.path.dirname(hmclab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code, *args], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    return out.stdout

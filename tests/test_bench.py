@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 import scipy
 from numpy.testing import assert_allclose
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from _oracles import CountingTarget
+from conftest import run_python
 from hmclab.bench import (
     ExperimentConfig,
     WarmStartSpec,
@@ -22,6 +24,8 @@ from hmclab.bench import (
 )
 from hmclab.config import EXPERIMENTS, OPTIONS
 from hmclab.diagnostics import (
+    _TV_EDGES,
+    _tv_bin_probs,
     effective_sample_size,
     integrated_autocorr_time,
     tv_histogram,
@@ -85,6 +89,27 @@ def test_tv_histogram_calibrated(rng):
     big = tv_histogram(shifted)
     exact = 1.0 - 2.0 * norm.cdf(-1.5)  # TV between N(0,1) and N(3,1)
     assert abs(big - exact) <= 0.05
+
+
+def test_tv_bin_probs_are_computed_once():
+    cdf = ndtr(_TV_EDGES)
+    inline = np.diff(cdf)
+    inline[0] += cdf[0]
+    inline[-1] += 1.0 - cdf[-1]
+    probs = _tv_bin_probs()
+    assert probs is _tv_bin_probs()
+    assert probs.tobytes() == inline.tobytes()
+    assert not probs.flags.writeable
+    assert abs(probs.sum() - 1.0) <= 1e-15
+
+
+def test_diagnostics_loads_scipy_at_its_first_tv_estimate():
+    code = ("import sys, numpy, hmclab.diagnostics as d\n"
+            "loaded = lambda: any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+            "before = loaded()\n"
+            "d.tv_histogram(numpy.zeros(8))\n"
+            "print(before, loaded())")
+    assert run_python(code).split() == ["False", "True"]
 
 
 def test_tv_projection_estimate_near_zero_at_stationarity(rng):

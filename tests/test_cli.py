@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import run_python
 from hmclab.bench import ExperimentConfig, corollary_schedule, run_experiment, run_overlap_check
 from hmclab.cli import main
 from hmclab.config import build_target, experiment_from_file, parse_kv
@@ -94,6 +95,10 @@ class TestConfigParsing:
         ({"family": "logistic", "alpha": 5.0, "dim": 3, "n": 4}, "alpha"),
         ({"family": "gaussian", "dims": 8}, "dims"),
         ({"family": "ridge", "dim": 3, "potental": "sine"}, "potental"),
+        # another family's keys: each used to build the named family's default
+        ({"family": "gaussian", "alpha2": 3.0, "n": 7}, "alpha2, n"),
+        ({"family": "two-layer", "dim": 5}, "dim"),
+        ({"family": "ridge", "dim": 3, "data": "rows.csv"}, "data"),
     ])
     def test_build_target_rejects_undeclared_key(self, tmp_path, cfg, key):
         # each misspelling used to build the family's default instead
@@ -104,6 +109,12 @@ class TestConfigParsing:
             main(["sample", "--config", path, "--eta", "0.3", "--K", "2",
                   "--out", str(tmp_path / "trace.csv")])
         assert not (tmp_path / "trace.csv").exists()
+
+    def test_analysis_experiment_gives_dim_only_to_families_that_read_it(self):
+        cfg = ExperimentConfig(name="tensor-report", dims=(16,), options={"n_points": 1, "restarts": 2},
+                               target={"family": "two-layer", "m": 2, "n": 3, "dprime": 2})
+        _, rows, _ = run_experiment(cfg)
+        assert len(rows) == 1
 
     def test_experiment_from_file_rejects_an_ignored_schedule(self, tmp_path):
         path = write(tmp_path / "e.cfg", "experiment = energy-scaling\nschedule = fixed\n")
@@ -316,3 +327,16 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cold_start_loads_no_scipy(tmp_path):
+    # scipy.special alone was half the start-up of every hmclab command
+    cfg = write(tmp_path / "target.cfg", "family = gaussian\ndim = 2\n")
+    code = ("import sys, hmclab, hmclab.cli, hmclab.bench\n"
+            "cfg, out = sys.argv[1:]\n"
+            "hmclab.cli.main(['sample', '--config', cfg, '--eta', '0.3', '--K', '2', '--out', out])\n"
+            "hmclab.cli.main(['tune', '--L', '1', '--d', '64'])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = run_python(code, cfg, str(tmp_path / "trace.csv"))
+    assert '"K": 5' in out
+    assert out.strip().splitlines()[-1] == "[]"

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import logsumexp
 
 from conftest import make_logistic, make_ridge
 from _oracles import CountingTarget, ZeroTarget, chi2_moment
@@ -10,6 +12,7 @@ from hmclab.kernel import hamiltonian
 from hmclab.leapfrog import PhaseState, forward_map
 from hmclab.moments import (
     MomentAccumulator,
+    _log_sum,
     chain_stationary_sampler,
     check_chaos_moments,
     check_dynamics_diffs,
@@ -152,6 +155,40 @@ class TestAccumulatorProperties:
             assert acc.norm_and_se() == (0.0, 0.0)
 
         check()
+
+
+class TestLogSum:
+    """moments._log_sum is SciPy's logsumexp algorithm in numpy alone."""
+
+    def test_matches_scipy_logsumexp(self, hp):
+        st = hp.strategies
+
+        @st.composite
+        def log_terms(draw):
+            # |values| stop at 1e4: older SciPy releases round the largest ones differently
+            x = np.array(draw(st.lists(st.one_of(st.floats(-1e4, 1e4), st.just(-math.inf)),
+                                       min_size=1, max_size=300)))
+            ties = draw(st.lists(st.integers(0, x.size - 1), max_size=x.size))
+            x[ties] = x.max()
+            return x
+
+        @hp.settings(derandomize=True, deadline=None)
+        @hp.given(log_terms())
+        def check(x):
+            expected = logsumexp(x)
+            got = _log_sum(x)
+            if expected == -math.inf:
+                assert got == -math.inf
+            else:
+                assert abs(got - expected) <= 2 * np.spacing(abs(expected))
+
+        check()
+
+    @pytest.mark.parametrize("x", [np.array([]), np.full(5, -math.inf)])
+    def test_empty_and_all_minus_inf_give_minus_inf_silently(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _log_sum(x) == -math.inf
 
 
 def test_grad_norm_moment_gaussian_equality_case():
