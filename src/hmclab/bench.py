@@ -11,8 +11,10 @@ the runners and the `hmclab overlap|lemmas|tensor` commands print.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
 import platform
 import subprocess
 import time
@@ -81,11 +83,13 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
+@functools.cache
 def _git_describe() -> str:
+    """`git describe` of the checkout hmclab runs from, once per process."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
-            capture_output=True, text=True, timeout=5,
+            capture_output=True, text=True, timeout=5, cwd=os.path.dirname(__file__),
         )
         return out.stdout.strip() or "unknown"
     except OSError:

@@ -17,16 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .leapfrog import PhaseState, _check_schedule, _endpoint, leapfrog_final
+from .leapfrog import (PhaseState, _block_rows, _check_schedule, _endpoint, _row_blocks,
+                       leapfrog_final)
 from .targets import TargetDensity
 
 Array = np.ndarray
-
-#: doubles in one (rows, d) array of a transition's row block, 128 KiB: the
-#: block's ~15 working arrays fit a 2 MiB L2 cache
-_BLOCK_DOUBLES = 16384
-#: fewest rows in a row block; BLAS rounds the rows of small-M products differently
-_MIN_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -222,11 +217,6 @@ def batch_transition(
     return next(_drive(target, np.array(q, dtype=float, order="C"), eta, K, rng, lazy, 1))
 
 
-def _block_rows(d: int) -> int:
-    """Fewest rows of a row block at dimension d."""
-    return max(_MIN_BLOCK_ROWS, _BLOCK_DOUBLES // d)
-
-
 def _draw_buffers(n_chains: int, d: int, lazy: bool) -> tuple:
     """Empty (coins, momenta, uniforms) for one step of n_chains chains; no coins unless lazy."""
     return np.empty(n_chains) if lazy else None, np.empty((n_chains, d)), np.empty(n_chains)
@@ -319,11 +309,8 @@ def _step(
     else:  # the blocks write every row
         out = BatchTransition(q, np.empty(n_chains, dtype=bool), np.empty(n_chains), holds,
                               np.empty(n_chains, dtype=bool))
-    n = move.size if gather else n_chains
-    n_blocks = max(1, n // _block_rows(d))
-    for i in range(n_blocks):
-        a, b = n * i // n_blocks, n * (i + 1) // n_blocks
-        block = move[a:b] if gather else slice(a, b)
+    for rows in _row_blocks(move.size if gather else n_chains, d):
+        block = move[rows] if gather else rows
         q0, p0, u0 = q[block], p[block], u[block]
         if carry is None:  # through the public endpoint, which perfbench's tracer times
             f0 = target.potential(q0)

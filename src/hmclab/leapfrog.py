@@ -23,6 +23,7 @@ entry.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,12 @@ DIVERGENCE_LIMIT = 1e8
 
 #: dense momentum Jacobians are small-dimension analysis objects
 MAX_JACOBIAN_DIM = 64
+
+#: doubles in one row block of a batched array, 128 KiB: a block's ~15
+#: working arrays fit a 2 MiB L2 cache
+_BLOCK_DOUBLES = 16384
+#: fewest rows in a row block; BLAS rounds the rows of small-M products differently
+_MIN_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -69,6 +76,23 @@ class Trajectory:
     @property
     def final(self) -> PhaseState:
         return self.states[-1]
+
+
+def _block_rows(row_doubles: int) -> int:
+    """Fewest rows of a row block whose rows hold row_doubles doubles each."""
+    return max(_MIN_BLOCK_ROWS, _BLOCK_DOUBLES // row_doubles)
+
+
+def _row_blocks(n: int, row_doubles: int) -> Iterator[slice]:
+    """Near-equal slices covering rows 0..n-1, each at least `_block_rows` long.
+
+    Fewer than two blocks' worth of rows make one block.  The transition
+    kernel blocks its (rows, d) arrays this way, and the overlap analysis
+    its (rows, d, d) Jacobians.
+    """
+    n_blocks = max(1, n // _block_rows(row_doubles))
+    for i in range(n_blocks):
+        yield slice(n * i // n_blocks, n * (i + 1) // n_blocks)
 
 
 def _check_schedule(eta: float, K: int) -> None:

@@ -12,10 +12,10 @@ only leapfrog runs, no Jacobian.  The proposal log-density at y is
 
     log rho(y) = log phi(G(q0, y)) - log det D2F(q0, G(q0, y)),
 
-using det D2G = 1 / det D2F; the log-determinant is the one place a dense
-d x d matrix is formed.  The KL divergence between proposals launched from
-q0 and from a nearby start is estimated by Monte Carlo over p after the
-same change of variables.
+using det D2G = 1 / det D2F; the log-determinant is the one place dense
+d x d matrices are formed, one row block of draws at a time.  The KL
+divergence between proposals launched from q0 and from a nearby start is
+estimated by Monte Carlo over p after the same change of variables.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, SingularJacobian
-from .leapfrog import MAX_JACOBIAN_DIM, jacobian_orbit, leapfrog_final
+from .leapfrog import MAX_JACOBIAN_DIM, _row_blocks, jacobian_orbit, leapfrog_final
 from .targets import TargetDensity
 
 Array = np.ndarray
@@ -40,13 +40,30 @@ def _check_dim(target: TargetDensity) -> None:
         raise ValueError(f"overlap analysis is capped at d <= {MAX_JACOBIAN_DIM}")
 
 
-def _forward_with_jacobian(
+def _forward_logdet(
     target: TargetDensity, q0: Array, p: Array, K: int, eta: float
-):
-    """Final position of K leapfrog steps and D2F_K, batched over p."""
-    for q, jac in jacobian_orbit(target, q0, p, K, eta):
-        pass
-    return q, jac
+) -> tuple[Array, Array]:
+    """(F_K(q0, p), log det D2F_K(q0, p)), batched over the leading axis of p.
+
+    The dense (rows, d, d) Jacobians live one row block at a time (blocks of
+    at least max(256, 16384 // d^2) draws, see `leapfrog._row_blocks`); each
+    block writes its endpoints and log-determinants into the (n, d) and (n,)
+    outputs, so memory is O(rows d^2) + O(n d).  Every row's arithmetic is
+    that of one whole-batch recursion.  Raises SingularJacobian when a
+    determinant is not positive.
+    """
+    q0, p = np.broadcast_arrays(np.asarray(q0, dtype=float), np.asarray(p, dtype=float))
+    y = np.empty(p.shape)
+    logdet = np.empty(p.shape[:-1])
+    blocks = _row_blocks(p.shape[0], target.d**2) if p.ndim > 1 else [...]  # (d,): one block
+    for block in blocks:
+        for q, jac in jacobian_orbit(target, q0[block], p[block], K, eta):
+            pass
+        sign, logdet[block] = np.linalg.slogdet(jac)
+        if np.any(sign <= 0):
+            raise SingularJacobian("momentum Jacobian has non-positive determinant")
+        y[block] = q
+    return y, logdet
 
 
 def inverse_map(
@@ -85,28 +102,24 @@ def inverse_map(
     )
 
 
-def _logdet(jac: Array) -> Array:
-    sign, logabs = np.linalg.slogdet(jac)
-    if np.any(sign <= 0):
-        raise SingularJacobian("momentum Jacobian has non-positive determinant")
-    return logabs
-
-
 def proposal_log_density(
     target: TargetDensity,
     q0: Array,
     y: Array,
     K: int,
     eta: float,
-) -> float:
-    """log of the K-step proposal density at y for a chain at q0."""
+) -> Array:
+    """log of the K-step proposal density for a chain at q0, one value per row of y.
+
+    y of shape (d,) gives one value, and (n, d) gives n values.
+    """
     _check_dim(target)
     q0 = np.asarray(q0, dtype=float)
     y = np.asarray(y, dtype=float)
     p = inverse_map(target, q0, y, K, eta)
-    _, jac = _forward_with_jacobian(target, q0, p, K, eta)
+    _, logdet = _forward_logdet(target, q0, p, K, eta)
     log_phi = -0.5 * (p * p).sum(axis=-1) - 0.5 * target.d * math.log(2.0 * math.pi)
-    return log_phi - _logdet(jac)
+    return log_phi - logdet
 
 
 def kl_between_proposals(
@@ -133,14 +146,12 @@ def kl_between_proposals(
     while n_done < n_mc:
         b = min(KL_CHUNK, n_mc - n_done)
         p = rng.standard_normal((b, target.d))
-        y, jac0 = _forward_with_jacobian(target, q0, p, K, eta)
-        ld0 = _logdet(jac0)
+        y, ld0 = _forward_logdet(target, q0, p, K, eta)
         if np.array_equal(q0, q0_tilde):
             p_t, ld_t = p, ld0
         else:
             p_t = inverse_map(target, q0_tilde, y, K, eta)
-            _, jac_t = _forward_with_jacobian(target, q0_tilde, p_t, K, eta)
-            ld_t = _logdet(jac_t)
+            ld_t = _forward_logdet(target, q0_tilde, p_t, K, eta)[1]
         vals = 0.5 * ((p_t * p_t).sum(axis=-1) - (p * p).sum(axis=-1)) - ld0 + ld_t
         # Chan et al. pairwise merge of (count, mean, M2)
         b_mean = float(vals.mean())

@@ -12,8 +12,9 @@ import math
 
 import numpy as np
 
+from hmclab.errors import SingularJacobian
 from hmclab.kernel import BatchTransition, chain_rng
-from hmclab.leapfrog import _endpoint, leapfrog_final
+from hmclab.leapfrog import _endpoint, jacobian_orbit, leapfrog_final
 from hmclab.targets import TargetDensity
 
 
@@ -90,6 +91,21 @@ def momentum_jacobian_sum_form(target, q0, p0, K: int, eta: float) -> list[np.nd
         acc = sum((j - l) * prod for l, prod in enumerate(products, start=1))
         jacs.append(j * eta * np.eye(d) - eta**2 * acc)
     return jacs
+
+
+def whole_batch_forward_logdet(target, q0, p, K: int, eta: float):
+    """(F_K(q0, p), log det D2F_K(q0, p)) from one dense recursion over all rows of p.
+
+    The overlap analysis before it blocked its rows: `jacobian_orbit` on the
+    whole batch, so an (n, d, d) Jacobian, then `slogdet` with the
+    positive-sign check.
+    """
+    for q, jac in jacobian_orbit(target, q0, p, K, eta):
+        pass
+    sign, logdet = np.linalg.slogdet(jac)
+    if np.any(sign <= 0):
+        raise SingularJacobian("momentum Jacobian has non-positive determinant")
+    return q, logdet
 
 
 def sigmoid_masked(z: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import platform
+import subprocess
 import threading
 
 import numpy as np
@@ -12,6 +14,7 @@ from scipy.stats import norm
 
 from _oracles import CountingTarget
 from conftest import run_python
+from hmclab import bench
 from hmclab.bench import (
     ExperimentConfig,
     WarmStartSpec,
@@ -418,6 +421,33 @@ def test_write_csv_and_sidecar_bit_identical(tmp_path):
     assert sidecar["config_hash"] == cfg.config_hash()
     assert sidecar["versions"] == {"python": platform.python_version(), "numpy": np.__version__,
                                    "scipy": scipy.__version__}
+
+
+def test_sidecar_describes_hmclab_checkout_once_per_process(tmp_path, monkeypatch):
+    # run from another directory: git describe runs once, in hmclab's own package directory
+    calls = []
+
+    def fake_run(args, **kwargs):
+        calls.append((args, kwargs.get("cwd")))
+        return subprocess.CompletedProcess(args, 0, stdout="abc1234\n", stderr="")
+
+    cfg = ExperimentConfig(
+        name="acceptance-scaling", dims=(8,), seeds=(5,),
+        options={"accept_constant": 1.0, "n_chains": 4, "n_steps": 2},
+    )
+    run_experiment(cfg, out=str(tmp_path / "ref.csv"))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    bench._git_describe.cache_clear()
+    try:
+        for name in ("a.csv", "b.csv"):
+            run_experiment(cfg, out=str(tmp_path / name))
+    finally:
+        bench._git_describe.cache_clear()
+    assert calls == [(["git", "describe", "--always", "--dirty"], os.path.dirname(bench.__file__))]
+    for name in ("a.csv", "b.csv"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert json.loads((tmp_path / f"{name}.json").read_text())["git_describe"] == "abc1234"
 
 
 def test_write_csv_formats(tmp_path):

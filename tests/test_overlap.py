@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +13,10 @@ from _oracles import (
     gaussian_forward_blocks,
     gaussian_proposal_kl,
     gaussian_proposal_moments,
+    whole_batch_forward_logdet,
 )
-from hmclab.errors import ConvergenceError
+from hmclab import overlap
+from hmclab.errors import ConvergenceError, SingularJacobian
 from hmclab.leapfrog import PhaseState, forward_map, momentum_jacobian
 from hmclab.overlap import (
     inverse_map,
@@ -72,6 +76,84 @@ def test_kl_hessian_rows_per_draw():
     q0 = np.zeros(4)
     kl_between_proposals(target, q0, q0 + K * eta / 64.0, K, eta, n_mc, np.random.default_rng(3))
     assert target.hvp_rows == 2 * (K - 1) * target.d * n_mc
+
+
+def _overlap_target(family: str, d: int, seed: int):
+    if family == "diagonal":
+        return GaussianTarget.diagonal(np.linspace(0.5, 2.0, d))
+    if family == "dense":
+        return make_dense_gaussian(d, seed=seed)
+    if family == "logistic":
+        return make_logistic(40, d, seed=seed)
+    return make_ridge(30, d, seed=seed)
+
+
+def _check_blocks_match_whole_batch(dims, max_examples):
+    # n draws on both sides of the one-, two- and three-block edges of the Jacobian row blocks
+    hp = pytest.importorskip("hypothesis")
+    st = hp.strategies
+
+    @hp.settings(derandomize=True, deadline=None, max_examples=max_examples)
+    @hp.given(st.sampled_from(dims), st.integers(1, 3), st.integers(-2, 2),
+              st.sampled_from(["diagonal", "dense", "logistic", "ridge"]), st.integers(1, 4),
+              st.integers(0, 2**16))
+    def check(d, edge, offset, family, K, seed):
+        n = edge * max(256, 16384 // d**2) + offset
+        target = _overlap_target(family, d, seed)
+        eta = 0.25 / (K * math.sqrt(target.smoothness))
+        gen = np.random.default_rng(seed)
+        q0 = 0.3 * gen.standard_normal(d)
+        q1 = q0 + K * eta / 64.0 * gen.standard_normal(d) / math.sqrt(d)
+        p = gen.standard_normal((n, d))
+        y = q0 + K * eta * gen.standard_normal((n, d))
+
+        y_ours, ld_ours = overlap._forward_logdet(target, q0, p, K, eta)
+        y_ref, ld_ref = whole_batch_forward_logdet(target, q0, p, K, eta)
+        assert np.array_equal(y_ours, y_ref) and np.array_equal(ld_ours, ld_ref)
+
+        def analyses():
+            kl = kl_between_proposals(target, q0, q1, K, eta, n, np.random.default_rng(seed))
+            return kl, proposal_log_density(target, q0, y, K, eta), \
+                proposal_log_density(target, q0, y[0], K, eta)
+
+        ours = analyses()
+        with mock.patch.object(overlap, "_forward_logdet", whole_batch_forward_logdet):
+            ref = analyses()
+        assert ours[0] == ref[0]
+        assert np.array_equal(ours[1], ref[1]) and ours[1].shape == (n,)
+        assert ours[2] == ref[2] and np.ndim(ours[2]) == 0
+
+    check()
+
+
+def test_jacobian_row_blocks_match_whole_batch():
+    _check_blocks_match_whole_batch([1, 2, 5, 16], max_examples=30)
+
+
+def test_jacobian_row_blocks_match_whole_batch_d64():
+    _check_blocks_match_whole_batch([64], max_examples=4)
+
+
+def test_kl_memory_is_bounded_by_row_blocks():
+    # the Jacobians of 4096 draws at d = 64 would take 128 MiB an array; 256-row blocks take 8 MiB
+    t = GaussianTarget.standard(64)
+    K, eta = 2, 0.1
+    q0 = np.zeros(64)
+    q1 = q0 + K * eta / 64.0 * np.eye(64)[0]
+    tracemalloc.start()
+    try:
+        kl_between_proposals(t, q0, q1, K, eta, 4096, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def test_kl_singular_jacobian():
+    # on a 1-d standard Gaussian D_2 = 2 eta (1 - eta^2 / 2), negative for eta = 1.9
+    t = GaussianTarget.standard(1)
+    with pytest.raises(SingularJacobian):
+        kl_between_proposals(t, np.zeros(1), np.zeros(1), 2, 1.9, 10, np.random.default_rng(0))
 
 
 def test_dense_analyses_capped_at_d64():
