@@ -13,6 +13,11 @@ Bounds stated without a universal constant (gradient-norm, quadratic-form
 moments) are hard.  The rest are stated here with their universal constant
 c = 1, recorded as each report's calibration, and the report's slack ratio
 is the measurement.
+
+Every check needs n_mc >= 1 and ell >= 1 and is one chunked pass: per chunk
+of 10,000 draws it takes the sampler's positions, then the momenta, and makes
+one `add` per accumulator.  The lemma-suite and energy-scaling CSV bytes
+depend on this order.
 """
 
 from __future__ import annotations
@@ -151,11 +156,6 @@ class MomentReport:
         )
 
 
-def _make_report(name, ell, acc, bound) -> MomentReport:
-    norm, se = acc.norm_and_se()
-    return MomentReport(name, ell, norm, se, bound, acc.n)
-
-
 def exact_gaussian_sampler(target, rng: np.random.Generator):
     """Exact stationary draws; only Gaussian targets support this."""
     return lambda n: target.sample_exact(n, rng)
@@ -195,37 +195,46 @@ def chain_stationary_sampler(
 _CHUNK = 10_000
 
 
-def _chunks(n_total: int):
-    done = 0
-    while done < n_total:
-        b = min(_CHUNK, n_total - done)
-        yield b
-        done += b
+def _require_sizes(ell: int, n_mc: int) -> None:
+    """Every check needs n_mc >= 1 and ell >= 1; tested before its bound or any draw."""
+    for name, value in (("n_mc", n_mc), ("ell", ell)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
 
 
-def check_grad_norm_moment(
-    target: TargetDensity, ell: int, n_mc: int, sampler
-) -> MomentReport:
+def _monte_carlo(target, ell, n_mc, sampler, rng, quantities, reports) -> tuple[MomentReport, ...]:
+    """The one Monte Carlo pass behind every check, in chunks of at most _CHUNK
+    draws: q = sampler(b), then p = rng.standard_normal((b, d)), each None when
+    its source is; the i-th array of quantities(q, p) takes one `add` to the
+    i-th accumulator.  One report per (name, power, root, bound) in reports."""
+    accs = [MomentAccumulator(power, root) for _, power, root, _ in reports]
+    for done in range(0, n_mc, _CHUNK):
+        b = min(_CHUNK, n_mc - done)
+        q = None if sampler is None else sampler(b)
+        p = None if rng is None else rng.standard_normal((b, target.d))
+        for acc, x in zip(accs, quantities(q, p), strict=True):
+            acc.add(x)
+    return tuple(MomentReport(name, ell, *acc.norm_and_se(), bound, acc.n)
+                 for (name, _, _, bound), acc in zip(reports, accs))
+
+
+def check_grad_norm_moment(target: TargetDensity, ell: int, n_mc: int, sampler) -> MomentReport:
     """[E ||grad f(q)||^(2 ell)]^(1/ell) against Upsilon_ell; constant-free."""
-    bound = upsilon_ell(target, ell)
-    acc = MomentAccumulator(power=2 * ell, root=ell)
-    for b in _chunks(n_mc):
-        q = sampler(b)
-        acc.add(np.linalg.norm(target.gradient(q), axis=-1))
-    return _make_report("grad_norm", ell, acc, bound)
+    _require_sizes(ell, n_mc)
+    return _monte_carlo(target, ell, n_mc, sampler, None,
+                        lambda q, p: (np.linalg.norm(target.gradient(q), axis=-1),),
+                        [("grad_norm", 2 * ell, ell, upsilon_ell(target, ell))])[0]
 
 
 def check_php_moment(
     target: TargetDensity, x: Array, ell: int, n_mc: int, rng: np.random.Generator
 ) -> MomentReport:
     """[E (p' H p)^ell]^(1/ell) at fixed x against Upsilon_ell; constant-free."""
+    _require_sizes(ell, n_mc)
     x = np.asarray(x, dtype=float)
-    bound = upsilon_ell(target, ell)
-    acc = MomentAccumulator(power=ell, root=ell)
-    for b in _chunks(n_mc):
-        p = rng.standard_normal((b, target.d))
-        acc.add((p * target.hessian_vec(x, p)).sum(axis=-1))
-    return _make_report("p_hessian_p", ell, acc, bound)
+    return _monte_carlo(target, ell, n_mc, None, rng,
+                        lambda q, p: ((p * target.hessian_vec(x, p)).sum(axis=-1),),
+                        [("p_hessian_p", ell, ell, upsilon_ell(target, ell))])[0]
 
 
 def check_gradhp_moment(
@@ -235,15 +244,14 @@ def check_gradhp_moment(
 
     Constant-free; even ell only (the quantity is signed).
     """
+    _require_sizes(ell, n_mc)
     if ell % 2 != 0:
         raise ValueError("the moment norm of this signed quantity needs even ell")
     bound = math.sqrt(ell) * target.smoothness * math.sqrt(upsilon_ell(target, ell))
-    acc = MomentAccumulator(power=ell, root=ell)
-    for b in _chunks(n_mc):
-        q = sampler(b)
-        p = rng.standard_normal((b, target.d))
-        acc.add((target.gradient(q) * target.hessian_vec(q, p)).sum(axis=-1))
-    return _make_report("grad_hessian_p", ell, acc, bound)
+    return _monte_carlo(
+        target, ell, n_mc, sampler, rng,
+        lambda q, p: ((target.gradient(q) * target.hessian_vec(q, p)).sum(axis=-1),),
+        [("grad_hessian_p", ell, ell, bound)])[0]
 
 
 def check_chaos_moments(
@@ -264,39 +272,28 @@ def check_chaos_moments(
     universal constant c = 1.  Tensor norms are computed here when not
     supplied (small d only).
     """
+    _require_sizes(ell, n_mc)
     x = np.asarray(x, dtype=float)
     if norm_123 is None or norm_12_3 is None:
-        from .tensors import (
-            norm_12_3 as _n12_3,
-            norm_frobenius_123 as _n123,
-            third_derivative_tensor,
-        )
+        from .tensors import norm_12_3 as _n12_3, norm_frobenius_123 as _n123
+        from .tensors import third_derivative_tensor
 
         tensor = third_derivative_tensor(target, x)
         norm_123 = _n123(tensor) if norm_123 is None else norm_123
         norm_12_3 = _n12_3(tensor) if norm_12_3 is None else norm_12_3
-    acc_ppp = MomentAccumulator(power=ell, root=ell)
-    acc_ppn = MomentAccumulator(power=2 * ell, root=ell)
-    for b in _chunks(n_mc):
-        p = rng.standard_normal((b, target.d))
+
+    def rows(q, p):
         contraction = target.third_contract(x, p, p)
-        acc_ppp.add((contraction * p).sum(axis=-1))
-        acc_ppn.add(np.linalg.norm(contraction, axis=-1))
+        return (contraction * p).sum(axis=-1), np.linalg.norm(contraction, axis=-1)
+
     b1 = ell**1.5 * norm_123 + math.sqrt(ell * target.d) * norm_12_3
     b2 = ell**2 * norm_123**2 + ell**2 * target.d * norm_12_3**2
-    return (
-        _make_report("third_ppp", ell, acc_ppp, b1),
-        _make_report("third_pp_norm_sq", ell, acc_ppn, b2),
-    )
+    return _monte_carlo(target, ell, n_mc, None, rng, rows,
+                        [("third_ppp", ell, ell, b1), ("third_pp_norm_sq", 2 * ell, ell, b2)])
 
 
 def check_dynamics_diffs(
-    target: TargetDensity,
-    t: float,
-    ell: int,
-    n_mc: int,
-    sampler,
-    rng: np.random.Generator,
+    target: TargetDensity, t: float, ell: int, n_mc: int, sampler, rng: np.random.Generator,
     tol: float = 1e-9,
 ) -> tuple[MomentReport, MomentReport, MomentReport]:
     """Drift of Hessian quadratic forms along the flow, and the
@@ -311,6 +308,7 @@ def check_dynamics_diffs(
                 vs t^3 L^(1/2) Upsilon_ell^(1/2)   (constant-free),
     with the universal constant c = 1 in (i) and (ii).
     """
+    _require_sizes(ell, n_mc)
     if target.gamma is None:
         raise ValueError("target declares no gamma; estimate it first")
     L, g1 = target.smoothness, target.gamma + 1.0
@@ -318,24 +316,20 @@ def check_dynamics_diffs(
     b1 = t * g1 * ell**1.5 * L**1.5 * math.sqrt(dl)
     b2 = t * g1 * math.sqrt(ell) * L**1.5 * math.sqrt(dl)
     b3 = t**3 * math.sqrt(L) * math.sqrt(upsilon_ell(target, ell))
-    acc1 = MomentAccumulator(power=ell, root=ell)
-    acc2 = MomentAccumulator(power=2 * ell, root=2 * ell)
-    acc3 = MomentAccumulator(power=2 * ell, root=2 * ell)
-    for b in _chunks(n_mc):
-        q0 = sampler(b)
-        p0 = rng.standard_normal((b, target.d))
+
+    def rows(q0, p0):
         qc, pc = continuous_flow(target, q0, p0, t, tol)
         hp0 = target.hessian_vec(q0, p0)
         hpc = target.hessian_vec(qc, pc)
-        acc1.add((pc * hpc).sum(axis=-1) - (p0 * hp0).sum(axis=-1))
-        acc2.add(np.linalg.norm(hpc - hp0, axis=-1))
         q_leap, _, _ = next(_orbit(target, q0, p0, 1, t))
-        acc3.add(np.linalg.norm(qc - q_leap, axis=-1))
-    return (
-        _make_report("php_drift", ell, acc1, b1),
-        _make_report("hp_drift", ell, acc2, b2),
-        _make_report("leapfrog_position_gap", ell, acc3, b3),
-    )
+        return ((pc * hpc).sum(axis=-1) - (p0 * hp0).sum(axis=-1),
+                np.linalg.norm(hpc - hp0, axis=-1), np.linalg.norm(qc - q_leap, axis=-1))
+
+    return _monte_carlo(target, ell, n_mc, sampler, rng, rows, [
+        ("php_drift", ell, ell, b1),
+        ("hp_drift", 2 * ell, 2 * ell, b2),
+        ("leapfrog_position_gap", 2 * ell, 2 * ell, b3),
+    ])
 
 
 def energy_error_bound(target: TargetDensity, eta: float, ell: int) -> float:
@@ -353,12 +347,7 @@ def energy_error_bound(target: TargetDensity, eta: float, ell: int) -> float:
 
 
 def energy_error_moment(
-    target: TargetDensity,
-    eta: float,
-    ell: int,
-    n_mc: int,
-    sampler,
-    rng: np.random.Generator,
+    target: TargetDensity, eta: float, ell: int, n_mc: int, sampler, rng: np.random.Generator
 ) -> MomentReport:
     """Moment norm of the Hamiltonian error of one leapfrog step of size eta.
 
@@ -366,14 +355,15 @@ def energy_error_moment(
     coupling, against energy_error_bound, the bound with c = 1.  The bound
     uses the gamma+1 form, which stays informative at gamma=0.
     """
+    _require_sizes(ell, n_mc)
     if ell % 2 != 0:
         raise ValueError("the energy error is signed; use even ell")
     bound = energy_error_bound(target, eta, ell)
-    acc = MomentAccumulator(power=ell, root=ell)
-    for b in _chunks(n_mc):
-        q0 = sampler(b)
-        p0 = rng.standard_normal((b, target.d))
+
+    def rows(q0, p0):
         h0 = target.potential(q0) + 0.5 * (p0 * p0).sum(axis=-1)
         q1, p1, _ = next(_orbit(target, q0, p0, 1, eta))
-        acc.add(h0 - target.potential(q1) - 0.5 * (p1 * p1).sum(axis=-1))
-    return _make_report("leapfrog_energy_error", ell, acc, bound)
+        return (h0 - target.potential(q1) - 0.5 * (p1 * p1).sum(axis=-1),)
+
+    return _monte_carlo(target, ell, n_mc, sampler, rng, rows,
+                        [("leapfrog_energy_error", ell, ell, bound)])[0]

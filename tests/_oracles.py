@@ -14,8 +14,10 @@ import numpy as np
 
 from hmclab.errors import SingularJacobian
 from hmclab.kernel import BatchTransition, chain_rng
-from hmclab.leapfrog import _endpoint, jacobian_orbit, leapfrog_final
+from hmclab.leapfrog import _endpoint, _orbit, continuous_flow, jacobian_orbit, leapfrog_final
+from hmclab.moments import MomentAccumulator, MomentReport, energy_error_bound, upsilon_ell
 from hmclab.targets import TargetDensity
+from hmclab.tuning import d_ell
 
 
 def gaussian_leapfrog_matrix(precision: np.ndarray, eta: float) -> np.ndarray:
@@ -218,6 +220,119 @@ def chi2_moment(d: int, ell: int) -> float:
     for j in range(ell):
         out *= d + 2 * j
     return out
+
+
+def _chunk_sizes(n_total: int):
+    done = 0
+    while done < n_total:
+        b = min(10_000, n_total - done)
+        yield b
+        done += b
+
+
+def _loop_report(name, ell, acc, bound) -> MomentReport:
+    norm, se = acc.norm_and_se()
+    return MomentReport(name, ell, norm, se, bound, acc.n)
+
+
+# The six moment checks as they were before they shared one Monte Carlo pass:
+# each its own chunk loop of 10,000 draws, positions then momenta per chunk.
+
+def loop_grad_norm_moment(target, ell, n_mc, sampler):
+    bound = upsilon_ell(target, ell)
+    acc = MomentAccumulator(power=2 * ell, root=ell)
+    for b in _chunk_sizes(n_mc):
+        q = sampler(b)
+        acc.add(np.linalg.norm(target.gradient(q), axis=-1))
+    return _loop_report("grad_norm", ell, acc, bound)
+
+
+def loop_php_moment(target, x, ell, n_mc, rng):
+    x = np.asarray(x, dtype=float)
+    bound = upsilon_ell(target, ell)
+    acc = MomentAccumulator(power=ell, root=ell)
+    for b in _chunk_sizes(n_mc):
+        p = rng.standard_normal((b, target.d))
+        acc.add((p * target.hessian_vec(x, p)).sum(axis=-1))
+    return _loop_report("p_hessian_p", ell, acc, bound)
+
+
+def loop_gradhp_moment(target, ell, n_mc, sampler, rng):
+    bound = math.sqrt(ell) * target.smoothness * math.sqrt(upsilon_ell(target, ell))
+    acc = MomentAccumulator(power=ell, root=ell)
+    for b in _chunk_sizes(n_mc):
+        q = sampler(b)
+        p = rng.standard_normal((b, target.d))
+        acc.add((target.gradient(q) * target.hessian_vec(q, p)).sum(axis=-1))
+    return _loop_report("grad_hessian_p", ell, acc, bound)
+
+
+def loop_chaos_moments(target, x, ell, n_mc, rng, norm_123, norm_12_3):
+    x = np.asarray(x, dtype=float)
+    acc_ppp = MomentAccumulator(power=ell, root=ell)
+    acc_ppn = MomentAccumulator(power=2 * ell, root=ell)
+    for b in _chunk_sizes(n_mc):
+        p = rng.standard_normal((b, target.d))
+        contraction = target.third_contract(x, p, p)
+        acc_ppp.add((contraction * p).sum(axis=-1))
+        acc_ppn.add(np.linalg.norm(contraction, axis=-1))
+    b1 = ell**1.5 * norm_123 + math.sqrt(ell * target.d) * norm_12_3
+    b2 = ell**2 * norm_123**2 + ell**2 * target.d * norm_12_3**2
+    return (
+        _loop_report("third_ppp", ell, acc_ppp, b1),
+        _loop_report("third_pp_norm_sq", ell, acc_ppn, b2),
+    )
+
+
+def loop_dynamics_diffs(target, t, ell, n_mc, sampler, rng, tol=1e-9):
+    L, g1 = target.smoothness, target.gamma + 1.0
+    dl = d_ell(target.d, ell)
+    b1 = t * g1 * ell**1.5 * L**1.5 * math.sqrt(dl)
+    b2 = t * g1 * math.sqrt(ell) * L**1.5 * math.sqrt(dl)
+    b3 = t**3 * math.sqrt(L) * math.sqrt(upsilon_ell(target, ell))
+    acc1 = MomentAccumulator(power=ell, root=ell)
+    acc2 = MomentAccumulator(power=2 * ell, root=2 * ell)
+    acc3 = MomentAccumulator(power=2 * ell, root=2 * ell)
+    for b in _chunk_sizes(n_mc):
+        q0 = sampler(b)
+        p0 = rng.standard_normal((b, target.d))
+        qc, pc = continuous_flow(target, q0, p0, t, tol)
+        hp0 = target.hessian_vec(q0, p0)
+        hpc = target.hessian_vec(qc, pc)
+        acc1.add((pc * hpc).sum(axis=-1) - (p0 * hp0).sum(axis=-1))
+        acc2.add(np.linalg.norm(hpc - hp0, axis=-1))
+        q_leap, _, _ = next(_orbit(target, q0, p0, 1, t))
+        acc3.add(np.linalg.norm(qc - q_leap, axis=-1))
+    return (
+        _loop_report("php_drift", ell, acc1, b1),
+        _loop_report("hp_drift", ell, acc2, b2),
+        _loop_report("leapfrog_position_gap", ell, acc3, b3),
+    )
+
+
+def loop_energy_error_moment(target, eta, ell, n_mc, sampler, rng):
+    bound = energy_error_bound(target, eta, ell)
+    acc = MomentAccumulator(power=ell, root=ell)
+    for b in _chunk_sizes(n_mc):
+        q0 = sampler(b)
+        p0 = rng.standard_normal((b, target.d))
+        h0 = target.potential(q0) + 0.5 * (p0 * p0).sum(axis=-1)
+        q1, p1, _ = next(_orbit(target, q0, p0, 1, eta))
+        acc.add(h0 - target.potential(q1) - 0.5 * (p1 * p1).sum(axis=-1))
+    return _loop_report("leapfrog_energy_error", ell, acc, bound)
+
+
+def gaussian_energy_error_norm(d: int, eta: float) -> float:
+    """[E dH^2]^(1/2) of one leapfrog step of size eta on N(0, I_d), in closed form.
+
+    With a = 1 - eta^2/2 the step maps q to q' = a q + eta p and
+    dH = (eta^2 / 8) sum_i (q_i^2 - q_i'^2).  Each term has mean 1 - s and
+    variance 2 + 2 s^2 - 4 a^2, where s = a^2 + eta^2 = E q_i'^2, and the d
+    terms are independent.
+    """
+    a = 1.0 - 0.5 * eta**2
+    s = a * a + eta**2
+    return eta**2 / 8.0 * math.sqrt(d * (2.0 + 2.0 * s * s - 4.0 * a * a) + d * d * (1.0 - s) ** 2)
 
 
 def norm_12_3_bruteforce(a: np.ndarray, n_dirs: int, rng: np.random.Generator) -> float:

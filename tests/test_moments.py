@@ -1,13 +1,25 @@
 import math
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.special import logsumexp
 
-from conftest import make_logistic, make_ridge
-from _oracles import CountingTarget, ZeroTarget, chi2_moment
+from conftest import make_dense_gaussian, make_logistic, make_ridge
+from _oracles import (
+    CountingTarget,
+    ZeroTarget,
+    chi2_moment,
+    gaussian_energy_error_norm,
+    loop_chaos_moments,
+    loop_dynamics_diffs,
+    loop_energy_error_moment,
+    loop_grad_norm_moment,
+    loop_gradhp_moment,
+    loop_php_moment,
+)
 from hmclab.kernel import hamiltonian
 from hmclab.leapfrog import PhaseState, forward_map
 from hmclab.moments import (
@@ -25,7 +37,7 @@ from hmclab.moments import (
     exact_gaussian_sampler,
     upsilon_ell,
 )
-from hmclab.targets import GaussianTarget, RidgeSeparableTarget, cubic_potential
+from hmclab.targets import GaussianTarget, RidgeSeparableTarget, TwoLayerNetTarget, cubic_potential
 
 
 def test_upsilon_and_d_ell():
@@ -370,19 +382,34 @@ class _NoDraws:
     standard_normal = __call__
 
 
-@pytest.mark.parametrize("check, missing", [
-    (lambda t, s: check_grad_norm_moment(t, 2, 100, s), "trace_bound"),
-    (lambda t, s: check_php_moment(t, np.zeros(3), 2, 100, s), "trace_bound"),
-    (lambda t, s: check_gradhp_moment(t, 2, 100, s, s), "trace_bound"),
-    (lambda t, s: check_dynamics_diffs(t, 0.1, 2, 100, s, s), "trace_bound"),
-    (lambda t, s: energy_error_moment(t, 0.1, 2, 100, s, s), "gamma"),
-], ids=["grad_norm", "php", "gradhp", "dynamics", "energy"])
-def test_moment_checks_fail_before_sampling(check, missing):
-    # a bound the target cannot state raises before any draw or evaluator call
+_CHECKS = {
+    "grad_norm": lambda t, s, ell, n: check_grad_norm_moment(t, ell, n, s),
+    "php": lambda t, s, ell, n: check_php_moment(t, np.zeros(3), ell, n, s),
+    "gradhp": lambda t, s, ell, n: check_gradhp_moment(t, ell, n, s, s),
+    "chaos": lambda t, s, ell, n: check_chaos_moments(t, np.zeros(3), ell, n, s),
+    "dynamics": lambda t, s, ell, n: check_dynamics_diffs(t, 0.1, ell, n, s, s),
+    "energy": lambda t, s, ell, n: energy_error_moment(t, 0.1, ell, n, s, s),
+}
+_MISSING = {"grad_norm": "trace_bound", "php": "trace_bound", "gradhp": "trace_bound",
+            "dynamics": "trace_bound", "energy": "gamma"}
+_FAILURES = [  # (check, attribute set to None, ell, n_mc, error match)
+    *((name, attr, 2, 100, "declares no") for name, attr in _MISSING.items()),
+    *((name, None, 2, n_mc, "n_mc") for name in _CHECKS for n_mc in (0, -5)),
+    *((name, None, ell, 100, "ell") for name in _CHECKS for ell in (0, -1)),
+]
+
+
+@pytest.mark.parametrize("name, missing, ell, n_mc, match", _FAILURES, ids=[
+    name if missing else f"{name}-{'n_mc' if n_mc < 1 else 'ell'}={min(ell, n_mc)}"
+    for name, missing, ell, n_mc, _ in _FAILURES])
+def test_moment_checks_fail_before_sampling(name, missing, ell, n_mc, match):
+    # a bound the target cannot state, or an empty or meaningless pass, raises
+    # before any draw or evaluator call
     target = CountingTarget(GaussianTarget.standard(3))
-    setattr(target, missing, None)
-    with pytest.raises(ValueError, match="declares no"):
-        check(target, _NoDraws())
+    if missing:
+        setattr(target, missing, None)
+    with pytest.raises(ValueError, match=match):
+        _CHECKS[name](target, _NoDraws(), ell, n_mc)
     assert target.gradient_evals == target.potential_evals == target.hvp_rows == 0
 
 
@@ -393,6 +420,62 @@ def test_energy_error_moment_below_bound_gaussian():
     assert rep.empirical <= rep.bound
     assert rep.bound == energy_error_bound(t, 0.1, 2)
     assert rep.slack_ratio > 1.0
+
+
+@pytest.mark.parametrize("d, eta", [(64, 0.02), (64, 0.2), (16, 0.05), (1024, 0.05)])
+def test_energy_error_moment_matches_gaussian_closed_form(d, eta):
+    # on N(0, I_d) one leapfrog step has [E dH^2]^(1/2) in closed form; seed 0 at every point
+    t = GaussianTarget.standard(d)
+    gen = np.random.default_rng(0)
+    rep = energy_error_moment(t, eta, 2, 20_000, exact_gaussian_sampler(t, gen), gen)
+    assert abs(rep.empirical - gaussian_energy_error_norm(d, eta)) <= 4.0 * rep.std_error
+
+
+def _loop_streams(target, seed: int):
+    """(sampler, rng) sharing one stream, so a changed draw order changes every report."""
+    gen = np.random.default_rng(seed)
+    if isinstance(target, GaussianTarget):
+        return exact_gaussian_sampler(target, gen), gen
+    return (lambda n: 0.5 * gen.standard_normal((n, target.d))), gen
+
+
+def _six_checks(target, seed: int, n_mc: int, checks) -> list:
+    grad_norm, php, gradhp, chaos, dynamics, energy = checks
+    sampler, gen = _loop_streams(target, seed)
+    x = np.full(target.d, 0.3)
+    return [grad_norm(target, 3, n_mc, sampler), php(target, x, 3, n_mc, gen),
+            gradhp(target, 2, n_mc, sampler, gen), *chaos(target, x, 3, n_mc, gen, 1.3, 0.7),
+            *dynamics(target, 0.05, 3, n_mc, sampler, gen), energy(target, 0.1, 2, n_mc, sampler, gen)]
+
+
+def _two_layer():
+    target = TwoLayerNetTarget.synthetic(2, 3, 2, np.random.default_rng(3))
+    target.gamma = 1.0  # the family declares none; the energy and drift checks need one
+    return target
+
+
+_LOOP_TARGETS = {
+    "gaussian": lambda: make_dense_gaussian(3, seed=30),
+    "logistic": lambda: make_logistic(6, 3, seed=31),
+    "ridge": lambda: make_ridge(5, 3, seed=32),
+    "two-layer": _two_layer,
+}
+
+
+@pytest.mark.parametrize("n_mc", [1, 9_999, 10_000, 10_001, 25_000])
+@pytest.mark.parametrize("family", _LOOP_TARGETS)
+def test_one_pass_matches_six_chunk_loops_bit_for_bit(family, n_mc):
+    # the sizes cross the 10,000-draw chunk edge, where a changed chunk rule
+    # or number of adds would change the rounding
+    target = _LOOP_TARGETS[family]()
+    new = _six_checks(target, 7, n_mc, (
+        check_grad_norm_moment, check_php_moment, check_gradhp_moment, check_chaos_moments,
+        check_dynamics_diffs, energy_error_moment))
+    old = _six_checks(target, 7, n_mc, (
+        loop_grad_norm_moment, loop_php_moment, loop_gradhp_moment, loop_chaos_moments,
+        loop_dynamics_diffs, loop_energy_error_moment))
+    assert [astuple(r) for r in new] == [astuple(r) for r in old]
+    assert all(r.n_samples == n_mc for r in new)
 
 
 def test_trajectory_energy_error_telescopes(rng):
