@@ -28,6 +28,7 @@ from .diagnostics import integrated_autocorr_time, tv_projection_estimate
 from .kernel import _drive
 from .moments import (
     MomentReport,
+    _require_sizes,
     chain_stationary_sampler,
     check_chaos_moments,
     check_dynamics_diffs,
@@ -425,7 +426,10 @@ def lemma_reports(target: TargetDensity, ells, eta: float, n_mc: int, rng: np.ra
     """Every moment check at each order in ells, in report order.  Draws are
     exact for Gaussian targets and come from HMC runs at sampler_eta
     otherwise.  The energy-error check, and the continuous-drift checks when
-    t is given, need the target's gamma and run only when it declares one."""
+    t is given, need the target's gamma and run only when it declares one.
+    n_mc and every ell are checked before the sampler warms up or draws."""
+    for ell in ells:
+        _require_sizes(ell, n_mc)
     if isinstance(target, GaussianTarget):
         sampler = exact_gaussian_sampler(target, rng)
     else:

@@ -161,7 +161,8 @@ class GaussianTarget(TargetDensity):
         """n exact draws from N(0, Lambda^-1)."""
         z = rng.standard_normal((n, self.d))
         if self._diag is not None:
-            return z / np.sqrt(self._diag)
+            # z / 1.0 is z bit for bit: a unit diagonal skips the divide
+            return z if (self._diag == 1.0).all() else z / np.sqrt(self._diag)
         return np.linalg.solve(self._chol.T[None], z[..., None])[..., 0]
 
 

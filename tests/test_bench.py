@@ -13,7 +13,7 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 from _oracles import CountingTarget
-from conftest import run_python
+from conftest import make_logistic, run_python
 from hmclab import bench
 from hmclab.bench import (
     ExperimentConfig,
@@ -28,6 +28,7 @@ from hmclab.bench import (
 from hmclab.config import EXPERIMENTS, OPTIONS
 from hmclab.diagnostics import (
     _TV_EDGES,
+    _ndtr,
     _tv_bin_probs,
     effective_sample_size,
     integrated_autocorr_time,
@@ -106,13 +107,63 @@ def test_tv_bin_probs_are_computed_once():
     assert abs(probs.sum() - 1.0) <= 1e-15
 
 
-def test_diagnostics_loads_scipy_at_its_first_tv_estimate():
+def test_tv_estimates_load_no_scipy():
+    # the bin probabilities come from diagnostics._ndtr: importing scipy.special would cost
+    # a fresh interpreter about 0.3 s and 24 MB of max RSS at its first TV estimate
     code = ("import sys, numpy, hmclab.diagnostics as d\n"
-            "loaded = lambda: any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
-            "before = loaded()\n"
+            "from hmclab.bench import ExperimentConfig, run_mixing_estimate\n"
             "d.tv_histogram(numpy.zeros(8))\n"
-            "print(before, loaded())")
-    assert run_python(code).split() == ["False", "True"]
+            "run_mixing_estimate(ExperimentConfig(name='mixing-estimate', dims=(4,), seeds=(0,),\n"
+            "    options={'epsilon': 0.1, 'n_chains': 1024, 'warm_start': 'exact'}))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert run_python(code).strip() == "[]"
+
+
+#: where _ndtr's branches meet: |x|/sqrt(2) = 1 (erf or erfc) and 8 (P/Q or R/S rationals)
+_NDTR_BRANCH_POINTS = [s * k * math.sqrt(2.0) for s in (1.0, -1.0) for k in (1.0, 8.0)]
+
+
+def _assert_ndtr_bits(x: float) -> None:
+    assert np.float64(_ndtr(x)).tobytes() == np.float64(ndtr(x)).tobytes(), x
+
+
+def test_ndtr_matches_scipy_bit_for_bit():
+    hp = pytest.importorskip("hypothesis")
+    st = hp.strategies
+    near_branches = [st.floats(b - 1e-6, b + 1e-6) for b in _NDTR_BRANCH_POINTS]
+
+    # all finite doubles and +-inf; [-45, -36] holds the subnormal results and the underflow to 0
+    @hp.settings(derandomize=True, deadline=None, max_examples=1000)
+    @hp.given(st.one_of(st.floats(allow_nan=False), st.floats(-40.0, 40.0),
+                        st.floats(-45.0, -36.0), *near_branches))
+    def check(x):
+        _assert_ndtr_bits(x)
+
+    check()
+    for b in _NDTR_BRANCH_POINTS:
+        below = above = b
+        for _ in range(8):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+            _assert_ndtr_bits(below)
+            _assert_ndtr_bits(above)
+        _assert_ndtr_bits(b)
+    for x in (math.inf, -math.inf, 0.0, -0.0, -38.0, -37.5, -40.0, 5e-324, -1e308):
+        _assert_ndtr_bits(x)
+    assert math.isnan(_ndtr(math.nan))
+
+
+@pytest.mark.parametrize("samples, match", [([], "at least one sample"),
+                                            ([0.5, math.nan, -0.5, 1.0], "NaN")])
+def test_tv_histogram_rejects_empty_and_nan_samples(samples, match):
+    # np.histogram would drop NaN samples silently, and an empty input would read nan
+    with pytest.raises(ValueError, match=match):
+        tv_histogram(np.array(samples))
+
+
+def test_tv_histogram_folds_infinities_into_the_end_bins(rng):
+    z = rng.standard_normal(1000)
+    z[:3], z[3:5] = math.inf, -math.inf
+    assert tv_histogram(z) == tv_histogram(np.clip(z, -8.0, 8.0))
 
 
 def test_tv_projection_estimate_near_zero_at_stationarity(rng):
@@ -457,3 +508,12 @@ def test_write_csv_formats(tmp_path):
     assert lines[0] == "a,b,c"
     assert lines[1] == "1,0.5,1"
     assert lines[2] == f"2,{1.0 / 3.0!r},0"
+
+
+@pytest.mark.parametrize("ell, n_mc, name", [(1, 0, "n_mc"), (0, 100, "ell"), (-1, 100, "ell")])
+def test_lemma_reports_check_sizes_before_sampling(ell, n_mc, name):
+    # a bad size raises before the logistic sampler's 2,000-step warmup and first draw
+    target = CountingTarget(make_logistic(64, 16, seed=5))
+    with pytest.raises(ValueError, match=name):
+        bench.lemma_reports(target, [2, ell], 0.1, n_mc, np.random.default_rng(0))
+    assert target.gradient_evals == target.potential_evals == target.hvp_rows == 0

@@ -25,6 +25,16 @@ from hmclab.targets import (
 )
 
 
+def test_sample_exact_unit_diagonal_is_the_standard_normal_draw():
+    # a unit diagonal skips the divide: the draws are the stream's standard normals
+    draws = GaussianTarget.standard(5).sample_exact(7, np.random.default_rng(3))
+    assert draws.tobytes() == np.random.default_rng(3).standard_normal((7, 5)).tobytes()
+    scales = np.array([1.0, 4.0, 1.0])
+    draws = GaussianTarget.diagonal(scales).sample_exact(7, np.random.default_rng(3))
+    expected = np.random.default_rng(3).standard_normal((7, 3)) / np.sqrt(scales)
+    assert draws.tobytes() == expected.tobytes()
+
+
 def test_gaussian_potential_values():
     t = GaussianTarget.standard(2)
     assert eval_potential(t, np.zeros(2)) == 0.0
