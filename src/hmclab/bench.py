@@ -3,8 +3,21 @@
 Each experiment consumes an ExperimentConfig, derives one RNG stream per
 grid point from (seed, point index) so results do not depend on execution
 order, and emits CSV rows plus a JSON summary sidecar with the config
-hash, git description, Python, numpy and scipy versions, and wall time.
-Outputs are bit-identical across reruns with a fixed seed.  `overlap_report`,
+hash, git description, Python, numpy and scipy versions, wall time and
+max RSS.  Outputs are bit-identical across reruns with a fixed seed.
+
+The multi-point runners split their work into independent units, which
+`_map_units` runs in forked worker processes, one per usable core:
+acceptance-scaling runs one unit per d (after the acceptance constant is
+calibrated in the caller), energy-scaling one per (sweep, d, eta) point,
+mixing-estimate one per d, and mala-vs-hmc one for the HMC block and one for
+the MALA block.  The pool runs only with at least two units and two usable
+cores, on platforms with `os.fork` and `os.sched_getaffinity` (so not on
+macOS or Windows), and not inside a daemonic process; otherwise the units run
+in the caller.  Rows and summaries are assembled in unit order and each unit
+draws only from its own streams, so outputs are the same bytes either way.
+The single-unit runners (overlap-check, lemma-suite, tensor-report) run in
+the caller.  `overlap_report`,
 `lemma_reports` and `tensors.tensor_report` compute the analyses that both
 the runners and the `hmclab overlap|lemmas|tensor` commands print.
 """
@@ -17,6 +30,7 @@ import math
 import os
 import platform
 import subprocess
+import sys
 import time
 from dataclasses import dataclass
 
@@ -84,6 +98,38 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
+def _map_units(fn, units) -> list:
+    """[fn(*u) for u in units], in unit order, on every usable core.
+
+    With two units or more and two usable cores or more, the units run in a
+    pool of forked worker processes, one per core up to one per unit; a
+    worker starts from a copy of this process, so it needs no imports and
+    computes what the caller would, bit for bit.  fn must be a module-level
+    function and the units and results picklable.  The exception of the
+    first failing unit in unit order is raised here, as a serial run would
+    raise it, and the units not yet handed to a worker are cancelled.  Platforms without
+    fork or CPU affinity (macOS, Windows) and daemonic processes, which may
+    not have children, run the units in this process.
+    """
+    n_cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    # a daemonic process was started by multiprocessing, so the module is loaded there
+    mp = sys.modules.get("multiprocessing")
+    if (len(units) < 2 or n_cpus < 2 or not hasattr(os, "fork")
+            or (mp is not None and mp.current_process().daemon)):
+        return [fn(*u) for u in units]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=min(len(units), n_cpus),
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(fn, *u) for u in units]
+        try:
+            return [f.result() for f in futures]
+        finally:
+            for f in futures:
+                f.cancel()
+
+
 @functools.cache
 def _git_describe() -> str:
     """`git describe` of the checkout hmclab runs from, once per process."""
@@ -114,6 +160,18 @@ def write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _max_rss_mb() -> dict | None:
+    """Max RSS in MB of this process and of the largest of its finished children
+    (the units' workers among them), or None where `resource` does not exist."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    per_mb = 1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0  # ru_maxrss in B or kB
+    return {"self": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / per_mb,
+            "children": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / per_mb}
+
+
 def write_sidecar(path: str, cfg: ExperimentConfig, summary: dict, wall_time: float) -> None:
     import scipy  # for its version alone: importing hmclab loads no SciPy module
 
@@ -125,6 +183,9 @@ def write_sidecar(path: str, cfg: ExperimentConfig, summary: dict, wall_time: fl
         "wall_time_s": wall_time,
         "summary": summary,
     }
+    max_rss = _max_rss_mb()
+    if max_rss is not None:
+        payload["max_rss_mb"] = max_rss
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, default=str)
 
@@ -204,35 +265,72 @@ def calibrate_acceptance_constant(
     return 0.5 * (lo + hi)
 
 
+def _acceptance_point(cfg: ExperimentConfig, a, idx: int) -> tuple:
+    """The acceptance-scaling row of grid point idx, from its own stream."""
+    d = cfg.dims[idx]
+    target = GaussianTarget.standard(d)
+    if cfg.schedule == "fixed":
+        eta, K = corollary_schedule("fixed", target, cfg)
+    else:
+        eta, K = float(a) * d**-0.25, math.ceil(d**0.25)
+    rng = _rng(cfg.seeds[0], idx)
+    start = target.sample_exact(int(cfg.option("n_chains")), rng)
+    acc, ci, grads = _mean_acceptance(target, start, eta, K, int(cfg.option("n_steps")), rng)
+    return d, eta, K, acc, ci, grads
+
+
 def run_acceptance_scaling(cfg: ExperimentConfig):
     """Mean acceptance across dimensions under eta = a d^(-1/4), K = ceil(d^(1/4)),
     or under a fixed (eta, K) control."""
-    seed = cfg.seeds[0]
     n_chains = int(cfg.option("n_chains"))
     if n_chains < 2:
         raise ValueError(f"acceptance-scaling needs n_chains >= 2 for its between-chain CI, "
                          f"got {n_chains}")
-    n_steps = int(cfg.option("n_steps"))
     a = cfg.option("accept_constant")
     if a is None and cfg.schedule == "corollary-hmc":
-        a = calibrate_acceptance_constant(cfg.dims[0], seed)
-    rows = []
-    for idx, d in enumerate(cfg.dims):
-        target = GaussianTarget.standard(d)
-        if cfg.schedule == "fixed":
-            eta, K = corollary_schedule("fixed", target, cfg)
-        else:
-            eta, K = float(a) * d**-0.25, math.ceil(d**0.25)
-        rng = _rng(seed, idx)
-        start = target.sample_exact(n_chains, rng)
-        acc, ci, grads = _mean_acceptance(target, start, eta, K, n_steps, rng)
-        rows.append((d, eta, K, acc, ci, grads))
+        a = calibrate_acceptance_constant(cfg.dims[0], cfg.seeds[0])
+    rows = _map_units(_acceptance_point, [(cfg, a, idx) for idx in range(len(cfg.dims))])
     header = ["d", "eta", "K", "accept_mean", "accept_ci", "grad_evals"]
     summary = {
         "accept_constant": a,
         "acceptance_range": max(r[3] for r in rows) - min(r[3] for r in rows),
     }
     return header, rows, summary
+
+
+def _mixing_point(cfg: ExperimentConfig, idx: int) -> tuple[list, int]:
+    """Grid point idx's mixing-estimate rows and its first checkpoint with the TV
+    estimate at most epsilon; BudgetExhausted when no checkpoint up to step_cap
+    reaches it."""
+    d = cfg.dims[idx]
+    epsilon = float(cfg.option("epsilon"))
+    step_cap = int(cfg.option("step_cap"))
+    lazy = bool(cfg.option("lazy"))
+    warm = WarmStartSpec(cfg.option("warm_start"), float(cfg.option("warm_s")))
+    target = GaussianTarget.standard(d)
+    eta, K = corollary_schedule(cfg.schedule, target, cfg)
+    rng = _rng(cfg.seeds[0], idx)
+    q = warm.draw(target, int(cfg.option("n_chains")), rng)
+    stds = gaussian_projected_std(target)
+    checkpoints = []
+    n = 32
+    while n <= step_cap:
+        checkpoints.append(n)
+        n *= 2
+    done_steps = 0
+    grads = 0
+    rows = []
+    for ckpt in checkpoints:
+        # the run steps q in place and draws only its own steps from rng, so the TV
+        # projections keep their draws; no step outlives the sum
+        grads += (K + 1) * sum(int((~s.holds).sum()) for s in
+                               _drive(target, q, eta, K, [rng], lazy, ckpt - done_steps))
+        done_steps = ckpt
+        tv = tv_projection_estimate(q, stds, rng)
+        rows.append((d, ckpt, tv, grads))
+        if tv <= epsilon:
+            return rows, ckpt
+    raise BudgetExhausted(f"TV stayed above {epsilon} within {step_cap} steps at d={d}")
 
 
 def run_mixing_estimate(cfg: ExperimentConfig):
@@ -243,54 +341,26 @@ def run_mixing_estimate(cfg: ExperimentConfig):
     estimator is biased upward by binning; it is a diagnostic, not a
     certificate.
     """
-    seed = cfg.seeds[0]
-    epsilon = float(cfg.option("epsilon"))
-    n_chains = int(cfg.option("n_chains"))
-    step_cap = int(cfg.option("step_cap"))
-    lazy = bool(cfg.option("lazy"))
     warm = WarmStartSpec(cfg.option("warm_start"), float(cfg.option("warm_s")))
     rows = []
-    summary = {"epsilon": epsilon, "mixing_steps": {}, "warmness_M": {}}
-    for idx, d in enumerate(cfg.dims):
-        target = GaussianTarget.standard(d)
-        eta, K = corollary_schedule(cfg.schedule, target, cfg)
-        rng = _rng(seed, idx)
-        q = warm.draw(target, n_chains, rng)
-        stds = gaussian_projected_std(target)
-        checkpoints = []
-        n = 32
-        while n <= step_cap:
-            checkpoints.append(n)
-            n *= 2
-        done_steps = 0
-        grads = 0
-        hit = None
-        for ckpt in checkpoints:
-            # the run steps q in place and draws only its own steps from rng, so the TV
-            # projections keep their draws; no step outlives the sum
-            grads += (K + 1) * sum(int((~s.holds).sum()) for s in
-                                   _drive(target, q, eta, K, [rng], lazy, ckpt - done_steps))
-            done_steps = ckpt
-            tv = tv_projection_estimate(q, stds, rng)
-            rows.append((d, ckpt, tv, grads))
-            if tv <= epsilon:
-                hit = ckpt
-                break
-        if hit is None:
-            raise BudgetExhausted(
-                f"TV stayed above {epsilon} within {step_cap} steps at d={d}"
-            )
+    summary = {"epsilon": float(cfg.option("epsilon")), "mixing_steps": {}, "warmness_M": {}}
+    results = _map_units(_mixing_point, [(cfg, idx) for idx in range(len(cfg.dims))])
+    for d, (d_rows, hit) in zip(cfg.dims, results):
+        rows += d_rows
         summary["mixing_steps"][d] = hit
         summary["warmness_M"][d] = warm.warmness(d)
     header = ["d", "n_steps", "tv_estimate", "grad_evals"]
     return header, rows, summary
 
 
-def _iact_rows(target, eta, K, n_iters, n_rep, streams, method, d, seeds):
-    """IACT rows of n_rep chains per seed, all run as one block; seeds[i] draws from streams[i].
+def _iact_rows(d, method, eta, K, n_iters, n_rep, seeds, key):
+    """IACT rows of n_rep chains per seed on N(0, I_d), all run as one block; seeds[i]
+    draws from the stream (seeds[i], key).
 
     Returns one list of rows per seed.
     """
+    target = GaussianTarget.standard(d)
+    streams = [_rng(seed, key) for seed in seeds]
     q = np.concatenate([target.sample_exact(n_rep, rng) for rng in streams])
     series_q1 = np.empty((n_iters, q.shape[0]))
     series_qq = np.empty((n_iters, q.shape[0]))
@@ -325,10 +395,10 @@ def run_mala_vs_hmc(cfg: ExperimentConfig):
         if budget // (K + 1) < 2:
             raise ValueError(f"grad_budget = {budget} gives {method} (K = {K}) fewer than "
                              f"2 transitions; IACT needs at least 2")
-    hmc = _iact_rows(target, eta_h, K_h, budget // (K_h + 1), n_rep,
-                     [_rng(seed, 0) for seed in cfg.seeds], "hmc", d, cfg.seeds)
-    mala = _iact_rows(target, eta_m, K_m, budget // (K_m + 1), n_rep,
-                      [_rng(seed, 1) for seed in cfg.seeds], "mala", d, cfg.seeds)
+    hmc, mala = _map_units(_iact_rows, [
+        (d, "hmc", eta_h, K_h, budget // (K_h + 1), n_rep, cfg.seeds, 0),
+        (d, "mala", eta_m, K_m, budget // (K_m + 1), n_rep, cfg.seeds, 1),
+    ])
     rows = [row for h, m in zip(hmc, mala) for row in h + m]  # seed-major, hmc then mala
     header = ["d", "method", "statistic", "eta", "K", "iact", "grad_evals_per_ess", "seed"]
     ratios = {}
@@ -348,6 +418,15 @@ def run_mala_vs_hmc(cfg: ExperimentConfig):
     return header, rows, summary
 
 
+def _energy_point(seed: int, point: int, sweep: str, d: int, eta: float, ell: int,
+                  n_mc: int) -> tuple:
+    """The energy-scaling row of grid point `point`, from its own stream."""
+    target = GaussianTarget.standard(d)
+    rng = _rng(seed, point)
+    rep = energy_error_moment(target, eta, ell, n_mc, exact_gaussian_sampler(target, rng), rng)
+    return sweep, d, eta, ell, rep.empirical, rep.std_error, rep.bound
+
+
 def run_energy_scaling(cfg: ExperimentConfig):
     """Single-leapfrog energy-error moment against step-size and dimension."""
     seed = cfg.seeds[0]
@@ -357,12 +436,8 @@ def run_energy_scaling(cfg: ExperimentConfig):
     eta_fixed, d_fixed = 0.05, 64  # the d-sweep's step size, the eta-sweep's dimension
     points = [("eta-sweep", d_fixed, eta) for eta in etas]
     points += [("d-sweep", d, eta_fixed) for d in cfg.dims]
-    rows = []
-    for point, (sweep, d, eta) in enumerate(points):
-        target = GaussianTarget.standard(d)
-        rng = _rng(seed, point)
-        rep = energy_error_moment(target, eta, ell, n_mc, exact_gaussian_sampler(target, rng), rng)
-        rows.append((sweep, d, eta, ell, rep.empirical, rep.std_error, rep.bound))
+    rows = _map_units(_energy_point,
+                      [(seed, point, *p, ell, n_mc) for point, p in enumerate(points)])
     header = ["sweep", "d", "eta", "ell", "empirical", "std_error", "bound"]
     eta_rows = [r for r in rows if r[0] == "eta-sweep"]
     d_rows = [r for r in rows if r[0] == "d-sweep"]

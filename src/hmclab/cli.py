@@ -16,6 +16,7 @@ describe, wall time) and rerun bit-identically for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -101,7 +102,9 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `hmclab` parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="hmclab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -517,3 +517,114 @@ def test_lemma_reports_check_sizes_before_sampling(ell, n_mc, name):
     with pytest.raises(ValueError, match=name):
         bench.lemma_reports(target, [2, ell], 0.1, n_mc, np.random.default_rng(0))
     assert target.gradient_evals == target.potential_evals == target.hvp_rows == 0
+
+
+# each multi-unit runner, at sizes that keep its units to a fraction of a second
+MULTI_UNIT_CONFIGS = {
+    "acceptance-scaling": ExperimentConfig(
+        name="acceptance-scaling", dims=(8, 16), seeds=(5,),
+        options={"n_chains": 16, "n_steps": 4}),
+    "energy-scaling": ExperimentConfig(
+        name="energy-scaling", dims=(16, 64), seeds=(0,),
+        options={"n_mc": 2000, "etas": [0.05, 0.1]}),
+    "mixing-estimate": ExperimentConfig(
+        name="mixing-estimate", dims=(4, 8), seeds=(0,),
+        options={"epsilon": 0.2, "n_chains": 2048, "warm_start": "exact"}),
+    "mala-vs-hmc": ExperimentConfig(
+        name="mala-vs-hmc", dims=(16,), seeds=(0, 1), options={"grad_budget": 2000, "n_rep": 2}),
+}
+
+
+def _usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def test_map_units_runs_units_in_workers_in_unit_order(monkeypatch):
+    _usable_cpus(monkeypatch, 2)
+    pids = bench._map_units(os.getpid, [(), (), ()])
+    assert os.getpid() not in pids and len(set(pids)) <= 2
+    assert bench._map_units(divmod, [(7, 2), (9, 4), (5, 5)]) == [(3, 1), (2, 1), (1, 0)]
+
+
+@pytest.mark.parametrize("case", ["one unit", "one cpu", "no fork", "no affinity", "daemonic"])
+def test_map_units_runs_in_process_where_no_pool_can_run(monkeypatch, case):
+    import multiprocessing
+
+    units = [(), ()]
+    _usable_cpus(monkeypatch, 2)
+    if case == "one unit":
+        units = [()]
+    elif case == "one cpu":
+        _usable_cpus(monkeypatch, 1)
+    elif case == "no fork":
+        monkeypatch.delattr(os, "fork")
+    elif case == "no affinity":
+        monkeypatch.delattr(os, "sched_getaffinity")
+    else:  # a daemonic process may not have children
+        monkeypatch.setattr(multiprocessing, "current_process",
+                            lambda: type("Daemon", (), {"daemon": True})())
+    assert bench._map_units(os.getpid, units) == [os.getpid()] * len(units)
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_UNIT_CONFIGS))
+def test_pooled_runners_equal_serial_runs_bit_for_bit(monkeypatch, name):
+    cfg = MULTI_UNIT_CONFIGS[name]
+    _usable_cpus(monkeypatch, 2)
+    pooled = run_experiment(cfg)
+    _usable_cpus(monkeypatch, 1)
+    serial = run_experiment(cfg)
+    assert repr(pooled) == repr(serial)
+    assert pooled == serial
+
+
+def test_pooled_run_raises_the_first_failing_units_error(monkeypatch):
+    # both dims exhaust the step cap; a serial run raises at d = 8 and never reaches d = 16
+    cfg = ExperimentConfig(
+        name="mixing-estimate", dims=(8, 16), seeds=(1,), schedule="fixed",
+        options={
+            "epsilon": 0.01, "eta": 0.05, "K": 1, "n_chains": 512,
+            "warm_start": "scaled-covariance", "warm_s": 0.25, "step_cap": 64,
+        },
+    )
+    _usable_cpus(monkeypatch, 2)
+    with pytest.raises(BudgetExhausted, match=r"TV stayed above 0\.01 within 64 steps at d=8$"):
+        run_experiment(cfg)
+
+
+def test_pooled_run_leaves_no_process_or_thread(monkeypatch):
+    import multiprocessing
+
+    _usable_cpus(monkeypatch, 2)
+    before = threading.active_count()
+    run_experiment(MULTI_UNIT_CONFIGS["mala-vs-hmc"])
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == before
+
+
+def test_sample_and_single_unit_runs_load_no_multiprocessing(tmp_path):
+    cfg = tmp_path / "target.cfg"
+    cfg.write_text("family = gaussian\ndim = 2\n")
+    code = ("import sys, hmclab.cli\n"
+            "from hmclab.bench import ExperimentConfig, run_experiment\n"
+            "cfg, out = sys.argv[1:]\n"
+            "hmclab.cli.main(['sample', '--config', cfg, '--eta', '0.3', '--K', '2',\n"
+            "                 '--out', out])\n"
+            "run_experiment(ExperimentConfig(name='mixing-estimate', dims=(4,), seeds=(0,),\n"
+            "    options={'epsilon': 0.2, 'n_chains': 8192, 'warm_start': 'exact',\n"
+            "             'lazy': True}))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'\n"
+            "             or m == 'concurrent.futures.process'))")
+    out = run_python(code, str(cfg), str(tmp_path / "trace.csv"))
+    assert out.strip().splitlines()[-1] == "[]"
+
+
+def test_sidecar_records_max_rss_of_the_run_and_its_workers(tmp_path, monkeypatch):
+    cfg = MULTI_UNIT_CONFIGS["acceptance-scaling"]
+    _usable_cpus(monkeypatch, 1)
+    run_experiment(cfg, out=str(tmp_path / "serial.csv"))
+    _usable_cpus(monkeypatch, 2)
+    run_experiment(cfg, out=str(tmp_path / "pooled.csv"))
+    assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    max_rss = json.loads((tmp_path / "pooled.csv.json").read_text())["max_rss_mb"]
+    assert set(max_rss) == {"self", "children"}
+    assert max_rss["self"] > 0 and max_rss["children"] > 0

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from conftest import run_python
 from hmclab.bench import ExperimentConfig, corollary_schedule, run_experiment, run_overlap_check
-from hmclab.cli import main
+from hmclab.cli import build_parser, main
 from hmclab.config import build_target, experiment_from_file, parse_kv
 from hmclab.kernel import HmcConfig, run_chains
 from hmclab.targets import (
@@ -149,6 +149,18 @@ class TestCli:
                   "--n-steps", "40", "--seed", "9", "--out", str(out)])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_main_reuses_one_parser(self, tmp_path, gaussian_cfg, capsys):
+        # building the parser's 13 subcommands costs about 2.5 ms, paid once per process
+        outs = []
+        for name in ("a.csv", "b.csv"):
+            out = tmp_path / name
+            main(["sample", "--config", gaussian_cfg, "--eta", "0.3", "--K", "2",
+                  "--n-steps", "20", "--seed", "3", "--out", str(out)])
+            outs.append((out.read_bytes(), capsys.readouterr().out.replace(name, "")))
+        assert outs[0] == outs[1]
+        assert build_parser() is build_parser()
+        assert build_parser.cache_info().misses == 1
 
     def test_sample_reports_divergences(self, tmp_path, capsys):
         cfg = write(tmp_path / "ridge.cfg", "family = ridge\nn = 3\ndim = 2\npotential = cubic\n")
