@@ -29,10 +29,25 @@ from .tensors import tensor_report, third_derivative_tensor
 from .tuning import COROLLARY_CONSTANTS, TheoryParams, best_hmc_params, mala_step_size
 
 
-def _vector(text: str | None, d: int) -> np.ndarray:
-    if text is None:
-        return np.zeros(d)
+def _finite_vector(text: str) -> np.ndarray:
+    """argparse type: comma-separated finite numbers."""
     vec = np.asarray([float(v) for v in text.split(",")], dtype=float)
+    if not np.isfinite(vec).all():
+        raise argparse.ArgumentTypeError(f"components must be finite, got {text!r}")
+    return vec
+
+
+def _stride(text: str) -> int:
+    """argparse type: a thinning stride, checked before any chain runs."""
+    stride = int(text)
+    if stride < 1:
+        raise argparse.ArgumentTypeError(f"thinning stride must be >= 1, got {stride}")
+    return stride
+
+
+def _vector(vec: np.ndarray | None, d: int) -> np.ndarray:
+    if vec is None:
+        return np.zeros(d)
     if vec.size != d:
         raise SystemExit(f"expected {d} components, got {vec.size}")
     return vec
@@ -76,7 +91,7 @@ def _cmd_tensor(args) -> int:
 
 def _cmd_overlap(args) -> int:
     target = target_from_file(args.config)
-    direction = _vector(args.direction, target.d) if args.direction else None
+    direction = None if args.direction is None else _vector(args.direction, target.d)
     report = bench.overlap_report(
         target, _vector(args.q0, target.d), direction, args.separation,
         args.K, args.eta, args.n_mc, np.random.default_rng(args.seed),
@@ -116,8 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-steps", type=int, default=1000)
     p.add_argument("--n-chains", type=int, default=1)
-    p.add_argument("--thin", type=int, default=1)
-    p.add_argument("--q0", default=None, help="comma-separated start, default origin")
+    p.add_argument("--thin", type=_stride, default=1)
+    p.add_argument("--q0", type=_finite_vector, default=None,
+                   help="comma-separated start, default origin")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
 
@@ -132,15 +148,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tensor", help="third-derivative tensor norms as JSON")
     p.add_argument("--config", required=True)
-    p.add_argument("--at", default=None, help="evaluation point, default origin")
+    p.add_argument("--at", type=_finite_vector, default=None,
+                   help="evaluation point, default origin")
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_tensor)
 
     p = sub.add_parser("overlap", help="proposal-overlap KL estimate as JSON")
     p.add_argument("--config", required=True)
-    p.add_argument("--q0", default=None)
-    p.add_argument("--direction", default=None)
+    p.add_argument("--q0", type=_finite_vector, default=None)
+    p.add_argument("--direction", type=_finite_vector, default=None)
     p.add_argument("--separation", type=float, default=None)
     p.add_argument("--K", type=int, default=2)
     p.add_argument("--eta", type=float, default=0.1)

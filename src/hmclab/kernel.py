@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .leapfrog import (PhaseState, _block_rows, _check_schedule, _endpoint, _row_blocks,
-                       leapfrog_final)
+from .leapfrog import PhaseState, _block_rows, _check_schedule, _in_bounds, _orbit, _row_blocks
 from .targets import TargetDensity
 
 Array = np.ndarray
@@ -175,7 +174,8 @@ class BatchTransition:
 
 
 def _check_block(target: TargetDensity, q: Array, rng) -> tuple[Array, list]:
-    """C-ordered positions (B, d) as floats and the list of streams, of a count that divides B.
+    """C-ordered finite positions (B, d) as floats and the list of streams, of a count that
+    divides B.
 
     q comes back as is when it already is such an array, else as a copy.
     matmul rounds rows of other layouts (a stride-0 broadcast start) differently,
@@ -184,6 +184,8 @@ def _check_block(target: TargetDensity, q: Array, rng) -> tuple[Array, list]:
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[1] != target.d:
         raise ValueError(f"positions must have shape (B, {target.d})")
+    if not np.isfinite(q).all():
+        raise ValueError("positions must be finite")
     streams = list(rng) if isinstance(rng, Sequence) else [rng]
     if not all(isinstance(s, np.random.Generator) for s in streams):
         raise TypeError("each random stream must be a numpy Generator")
@@ -217,24 +219,27 @@ def batch_transition(
     return next(_drive(target, np.array(q, dtype=float, order="C"), eta, K, rng, lazy, 1))
 
 
-def _draw_buffers(n_chains: int, d: int, lazy: bool) -> tuple:
-    """Empty (coins, momenta, uniforms) for one step of n_chains chains; no coins unless lazy."""
-    return np.empty(n_chains) if lazy else None, np.empty((n_chains, d)), np.empty(n_chains)
+def _draw_buffers(n_chains: int, d: int, lazy: bool, n_streams: int) -> tuple:
+    """Empty (coins, momenta, uniforms) for one step of n_chains chains, no coins unless
+    lazy, and each stream's row views of them, taken once per run."""
+    draws = np.empty(n_chains) if lazy else None, np.empty((n_chains, d)), np.empty(n_chains)
+    rows = n_chains // n_streams
+    return draws, [tuple(x if x is None else x[g * rows:(g + 1) * rows] for x in draws)
+                   for g in range(n_streams)]
 
 
-def _draw(streams: list, lazy: bool, draws: tuple) -> tuple:
-    """Fill draws (from `_draw_buffers`) in the kernel's order; see `batch_transition`.
+def _draw(streams: list, lazy: bool, buffers: tuple) -> tuple:
+    """Fill buffers (from `_draw_buffers`) in the kernel's order and return their draws;
+    see `batch_transition`.
 
     Stream g fills rows g*B/G to (g+1)*B/G - 1: coins (if lazy), momenta, uniforms.
     """
-    coins, p, u = draws
-    rows = p.shape[0] // len(streams)
-    for g, s in enumerate(streams):
-        part = slice(g * rows, (g + 1) * rows)
+    draws, views = buffers
+    for s, (coins, p, u) in zip(streams, views):
         if lazy:
-            s.random(out=coins[part])
-        s.standard_normal(out=p[part])
-        s.random(out=u[part])
+            s.random(out=coins)
+        s.standard_normal(out=p)
+        s.random(out=u)
     return draws
 
 
@@ -246,13 +251,17 @@ def _drive(target: TargetDensity, q: Array, eta: float, K: int, streams, lazy: b
     array, stepped in place: q itself when q is a C-ordered float array (else
     a copy).  So a caller hands over an array it no longer needs, copies what
     it keeps of each step, and draws nothing from the streams inside its loop.
-    The input is checked at the first `next()`.  A non-lazy run evaluates
-    (f, grad f) at q and carries them from step to step.
+    A step's other arrays are its own and stay as they are.  The input is
+    checked at the first `next()`.  A non-lazy run evaluates (f, grad f) at q,
+    rejects a start where either is not finite, and carries them from step to
+    step.
 
     The run owns the streams for its n_steps steps and draws nothing beyond
     them, so callers may draw from them between runs.  When a step spans two
     row blocks or more, one worker thread, alive for this run only, fills
     step i+1's draws into the second of two buffers while step i integrates.
+    Narrower steps draw on the caller's thread: the hand-off costs more than
+    it hides, and a 12-chain, d = 256 run was slower with a draw thread.
     A run closed early joins that worker, and its streams have then drawn at
     most one step ahead.  Every stream yields the values, in the order, of
     one-step runs, and the positions equal theirs bit for bit.
@@ -260,11 +269,16 @@ def _drive(target: TargetDensity, q: Array, eta: float, K: int, streams, lazy: b
     _check_schedule(eta, K)
     q, streams = _check_block(target, q, streams)
     n_chains, d = q.shape
-    carry = None if lazy else (target.potential(q), target.gradient(q))
+    carry = None
+    if not lazy:
+        with np.errstate(over="ignore", invalid="ignore"):
+            carry = target.potential(q), target.gradient(q)
+        if not (np.isfinite(carry[0]).all() and np.isfinite(carry[1]).all()):
+            raise ValueError("the potential or its gradient is not finite at the start positions")
     prefetch = n_steps > 1 and n_chains >= 2 * _block_rows(d)
     if prefetch:  # a wide step: draws are worth a thread hand-off
         from concurrent.futures import ThreadPoolExecutor
-    buffers = [_draw_buffers(n_chains, d, lazy) for _ in range(2 if prefetch else 1)]
+    buffers = [_draw_buffers(n_chains, d, lazy, len(streams)) for _ in range(2 if prefetch else 1)]
     with ThreadPoolExecutor(max_workers=1) if prefetch else contextlib.nullcontext() as pool:
         ahead = None  # step i's draws in flight on the worker
         for i in range(n_steps):
@@ -284,12 +298,20 @@ def _step(
     positions are q itself.  draws are the step's (coins, momenta, uniforms)
     from `_draw`.  The moving rows are split into near-equal row blocks of
     at least max(256, 16384 // d) rows, and each block runs its whole
-    pipeline (gather, f0, the K leapfrog steps, the divergence guard, f1,
-    delta_h and the accept test) before the next starts, so a block's working
-    arrays stay in an L2-sized cache; fewer than two blocks' worth of rows
-    run as one block.  The 256-row floor keeps matrix products off BLAS's
-    small-M paths, which round rows differently from the full product; with
-    it, blocked steps equal whole-batch ones bit for bit on OpenBLAS 0.3.31.
+    pipeline (gather, f0, the K leapfrog steps of `_orbit`, the divergence
+    guard, f1, delta_h and the accept test) before the next starts, so a
+    block's working arrays stay in an L2-sized cache; fewer than two blocks'
+    worth of rows run as one block.  The 256-row floor keeps matrix products
+    off BLAS's small-M paths, which round rows differently from the full
+    product; with it, blocked steps equal whole-batch ones bit for bit on
+    OpenBLAS 0.3.31.
+
+    The step runs under one errstate, and |p_K|^2 is summed once, for both
+    the divergence guard and delta_h.  A block of slice rows accepts in
+    place: np.copyto writes the accepted rows of q, and of the carry, where
+    they stand.  A lazy step with holds gathers its moving rows and scatters
+    them back.  When the step is one block of slice rows, that block's
+    accepted, delta_h and diverged arrays are the result's.
 
     carry is None for lazy steps, which evaluate K+1 gradient rows and two
     potential rows per moving chain.  For non-lazy steps it is
@@ -306,32 +328,40 @@ def _step(
                               holds, np.zeros(n_chains, dtype=bool))
         if not move.size:  # every chain holds
             return out
-    else:  # the blocks write every row
-        out = BatchTransition(q, np.empty(n_chains, dtype=bool), np.empty(n_chains), holds,
-                              np.empty(n_chains, dtype=bool))
-    for rows in _row_blocks(move.size if gather else n_chains, d):
-        block = move[rows] if gather else rows
-        q0, p0, u0 = q[block], p[block], u[block]
-        if carry is None:  # through the public endpoint, which perfbench's tracer times
-            f0 = target.potential(q0)
-            q1, p1, ok = leapfrog_final(target, q0, p0, K, eta)
-        else:
-            f0, g0 = carry[0][block], carry[1][block]
-            q1, p1, ok, g1 = _endpoint(target, q0, p0, K, eta, g0)
-        h0 = f0 + 0.5 * (p0 * p0).sum(axis=-1)
-        with np.errstate(invalid="ignore", over="ignore"):
+        blocks = [move[rows] for rows in _row_blocks(move.size, d)]
+    else:
+        blocks = list(_row_blocks(n_chains, d))
+        out = None if len(blocks) == 1 else BatchTransition(
+            q, np.empty(n_chains, dtype=bool), np.empty(n_chains), holds,
+            np.empty(n_chains, dtype=bool))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for block in blocks:
+            q0, p0, u0 = q[block], p[block], u[block]  # views of q's rows unless gathered
+            if carry is None:
+                f0, g0 = target.potential(q0), None
+            else:
+                f0, g0 = carry[0][block], carry[1][block]
+            for q1, p1, g1 in _orbit(target, q0, p0, K, eta, g0):
+                pass
+            p1_norm2 = (p1 * p1).sum(axis=-1)
+            diverged = ~_in_bounds(q1, p1_norm2)
             f1 = target.potential(q1)
-            delta_h = h0 - f1 - 0.5 * (p1 * p1).sum(axis=-1)
-            delta_h = np.where(ok, delta_h, math.nan)
-            accept_prob = np.exp(np.minimum(delta_h, 0.0))  # NaN: no uniform falls below it
-        accepted = u0 < accept_prob
-        q[block] = np.where(accepted[:, None], q1, q0)  # q0 may be a view of these rows
-        out.accepted[block] = accepted
-        out.delta_h[block] = delta_h
-        out.diverged[block] = ~ok
-        if carry is not None:
-            carry[0][block] = np.where(accepted, f1, f0)
-            carry[1][block] = np.where(accepted[:, None], g1, g0)
+            delta_h = f0 + 0.5 * (p0 * p0).sum(axis=-1) - f1 - 0.5 * p1_norm2
+            np.copyto(delta_h, math.nan, where=diverged)
+            accepted = u0 < np.exp(np.minimum(delta_h, 0.0))  # NaN: no uniform falls below it
+            take = accepted[:, None]
+            if gather:
+                q[block] = np.where(take, q1, q0)
+            else:
+                np.copyto(q0, q1, where=take)
+                if carry is not None:
+                    np.copyto(f0, f1, where=accepted)
+                    np.copyto(g0, g1, where=take)
+            if out is None:
+                return BatchTransition(q, accepted, delta_h, holds, diverged)
+            out.accepted[block] = accepted
+            out.delta_h[block] = delta_h
+            out.diverged[block] = diverged
     return out
 
 

@@ -23,6 +23,7 @@ entry.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -96,8 +97,8 @@ def _row_blocks(n: int, row_doubles: int) -> Iterator[slice]:
 
 
 def _check_schedule(eta: float, K: int) -> None:
-    if eta <= 0:
-        raise ValueError("step-size must be positive")
+    if not 0 < eta < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"step-size eta must be positive and finite, got {eta}")
     if K < 1:
         raise ValueError("need at least one leapfrog step")
 
@@ -124,10 +125,14 @@ def _orbit(
         yield q, p, g
 
 
-def _in_bounds(q: Array, p: Array) -> Array:
-    """Per batch entry: finite and inside the divergence guard; run under errstate."""
+def _in_bounds(q: Array, p_norm2: Array) -> Array:
+    """Per batch entry: finite and inside the divergence guard; run under errstate.
+
+    p_norm2 is |p|^2 per entry, which the transition kernel shares with its
+    kinetic energy.
+    """
     limit = DIVERGENCE_LIMIT**2
-    return ((q * q).sum(axis=-1) <= limit) & ((p * p).sum(axis=-1) <= limit)
+    return ((q * q).sum(axis=-1) <= limit) & (p_norm2 <= limit)
 
 
 def leapfrog_step(target: TargetDensity, s: PhaseState, eta: float) -> PhaseState:
@@ -143,7 +148,7 @@ def forward_map(
     states = [s0]
     with np.errstate(over="ignore", invalid="ignore"):
         for q, p, _ in _orbit(target, s0.q, s0.p, K, eta):
-            if not _in_bounds(q, p).all():
+            if not _in_bounds(q, (p * p).sum(axis=-1)).all():
                 raise DivergedTrajectory("leapfrog trajectory left the trusted region")
             states.append(PhaseState(q, p))
     return Trajectory(states, eta)
@@ -156,7 +161,7 @@ def _endpoint(
     with np.errstate(over="ignore", invalid="ignore"):
         for q, p, g in _orbit(target, q, p, K, eta, g):
             pass
-        return q, p, _in_bounds(q, p), g
+        return q, p, _in_bounds(q, (p * p).sum(axis=-1)), g
 
 
 def leapfrog_final(target: TargetDensity, q: Array, p: Array, K: int, eta: float):

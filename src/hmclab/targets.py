@@ -116,6 +116,8 @@ class GaussianTarget(TargetDensity):
         # stay cheap and construction skips the dense factorizations
         diag = np.diagonal(precision)
         self._diag = diag.copy() if np.count_nonzero(precision - np.diag(diag)) == 0 else None
+        # 1.0 * x is x bit for bit: a unit diagonal skips its multiplies and divides
+        self._unit = self._diag is not None and bool((diag == 1.0).all())
         if self._diag is not None:
             if np.any(diag <= 0):
                 raise ValueError("precision matrix must be positive definite")
@@ -140,6 +142,8 @@ class GaussianTarget(TargetDensity):
         return cls(np.diag(np.asarray(values, dtype=float)))
 
     def potential(self, q: Array) -> Array:
+        if self._unit:
+            return 0.5 * (q * q).sum(axis=-1)
         if self._diag is not None:
             return 0.5 * (self._diag * q * q).sum(axis=-1)
         return 0.5 * np.einsum("...i,ij,...j->...", q, self.precision, q)
@@ -161,8 +165,7 @@ class GaussianTarget(TargetDensity):
         """n exact draws from N(0, Lambda^-1)."""
         z = rng.standard_normal((n, self.d))
         if self._diag is not None:
-            # z / 1.0 is z bit for bit: a unit diagonal skips the divide
-            return z if (self._diag == 1.0).all() else z / np.sqrt(self._diag)
+            return z if self._unit else z / np.sqrt(self._diag)
         return np.linalg.solve(self._chol.T[None], z[..., None])[..., 0]
 
 

@@ -173,6 +173,27 @@ class TestCli:
         # without lazy holds, delta_H is NaN exactly on diverged proposals
         assert 0 < info["diverged"] == int(np.isnan(delta_h).sum())
 
+    @pytest.mark.parametrize("flag, value", [("--thin", "0"), ("--thin", "-2"), ("--q0", "nan,0"),
+                                             ("--q0", "0,inf"), ("--eta", "nan"), ("--eta", "inf")])
+    def test_sample_rejects_bad_arguments_before_sampling(self, tmp_path, gaussian_cfg, capsys,
+                                                          monkeypatch, flag, value):
+        # --thin 0 once ran every chain before the CSV writer rejected the stride
+        def sample(*args):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr("hmclab.cli.run_chains", sample)
+        args = {"--eta": "0.3", "--K": "2", "--n-steps": "20000", "--n-chains": "4",
+                "--out": str(tmp_path / "trace.csv"), flag: value}
+        argv = ["sample", "--config", gaussian_cfg] + [x for kv in args.items() for x in kv]
+        if flag == "--eta":  # parsed as a float, then rejected by the kernel's schedule check
+            with pytest.raises(ValueError, match="step-size eta"):
+                main(argv)
+        else:
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert f"argument {flag}:" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
     @pytest.mark.parametrize("n_chains, expected", [(1, None), (3, 1.0)])
     def test_sample_json_without_attempts(self, tmp_path, gaussian_cfg, capsys, n_chains,
                                           expected):

@@ -283,18 +283,46 @@ def test_stream_groups_match_block_calls(target, eta, K, exact, diverges, lazy):
     assert (diverged > 0) == diverges
 
 
-@pytest.mark.parametrize("K, eta", [(0, 0.1), (-1, 0.1), (2, 0.0), (2, -0.1)])
+@pytest.mark.parametrize("K, eta", [(0, 0.1), (-1, 0.1), (2, 0.0), (2, -0.1), (2, math.nan),
+                                    (2, math.inf), (2, -math.inf)])
 def test_batch_transition_rejects_bad_schedule(K, eta):
-    with pytest.raises(ValueError):
+    # a NaN step-size once ran and marked every proposal diverged, with NaN delta_h
+    match = "leapfrog step" if K < 1 else "step-size eta"
+    with pytest.raises(ValueError, match=match):
         batch_transition(GaussianTarget.standard(2), np.zeros((3, 2)), eta, K,
                          np.random.default_rng(0))
+    with pytest.raises(ValueError, match=match):
+        HmcConfig(eta=eta, K=K)
 
 
-@pytest.mark.parametrize("shape", [(2,), (3, 3), (3, 1), (1, 3, 2)])
-def test_batch_transition_rejects_bad_positions(shape):
-    with pytest.raises(ValueError, match="shape"):
-        batch_transition(GaussianTarget.standard(2), np.zeros(shape), 0.1, 2,
-                         np.random.default_rng(0))
+def _positions(*values):
+    q = np.zeros((3, 2))
+    q[1, :len(values)] = values
+    return q
+
+
+@pytest.mark.parametrize("q, match", [
+    *(pytest.param(np.zeros(shape), "shape", id=f"shape{i}")
+      for i, shape in enumerate([(2,), (3, 3), (3, 1), (1, 3, 2)])),
+    pytest.param(_positions(math.nan), "finite", id="nan"),
+    pytest.param(_positions(0.0, math.inf), "finite", id="inf"),
+    pytest.param(_positions(-math.inf), "finite", id="-inf"),
+])
+def test_batch_transition_rejects_bad_positions(q, match):
+    for lazy in (False, True):
+        with pytest.raises(ValueError, match=match):
+            batch_transition(GaussianTarget.standard(2), q, 0.1, 2, np.random.default_rng(0),
+                             lazy)
+
+
+@pytest.mark.parametrize("q0", [[1e200, 0.0, 0.0], [0.0, -1e300, 0.0]])
+def test_non_lazy_run_rejects_a_start_without_finite_energy(q0):
+    # f(q0) overflows: the start carry is checked, with no overflow warning raised in its place
+    target = GaussianTarget.standard(3)
+    with pytest.raises(ValueError, match="not finite at the start"):
+        run_chain(target, HmcConfig(eta=0.3, K=2), q0, 5)
+    with pytest.raises(ValueError, match="not finite at the start"):
+        run_chains(target, HmcConfig(eta=0.3, K=2), q0, 5, 2)
 
 
 def test_batch_transition_needs_one_stream_per_chain():
@@ -633,6 +661,23 @@ def test_callers_start_is_left_alone(lazy):
     assert np.array_equal(q0, [0.5, -1.0, 2.0])
     assert np.array_equal(block, np.tile(q0, (4, 1)))
     assert not np.shares_memory(step.positions, block)
+
+
+@pytest.mark.parametrize("n_chains, d", [(4, 3), (512, 64)], ids=["one-block", "two-blocks"])
+@pytest.mark.parametrize("lazy", [False, True], ids=["non-lazy", "lazy"])
+def test_kept_steps_are_not_overwritten(n_chains, d, lazy):
+    # each step's flags and delta_h stay as yielded while the run goes on
+    target = GaussianTarget.diagonal(np.linspace(0.5, 2.0, d))
+    q = np.random.default_rng(7).standard_normal((n_chains, d))
+    fields = ("accepted", "delta_h", "holds", "diverged")
+    kept, copies = [], []
+    for step in _drive(target, q, 1.2, 3, [np.random.default_rng(7)], lazy, 6):
+        kept.append(step)
+        copies.append([getattr(step, name).copy() for name in fields])
+    assert any(s.accepted.any() for s in kept) and any((~s.accepted & ~s.holds).any() for s in kept)
+    for step, copy in zip(kept, copies):
+        for name, before in zip(fields, copy):
+            assert np.array_equal(getattr(step, name), before, equal_nan=True), name
 
 
 def test_detailed_balance_binned_small():

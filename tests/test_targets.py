@@ -35,6 +35,14 @@ def test_sample_exact_unit_diagonal_is_the_standard_normal_draw():
     assert draws.tobytes() == expected.tobytes()
 
 
+def test_unit_diagonal_potential_skips_the_multiply_bit_for_bit():
+    q = 1e3 * np.random.default_rng(4).standard_normal((9, 6))
+    q[0, 0], q[1, 1] = np.inf, np.nan
+    for ones in (np.ones(6), np.ones(6) + np.eye(6)[2]):  # unit, and a diagonal with a 2
+        expected = 0.5 * (ones * q * q).sum(axis=-1)
+        assert GaussianTarget.diagonal(ones).potential(q).tobytes() == expected.tobytes()
+
+
 def test_gaussian_potential_values():
     t = GaussianTarget.standard(2)
     assert eval_potential(t, np.zeros(2)) == 0.0
