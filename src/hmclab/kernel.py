@@ -76,8 +76,8 @@ class ChainTrace:
     """Per-step record of one chain; positions include the start state.
 
     grad_evals follows the paper's cost model, K+1 gradient rows per proposal
-    attempt.  A non-lazy block of B chains evaluates B gradient rows once and
-    then K per attempt, since it carries grad f from step to step.
+    attempt.  A block of B chains evaluates B gradient rows once and then K
+    per attempt, since it carries grad f from step to step.
     """
 
     positions: Array  # (n_steps + 1, d)
@@ -109,9 +109,9 @@ def _run_block(
 ) -> list[ChainTrace]:
     """n_steps transitions of the chains at starts (B, d); chain c draws from streams[c].
 
-    The chains are stepped by `_drive` on a copy of starts, so a non-lazy run
+    The chains are stepped by `_drive` on a copy of starts, so a run
     evaluates B potential and gradient rows at the start, then K gradient
-    rows and one potential row per chain and step.
+    rows and one potential row per proposal attempt.
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
@@ -158,7 +158,7 @@ def run_chains(
         raise ValueError("need at least one chain")
     q0 = np.asarray(q0, dtype=float)
     if q0.shape != (target.d,):
-        raise ValueError(f"positions must have shape (B, {target.d})")
+        raise ValueError(f"start q0 must have shape ({target.d},), got {q0.shape}")
     starts = np.broadcast_to(q0, (n_chains, target.d))
     streams = [chain_rng(config.seed, c) for c in range(n_chains)]
     return _run_block(target, config, starts, n_steps, streams)
@@ -213,8 +213,9 @@ def batch_transition(
     integration.  Held chains are not integrated; the moving rows are
     integrated in row blocks of at least max(256, 16384 // d) rows (see
     `_step`).  This is a one-step `_drive` run on a copy of q, which is left
-    as it was.  Diverged proposals count as rejections.  Results are
-    reproducible for fixed seeds.
+    as it was: B potential and gradient rows at q, then K gradient rows and
+    one potential row per moving chain.  Diverged proposals count as
+    rejections.  Results are reproducible for fixed seeds.
     """
     return next(_drive(target, np.array(q, dtype=float, order="C"), eta, K, rng, lazy, 1))
 
@@ -252,9 +253,9 @@ def _drive(target: TargetDensity, q: Array, eta: float, K: int, streams, lazy: b
     a copy).  So a caller hands over an array it no longer needs, copies what
     it keeps of each step, and draws nothing from the streams inside its loop.
     A step's other arrays are its own and stay as they are.  The input is
-    checked at the first `next()`.  A non-lazy run evaluates (f, grad f) at q,
-    rejects a start where either is not finite, and carries them from step to
-    step.
+    checked at the first `next()`.  Every run, lazy or not, evaluates
+    (f, grad f) at q, rejects a start where either is not finite, and carries
+    them from step to step.
 
     The run owns the streams for its n_steps steps and draws nothing beyond
     them, so callers may draw from them between runs.  When a step spans two
@@ -264,17 +265,20 @@ def _drive(target: TargetDensity, q: Array, eta: float, K: int, streams, lazy: b
     it hides, and a 12-chain, d = 256 run was slower with a draw thread.
     A run closed early joins that worker, and its streams have then drawn at
     most one step ahead.  Every stream yields the values, in the order, of
-    one-step runs, and the positions equal theirs bit for bit.
+    one-step runs.  Reruns are bit-identical.  Non-lazy runs, and lazy runs
+    on elementwise targets (Gaussian), equal successive one-step runs bit for
+    bit.  A lazy run on a matmul target (logistic, ridge, two-layer) carries
+    grad f rows evaluated in moving-row blocks of another size, which
+    small-M BLAS rounds differently, so it can differ from one-step runs in
+    the last bits.
     """
     _check_schedule(eta, K)
     q, streams = _check_block(target, q, streams)
     n_chains, d = q.shape
-    carry = None
-    if not lazy:
-        with np.errstate(over="ignore", invalid="ignore"):
-            carry = target.potential(q), target.gradient(q)
-        if not (np.isfinite(carry[0]).all() and np.isfinite(carry[1]).all()):
-            raise ValueError("the potential or its gradient is not finite at the start positions")
+    with np.errstate(over="ignore", invalid="ignore"):
+        carry = target.potential(q), target.gradient(q)
+    if not (np.isfinite(carry[0]).all() and np.isfinite(carry[1]).all()):
+        raise ValueError("the potential or its gradient is not finite at the start positions")
     prefetch = n_steps > 1 and n_chains >= 2 * _block_rows(d)
     if prefetch:  # a wide step: draws are worth a thread hand-off
         from concurrent.futures import ThreadPoolExecutor
@@ -290,35 +294,32 @@ def _drive(target: TargetDensity, q: Array, eta: float, K: int, streams, lazy: b
 
 def _step(
     target: TargetDensity, q: Array, eta: float, K: int, draws: tuple, lazy: bool,
-    carry: tuple[Array, Array] | None,
+    carry: tuple[Array, Array],
 ) -> BatchTransition:
     """One transition of the chains at q (B, d), C-ordered, with the step's draws made.
 
-    q, and the carry when given, are updated in place, and the result's
-    positions are q itself.  draws are the step's (coins, momenta, uniforms)
-    from `_draw`.  The moving rows are split into near-equal row blocks of
-    at least max(256, 16384 // d) rows, and each block runs its whole
-    pipeline (gather, f0, the K leapfrog steps of `_orbit`, the divergence
-    guard, f1, delta_h and the accept test) before the next starts, so a
-    block's working arrays stay in an L2-sized cache; fewer than two blocks'
-    worth of rows run as one block.  The 256-row floor keeps matrix products
-    off BLAS's small-M paths, which round rows differently from the full
-    product; with it, blocked steps equal whole-batch ones bit for bit on
-    OpenBLAS 0.3.31.
+    carry is (f(q), grad f(q)).  q and the carry are updated in place, and
+    the result's positions are q itself.  draws are the step's (coins,
+    momenta, uniforms) from `_draw`.  The moving rows are split into
+    near-equal row blocks of at least max(256, 16384 // d) rows, and each
+    block runs its whole pipeline (gather, the K leapfrog steps of `_orbit`
+    from the carried grad f, the divergence guard, f1, delta_h and the
+    accept test) before the next starts, so a block's working arrays stay in
+    an L2-sized cache; fewer than two blocks' worth of rows run as one block.
+    The 256-row floor keeps matrix products off BLAS's small-M paths, which
+    round rows differently from the full product; with it, blocked steps
+    equal whole-batch ones bit for bit on OpenBLAS 0.3.31.  A moving chain
+    costs K gradient rows and one potential row; a held chain costs none.
 
     The step runs under one errstate, and |p_K|^2 is summed once, for both
-    the divergence guard and delta_h.  A block of slice rows accepts in
-    place: np.copyto writes the accepted rows of q, and of the carry, where
-    they stand.  A lazy step with holds gathers its moving rows and scatters
-    them back.  When the step is one block of slice rows, that block's
-    accepted, delta_h and diverged arrays are the result's.
-
-    carry is None for lazy steps, which evaluate K+1 gradient rows and two
-    potential rows per moving chain.  For non-lazy steps it is
-    (f(q), grad f(q)); the step then evaluates K gradient rows and one
-    potential row per chain and leaves the carry at the new positions.
+    the divergence guard and delta_h.  A block accepts in place: np.copyto
+    writes the accepted rows of q and of the carry.  A lazy step with holds
+    gathers its moving rows and writes them back.  When the step is one
+    block of slice rows, that block's accepted, delta_h and diverged arrays
+    are the result's.
     """
     coins, p, u = draws
+    f, g = carry
     n_chains, d = q.shape
     holds = coins < 0.5 if lazy else np.zeros(n_chains, dtype=bool)
     gather = lazy and holds.any()  # without holds every row moves: blocks are slices
@@ -336,11 +337,8 @@ def _step(
             np.empty(n_chains, dtype=bool))
     with np.errstate(invalid="ignore", over="ignore"):
         for block in blocks:
-            q0, p0, u0 = q[block], p[block], u[block]  # views of q's rows unless gathered
-            if carry is None:
-                f0, g0 = target.potential(q0), None
-            else:
-                f0, g0 = carry[0][block], carry[1][block]
+            # views of q's and the carry's rows unless gathered
+            q0, f0, g0, p0, u0 = q[block], f[block], g[block], p[block], u[block]
             for q1, p1, g1 in _orbit(target, q0, p0, K, eta, g0):
                 pass
             p1_norm2 = (p1 * p1).sum(axis=-1)
@@ -350,13 +348,11 @@ def _step(
             np.copyto(delta_h, math.nan, where=diverged)
             accepted = u0 < np.exp(np.minimum(delta_h, 0.0))  # NaN: no uniform falls below it
             take = accepted[:, None]
+            np.copyto(q0, q1, where=take)
+            np.copyto(f0, f1, where=accepted)
+            np.copyto(g0, g1, where=take)
             if gather:
-                q[block] = np.where(take, q1, q0)
-            else:
-                np.copyto(q0, q1, where=take)
-                if carry is not None:
-                    np.copyto(f0, f1, where=accepted)
-                    np.copyto(g0, g1, where=take)
+                q[block], f[block], g[block] = q0, f0, g0
             if out is None:
                 return BatchTransition(q, accepted, delta_h, holds, diverged)
             out.accepted[block] = accepted

@@ -24,6 +24,7 @@ entry.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -99,6 +100,8 @@ def _row_blocks(n: int, row_doubles: int) -> Iterator[slice]:
 def _check_schedule(eta: float, K: int) -> None:
     if not 0 < eta < math.inf:  # NaN fails both comparisons
         raise ValueError(f"step-size eta must be positive and finite, got {eta}")
+    if not isinstance(K, numbers.Integral):
+        raise ValueError(f"the number of leapfrog steps K must be an integer, got {K!r}")
     if K < 1:
         raise ValueError("need at least one leapfrog step")
 
@@ -154,16 +157,6 @@ def forward_map(
     return Trajectory(states, eta)
 
 
-def _endpoint(
-    target: TargetDensity, q: Array, p: Array, K: int, eta: float, g: Array | None = None
-):
-    """(q_K, p_K, ok, grad f(q_K)) of `_orbit`, for an already checked schedule."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        for q, p, g in _orbit(target, q, p, K, eta, g):
-            pass
-        return q, p, _in_bounds(q, (p * p).sum(axis=-1)), g
-
-
 def leapfrog_final(target: TargetDensity, q: Array, p: Array, K: int, eta: float):
     """Batched endpoint of K leapfrog steps.
 
@@ -171,7 +164,10 @@ def leapfrog_final(target: TargetDensity, q: Array, p: Array, K: int, eta: float
     and inside the divergence guard; diverged entries hold garbage.
     """
     _check_schedule(eta, K)
-    return _endpoint(target, q, p, K, eta)[:3]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for q, p, _ in _orbit(target, q, p, K, eta):
+            pass
+        return q, p, _in_bounds(q, (p * p).sum(axis=-1))
 
 
 def _hessian_mat(target: TargetDensity, q: Array, m: Array) -> Array:

@@ -14,7 +14,7 @@ import numpy as np
 
 from hmclab.errors import SingularJacobian
 from hmclab.kernel import BatchTransition, chain_rng
-from hmclab.leapfrog import _endpoint, _orbit, continuous_flow, jacobian_orbit, leapfrog_final
+from hmclab.leapfrog import _in_bounds, _orbit, continuous_flow, jacobian_orbit, leapfrog_final
 from hmclab.moments import MomentAccumulator, MomentReport, energy_error_bound, upsilon_ell
 from hmclab.targets import TargetDensity
 from hmclab.tuning import d_ell
@@ -140,7 +140,9 @@ def unblocked_step(target, q, eta: float, K: int, streams: list, lazy: bool, car
     """One transition of all moving rows at once, each pass over the full batch.
 
     The kernel's step before it integrated in row blocks: the same draws, the
-    same evaluator rows and the same carry, as whole-batch arrays.
+    same evaluator rows and the same carry (f(q), grad f(q)), as whole-batch
+    arrays.  Without a carry it evaluates f and grad f afresh at the moving
+    rows, the recompute reference for one-step runs.
     """
     n_chains = q.shape[0]
     rows = n_chains // len(streams)
@@ -155,14 +157,17 @@ def unblocked_step(target, q, eta: float, K: int, streams: list, lazy: bool, car
         out = BatchTransition(q.copy(), np.zeros(n_chains, dtype=bool), np.full(n_chains, math.nan),
                               holds, np.zeros(n_chains, dtype=bool))
         if not move.size:
-            return out, None
+            return out, carry
     q0 = q[move]
     if carry is None:
         f0 = target.potential(q0)
         q1, p1, ok = leapfrog_final(target, q0, p, K, eta)
     else:
-        f0, g0 = carry
-        q1, p1, ok, g1 = _endpoint(target, q0, p, K, eta, g0)
+        f0, g0 = carry[0][move], carry[1][move]
+        with np.errstate(invalid="ignore", over="ignore"):
+            for q1, p1, g1 in _orbit(target, q0, p, K, eta, g0):
+                pass
+            ok = _in_bounds(q1, (p1 * p1).sum(axis=-1))
     h0 = f0 + 0.5 * (p * p).sum(axis=-1)
     with np.errstate(invalid="ignore", over="ignore"):
         f1 = target.potential(q1)
@@ -171,15 +176,17 @@ def unblocked_step(target, q, eta: float, K: int, streams: list, lazy: bool, car
         accept_prob = np.exp(np.minimum(delta_h, 0.0))
     accepted = u < accept_prob
     new_q = np.where(accepted[:, None], q1, q0)
+    if carry is not None:
+        f, g = carry[0].copy(), carry[1].copy()
+        f[move], g[move] = np.where(accepted, f1, f0), np.where(accepted[:, None], g1, g0)
+        carry = f, g
     if not gather:
-        if carry is not None:
-            carry = np.where(accepted, f1, f0), np.where(accepted[:, None], g1, g0)
         return BatchTransition(new_q, accepted, delta_h, holds, ~ok), carry
     out.positions[move] = new_q
     out.accepted[move] = accepted
     out.delta_h[move] = delta_h
     out.diverged[move] = ~ok
-    return out, None
+    return out, carry
 
 
 def unblocked_run_chains(target, config, q0, n_steps: int, n_chains: int) -> list:
@@ -187,7 +194,7 @@ def unblocked_run_chains(target, config, q0, n_steps: int, n_chains: int) -> lis
     q = np.tile(np.asarray(q0, dtype=float), (n_chains, 1))
     streams = [chain_rng(config.seed, c) for c in range(n_chains)]
     steps = []
-    carry = None if config.lazy else (target.potential(q), target.gradient(q))
+    carry = target.potential(q), target.gradient(q)
     for _ in range(n_steps):
         step, carry = unblocked_step(target, q, config.eta, config.K, streams, config.lazy, carry)
         steps.append(step)

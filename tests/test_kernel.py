@@ -129,8 +129,10 @@ def test_gradient_accounting(rng):
     target = CountingTarget(inner)
     config = HmcConfig(eta=0.1, K=4, lazy=True, seed=29)
     trace = run_chain(target, config, np.zeros(3), 400)
-    assert trace.grad_evals == trace.n_attempts * (config.K + 1)
-    assert target.gradient_evals == trace.grad_evals
+    assert trace.grad_evals == trace.n_attempts * (config.K + 1)  # the paper's cost model
+    # f and grad f are evaluated once at the start and then carried, also by a lazy chain
+    assert target.gradient_evals == 1 + trace.n_attempts * config.K
+    assert target.potential_evals == 1 + trace.n_attempts
 
 
 def test_proposal_reversibility_delta_h(rng):
@@ -230,7 +232,9 @@ def test_held_chains_are_not_integrated(per_chain):
     step = batch_transition(target, q, 0.1, K, rng, lazy=True)
     moving = int((~step.holds).sum())
     assert 0 < moving < n_chains
-    assert target.gradient_evals == moving * (K + 1)
+    # every row once at the start, then only the moving rows are integrated
+    assert target.gradient_evals == n_chains + moving * K
+    assert target.potential_evals == n_chains + moving
     assert np.array_equal(step.positions[step.holds], q[step.holds])
     if not per_chain:  # the block stream still draws coins, momenta and uniforms for all chains
         ref = np.random.default_rng(12)
@@ -283,16 +287,23 @@ def test_stream_groups_match_block_calls(target, eta, K, exact, diverges, lazy):
     assert (diverged > 0) == diverges
 
 
-@pytest.mark.parametrize("K, eta", [(0, 0.1), (-1, 0.1), (2, 0.0), (2, -0.1), (2, math.nan),
-                                    (2, math.inf), (2, -math.inf)])
+@pytest.mark.parametrize("K, eta", [(0, 0.1), (-1, 0.1), (2.5, 0.1), (2.0, 0.1), (2, 0.0),
+                                    (2, -0.1), (2, math.nan), (2, math.inf), (2, -math.inf)])
 def test_batch_transition_rejects_bad_schedule(K, eta):
-    # a NaN step-size once ran and marked every proposal diverged, with NaN delta_h
-    match = "leapfrog step" if K < 1 else "step-size eta"
+    # a NaN step-size once ran and marked every proposal diverged, with NaN delta_h;
+    # a float K was accepted by HmcConfig and failed later inside the run
+    match = "leapfrog step" if eta == 0.1 else "step-size eta"
     with pytest.raises(ValueError, match=match):
         batch_transition(GaussianTarget.standard(2), np.zeros((3, 2)), eta, K,
                          np.random.default_rng(0))
     with pytest.raises(ValueError, match=match):
         HmcConfig(eta=eta, K=K)
+
+
+def test_numpy_integer_step_count_is_accepted():
+    config = HmcConfig(eta=0.3, K=np.int64(2))
+    trace = run_chain(GaussianTarget.standard(2), config, np.zeros(2), 3)
+    assert trace.n_steps == 3
 
 
 def _positions(*values):
@@ -315,14 +326,19 @@ def test_batch_transition_rejects_bad_positions(q, match):
                              lazy)
 
 
+@pytest.mark.parametrize("lazy", [False, True], ids=["non-lazy", "lazy"])
 @pytest.mark.parametrize("q0", [[1e200, 0.0, 0.0], [0.0, -1e300, 0.0]])
-def test_non_lazy_run_rejects_a_start_without_finite_energy(q0):
-    # f(q0) overflows: the start carry is checked, with no overflow warning raised in its place
+def test_run_rejects_a_start_without_finite_energy(q0, lazy):
+    # f(q0) overflows: the start carry is checked, with no overflow warning raised in its place;
+    # a lazy run once skipped the check and recorded the bad start as diverged steps and holds
     target = GaussianTarget.standard(3)
+    config = HmcConfig(eta=0.3, K=2, lazy=lazy)
     with pytest.raises(ValueError, match="not finite at the start"):
-        run_chain(target, HmcConfig(eta=0.3, K=2), q0, 5)
+        run_chain(target, config, q0, 5)
     with pytest.raises(ValueError, match="not finite at the start"):
-        run_chains(target, HmcConfig(eta=0.3, K=2), q0, 5, 2)
+        run_chains(target, config, q0, 5, 2)
+    with pytest.raises(ValueError, match="not finite at the start"):
+        batch_transition(target, np.array([q0]), 0.3, 2, np.random.default_rng(0), lazy)
 
 
 def test_batch_transition_needs_one_stream_per_chain():
@@ -394,8 +410,11 @@ def test_traces_to_csv_matches_csv_writer(tmp_path, case, thin):
         # unbounded below: some proposals diverge
         (make_ridge(3, 2, seed=1, potential=cubic_potential()), HmcConfig(eta=1.2, K=4, seed=3),
          np.zeros(2)),
+        # lazy chains carry grad f rows evaluated on their moving rows; only an elementwise
+        # target rounds those rows as a whole-block evaluation does
+        (GaussianTarget.standard(3), HmcConfig(eta=1.2, K=3, lazy=True, seed=4), np.ones(3)),
     ],
-    ids=["logistic", "gaussian", "cubic-ridge"],
+    ids=["logistic", "gaussian", "cubic-ridge", "gaussian-lazy"],
 )
 @pytest.mark.parametrize("n_chains", [1, 8])
 def test_non_lazy_chains_match_public_transitions(target, config, q0, n_chains):
@@ -405,10 +424,11 @@ def test_non_lazy_chains_match_public_transitions(target, config, q0, n_chains):
     q = np.broadcast_to(q0, (n_chains, target.d))
     streams = [chain_rng(config.seed, c) for c in range(n_chains)]
     for i in range(n_steps):
-        step = batch_transition(target, q, config.eta, config.K, streams)
+        step = batch_transition(target, q, config.eta, config.K, streams, config.lazy)
         q = step.positions
         assert np.array_equal(q, [t.positions[i + 1] for t in traces])
         assert np.array_equal(step.accepted, [t.accepted[i] for t in traces])
+        assert np.array_equal(step.holds, [t.lazy_holds[i] for t in traces])
         assert np.array_equal(step.diverged, [t.diverged[i] for t in traces])
         assert np.array_equal(step.delta_h, [t.delta_h[i] for t in traces], equal_nan=True)
     assert any(not t.accepted.all() for t in traces)  # rejected chains carry their values
@@ -450,7 +470,7 @@ def test_run_chains_needs_a_chain(n_chains):
 
 @pytest.mark.parametrize("q0", [0.5, np.zeros(2), np.zeros((2, 3))], ids=["scalar", "length", "2d"])
 def test_run_chains_rejects_bad_start(q0):
-    with pytest.raises(ValueError, match=r"positions must have shape \(B, 3\)"):
+    with pytest.raises(ValueError, match=r"q0 must have shape \(3,\)"):
         run_chains(GaussianTarget.standard(3), HmcConfig(eta=0.5, K=5), q0, 5, 2)
 
 
@@ -545,8 +565,8 @@ def test_wide_block_accounting():
     step = batch_transition(target, q, 0.5, K, np.random.default_rng(4), lazy=True)
     moving = int((~step.holds).sum())
     assert moving >= 3 * _block_rows(64)
-    assert target.gradient_evals == moving * (K + 1)
-    assert target.potential_evals == 2 * moving
+    assert target.gradient_evals == n_chains + moving * K
+    assert target.potential_evals == n_chains + moving
     assert np.array_equal(step.positions[step.holds], q[step.holds])
     assert 0 < step.accepted.sum() < moving
     # the carried path: f and grad f once at the start, then K gradient rows and one potential row
@@ -587,7 +607,7 @@ def test_drive_matches_public_transitions():
                                  lazy, n_steps)]
         assert len(steps) == n_steps
         q_ref = q
-        carry = None if lazy else (target.potential(q), target.gradient(q))
+        carry = target.potential(q), target.gradient(q)
         for step in steps:
             expected, carry = unblocked_step(target, q_ref, 0.3, K, ref, lazy, carry)
             _assert_same_step(step, expected)

@@ -281,8 +281,8 @@ def test_precondition_errors():
         forward_map(harmonic(), state(0.0, 0.0), 0, 0.1)
 
 
-@pytest.mark.parametrize("K, eta", [(0, 0.1), (-2, 0.1), (2, 0.0), (2, -0.1), (2, np.nan),
-                                    (2, np.inf), (2, -np.inf)])
+@pytest.mark.parametrize("K, eta", [(0, 0.1), (-2, 0.1), (2.5, 0.1), (2, 0.0), (2, -0.1),
+                                    (2, np.nan), (2, np.inf), (2, -np.inf)])
 def test_schedule_checks(K, eta):
     target = GaussianTarget.standard(2)
     q = np.zeros((3, 2))
