@@ -3,8 +3,9 @@
 Each experiment consumes an ExperimentConfig, derives one RNG stream per
 grid point from (seed, point index) so results do not depend on execution
 order, and emits CSV rows plus a JSON summary sidecar with the config
-hash, git description, Python, numpy and scipy versions, wall time and
-max RSS.  Outputs are bit-identical across reruns with a fixed seed.
+hash, git description, Python, numpy and SciPy versions (SciPy's is null
+when it is not installed), wall time and max RSS.  Outputs are
+bit-identical across reruns with a fixed seed.
 
 The multi-point runners split their work into independent units, which
 `_map_units` runs in forked worker processes, one per usable core:
@@ -172,14 +173,24 @@ def _max_rss_mb() -> dict | None:
             "children": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / per_mb}
 
 
-def write_sidecar(path: str, cfg: ExperimentConfig, summary: dict, wall_time: float) -> None:
-    import scipy  # for its version alone: importing hmclab loads no SciPy module
+@functools.cache
+def _scipy_version() -> str | None:
+    """SciPy's installed version, once per process without importing it; None when
+    SciPy is not installed (hmclab runs without it)."""
+    from importlib import metadata
 
+    try:
+        return metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        return None
+
+
+def write_sidecar(path: str, cfg: ExperimentConfig, summary: dict, wall_time: float) -> None:
     payload = {
         "config_hash": cfg.config_hash(),
         "git_describe": _git_describe(),
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+                     "scipy": _scipy_version()},
         "wall_time_s": wall_time,
         "summary": summary,
     }

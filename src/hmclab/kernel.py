@@ -39,8 +39,9 @@ def chain_rng(seed: int, chain_index: int = 0) -> np.random.Generator:
 
     Streams for distinct chain indices are statistically independent and do
     not depend on how chains are scheduled across workers.  Each transition
-    draws a chain's coin (if lazy), momentum and uniform from its stream, also
-    when the chain holds or its proposal diverges.
+    draws the chain's momentum and uniform from its stream, also when its
+    proposal diverges; a lazy transition first draws the chain's coin, and a
+    chain that holds draws nothing more.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chain_index,)))
 
@@ -131,6 +132,14 @@ def _run_block(
             for c in range(n_chains)]
 
 
+def _check_start(target: TargetDensity, q0: Array) -> Array:
+    """The shared start q0 as a float array of shape (d,)."""
+    q0 = np.asarray(q0, dtype=float)
+    if q0.shape != (target.d,):
+        raise ValueError(f"start q0 must have shape ({target.d},), got {q0.shape}")
+    return q0
+
+
 def run_chain(
     target: TargetDensity,
     config: HmcConfig,
@@ -140,7 +149,7 @@ def run_chain(
 ) -> ChainTrace:
     """n_steps transitions from q0; rng defaults to chain_rng(config.seed)."""
     rng = chain_rng(config.seed) if rng is None else rng
-    return _run_block(target, config, np.asarray(q0, dtype=float)[None], n_steps, [rng])[0]
+    return _run_block(target, config, _check_start(target, q0)[None], n_steps, [rng])[0]
 
 
 def run_chains(
@@ -156,10 +165,7 @@ def run_chains(
     """
     if n_chains < 1:
         raise ValueError("need at least one chain")
-    q0 = np.asarray(q0, dtype=float)
-    if q0.shape != (target.d,):
-        raise ValueError(f"start q0 must have shape ({target.d},), got {q0.shape}")
-    starts = np.broadcast_to(q0, (n_chains, target.d))
+    starts = np.broadcast_to(_check_start(target, q0), (n_chains, target.d))
     streams = [chain_rng(config.seed, c) for c in range(n_chains)]
     return _run_block(target, config, starts, n_steps, streams)
 
@@ -205,11 +211,13 @@ def batch_transition(
     """One (possibly lazy) transition of a block of chains at positions q, shape (B, d).
 
     rng is one Generator or a sequence of G Generators, where G divides B;
-    stream g serves rows g*B/G to (g+1)*B/G - 1.  For its rows each stream
-    draws the hold coins (if lazy), then the momenta, then the acceptance
-    uniforms, whether or not a row holds or diverges, so a group's path does
-    not depend on the block it runs in.  One Generator is the block stream;
-    B of them give each chain its own.  All draws come before any
+    stream g serves rows g*B/G to (g+1)*B/G - 1.  Non-lazy, each stream
+    draws the momenta and then the acceptance uniforms of its rows, whether
+    or not a row's proposal diverges.  Lazy, each stream draws its rows'
+    hold coins, then momenta and then uniforms for its moving rows only, in
+    row order: a held row draws its coin alone.  Either way a group's path
+    does not depend on the block it runs in.  One Generator is the block
+    stream; B of them give each chain its own.  All draws come before any
     integration.  Held chains are not integrated; the moving rows are
     integrated in row blocks of at least max(256, 16384 // d) rows (see
     `_step`).  This is a one-step `_drive` run on a copy of q, which is left
@@ -233,12 +241,24 @@ def _draw(streams: list, lazy: bool, buffers: tuple) -> tuple:
     """Fill buffers (from `_draw_buffers`) in the kernel's order and return their draws;
     see `batch_transition`.
 
-    Stream g fills rows g*B/G to (g+1)*B/G - 1: coins (if lazy), momenta, uniforms.
+    Stream g fills rows g*B/G to (g+1)*B/G - 1 of the momenta and uniforms.
+    Lazy, it fills those rows of the coins and then momenta and uniforms
+    for its moving rows only, packed after those of streams 0..g-1, so the
+    moving rows' momenta and uniforms fill the front of their buffers in
+    row order.
     """
     draws, views = buffers
-    for s, (coins, p, u) in zip(streams, views):
-        if lazy:
-            s.random(out=coins)
+    if lazy:
+        coins, p, u = draws
+        start = 0
+        for s, (c, _, _) in zip(streams, views):
+            s.random(out=c)
+            end = start + np.count_nonzero(c >= 0.5)
+            s.standard_normal(out=p[start:end])
+            s.random(out=u[start:end])
+            start = end
+        return draws
+    for s, (_, p, u) in zip(streams, views):
         s.standard_normal(out=p)
         s.random(out=u)
     return draws
@@ -264,13 +284,14 @@ def _drive(target: TargetDensity, q: Array, eta: float, K: int, streams, lazy: b
     Narrower steps draw on the caller's thread: the hand-off costs more than
     it hides, and a 12-chain, d = 256 run was slower with a draw thread.
     A run closed early joins that worker, and its streams have then drawn at
-    most one step ahead.  Every stream yields the values, in the order, of
-    one-step runs.  Reruns are bit-identical.  Non-lazy runs, and lazy runs
-    on elementwise targets (Gaussian), equal successive one-step runs bit for
-    bit.  A lazy run on a matmul target (logistic, ridge, two-layer) carries
-    grad f rows evaluated in moving-row blocks of another size, which
-    small-M BLAS rounds differently, so it can differ from one-step runs in
-    the last bits.
+    most one step ahead.  A step's draws depend on nothing but its streams
+    (a lazy step's count of moving rows comes from its own coins), so every
+    stream yields the values, in the order, of one-step runs.  Reruns are
+    bit-identical.  Non-lazy runs, and lazy runs on elementwise targets
+    (Gaussian), equal successive one-step runs bit for bit.  A lazy run on a
+    matmul target (logistic, ridge, two-layer) carries grad f rows evaluated
+    in moving-row blocks of another size, which small-M BLAS rounds
+    differently, so it can differ from one-step runs in the last bits.
     """
     _check_schedule(eta, K)
     q, streams = _check_block(target, q, streams)
@@ -300,7 +321,9 @@ def _step(
 
     carry is (f(q), grad f(q)).  q and the carry are updated in place, and
     the result's positions are q itself.  draws are the step's (coins,
-    momenta, uniforms) from `_draw`.  The moving rows are split into
+    momenta, uniforms) from `_draw`; a lazy step's momenta and uniforms are
+    packed, the moving rows' in row order at the front, so a block of
+    moving rows reads them as slices.  The moving rows are split into
     near-equal row blocks of at least max(256, 16384 // d) rows, and each
     block runs its whole pipeline (gather, the K leapfrog steps of `_orbit`
     from the carried grad f, the divergence guard, f1, delta_h and the
@@ -329,16 +352,16 @@ def _step(
                               holds, np.zeros(n_chains, dtype=bool))
         if not move.size:  # every chain holds
             return out
-        blocks = [move[rows] for rows in _row_blocks(move.size, d)]
+        blocks = [(move[rows], rows) for rows in _row_blocks(move.size, d)]
     else:
-        blocks = list(_row_blocks(n_chains, d))
+        blocks = [(rows, rows) for rows in _row_blocks(n_chains, d)]
         out = None if len(blocks) == 1 else BatchTransition(
             q, np.empty(n_chains, dtype=bool), np.empty(n_chains), holds,
             np.empty(n_chains, dtype=bool))
     with np.errstate(invalid="ignore", over="ignore"):
-        for block in blocks:
-            # views of q's and the carry's rows unless gathered
-            q0, f0, g0, p0, u0 = q[block], f[block], g[block], p[block], u[block]
+        for block, rows in blocks:
+            # views of q's and the carry's rows unless gathered; the draws are packed
+            q0, f0, g0, p0, u0 = q[block], f[block], g[block], p[rows], u[rows]
             for q1, p1, g1 in _orbit(target, q0, p0, K, eta, g0):
                 pass
             p1_norm2 = (p1 * p1).sum(axis=-1)

@@ -141,18 +141,22 @@ def unblocked_step(target, q, eta: float, K: int, streams: list, lazy: bool, car
 
     The kernel's step before it integrated in row blocks: the same draws, the
     same evaluator rows and the same carry (f(q), grad f(q)), as whole-batch
-    arrays.  Without a carry it evaluates f and grad f afresh at the moving
-    rows, the recompute reference for one-step runs.
+    arrays.  Each stream draws its rows' coins (if lazy), then momenta and
+    uniforms for its moving rows only, each draw a fresh array.  Without a
+    carry it evaluates f and grad f afresh at the moving rows, the recompute
+    reference for one-step runs.
     """
     n_chains = q.shape[0]
     rows = n_chains // len(streams)
-    draws = [(s.random(rows if lazy else 0), s.standard_normal((rows, target.d)), s.random(rows))
-             for s in streams]
-    coins, p, u = draws[0] if len(draws) == 1 else (np.concatenate(x) for x in zip(*draws))
+    draws = []
+    for s in streams:  # each stream: its coins, then momenta and uniforms for its moving rows
+        coins = s.random(rows if lazy else 0)
+        moving = rows - int((coins < 0.5).sum())  # no coins, no holds when not lazy
+        draws.append((coins, s.standard_normal((moving, target.d)), s.random(moving)))
+    coins, p, u = (np.concatenate(x) for x in zip(*draws))  # p and u in moving-row order
     holds = coins < 0.5 if lazy else np.zeros(n_chains, dtype=bool)
     gather = lazy and holds.any()
     move = np.flatnonzero(~holds) if gather else slice(None)
-    p, u = p[move], u[move]
     if gather:
         out = BatchTransition(q.copy(), np.zeros(n_chains, dtype=bool), np.full(n_chains, math.nan),
                               holds, np.zeros(n_chains, dtype=bool))

@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import threading
+from importlib import metadata
 
 import numpy as np
 import pytest
@@ -472,6 +473,29 @@ def test_write_csv_and_sidecar_bit_identical(tmp_path):
     assert sidecar["config_hash"] == cfg.config_hash()
     assert sidecar["versions"] == {"python": platform.python_version(), "numpy": np.__version__,
                                    "scipy": scipy.__version__}
+
+
+def test_sidecar_records_a_missing_scipy_as_null(tmp_path, monkeypatch):
+    # SciPy is a test dependency only: its version is read from the installed metadata, once
+    def not_installed(name):
+        calls.append(name)
+        raise metadata.PackageNotFoundError(name)
+
+    calls = []
+    monkeypatch.setattr(metadata, "version", not_installed)
+    cfg = ExperimentConfig(
+        name="acceptance-scaling", dims=(8,), seeds=(5,),
+        options={"accept_constant": 1.0, "n_chains": 4, "n_steps": 2},
+    )
+    bench._scipy_version.cache_clear()
+    try:
+        for name in ("a.csv", "b.csv"):
+            run_experiment(cfg, out=str(tmp_path / name))
+    finally:
+        bench._scipy_version.cache_clear()
+    assert calls == ["scipy"]
+    for name in ("a.csv", "b.csv"):
+        assert json.loads((tmp_path / f"{name}.json").read_text())["versions"]["scipy"] is None
 
 
 def test_sidecar_describes_hmclab_checkout_once_per_process(tmp_path, monkeypatch):

@@ -373,3 +373,23 @@ def test_cold_start_loads_no_scipy(tmp_path):
     out = run_python(code, cfg, str(tmp_path / "trace.csv"))
     assert '"K": 5' in out
     assert out.strip().splitlines()[-1] == "[]"
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # SciPy is a test dependency only: with it unimportable, a sample and a lazy mixing estimate
+    # (its TV projections included) still run and write their outputs
+    target = write(tmp_path / "target.cfg", "family = gaussian\ndim = 2\n")
+    mixing = write(tmp_path / "mixing.cfg", "dims = 4\nseeds = 0\nn_chains = 1024\nlazy = true\n"
+                   "epsilon = 0.3\nwarm_s = 0.02\nschedule = fixed\neta = 0.1\nK = 1\n")
+    trace, csv = tmp_path / "trace.csv", tmp_path / "mixing.csv"
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None  # import scipy now raises ImportError\n"
+            "import hmclab.cli\n"
+            "target, trace, mixing, csv = sys.argv[1:]\n"
+            "hmclab.cli.main(['sample', '--config', target, '--eta', '0.3', '--K', '2', '--lazy',"
+            " '--out', trace])\n"
+            "hmclab.cli.main(['mixing-estimate', '--config', mixing, '--out', csv])\n")
+    run_python(code, target, str(trace), mixing, str(csv))
+    assert trace.read_text().startswith("chain,step,accepted,delta_H,q_1,q_2")
+    assert csv.read_text().count("\n") > 1
+    assert json.loads((tmp_path / "mixing.csv.json").read_text())["summary"]

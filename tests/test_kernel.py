@@ -113,6 +113,24 @@ def test_lazy_hold_fraction():
     assert trace.n_attempts == 100_000 - held.size
 
 
+def test_lazy_chains_keep_the_gaussian_moments():
+    # 64 lazy chains from exact draws of N(0, I_4): each coordinate's mean, |q|^2 / d and the
+    # hold fraction stay within 5 batch-means standard errors of 0, 1 and 1/2.  Over seeds
+    # 0-19 the 120 standardized errors had a spread of 1.12 and a largest |z| of 3.44
+    target, n_chains, n_steps, batch = GaussianTarget.standard(4), 64, 2000, 100
+    config = HmcConfig(eta=0.5, K=3, lazy=True, seed=0)
+    starts = target.sample_exact(n_chains, np.random.default_rng(0))
+    streams = [chain_rng(config.seed, c) for c in range(n_chains)]
+    traces = _run_block(target, config, starts, n_steps, streams)  # run_chains' block of chains
+    x = np.stack([t.positions[1:] for t in traces])
+    series = [x[..., j] for j in range(4)] + [(x * x).sum(axis=-1) / 4,
+                                              np.stack([t.lazy_holds for t in traces])]
+    for values, expected in zip(series, [0.0] * 4 + [1.0, 0.5]):
+        means = values.reshape(n_chains, n_steps // batch, batch).mean(axis=-1).ravel()
+        se = means.std(ddof=1) / math.sqrt(means.size)
+        assert abs(means.mean() - expected) <= 5.0 * se
+
+
 def test_chain_never_moves_on_rejection(rng):
     target = make_ridge(5, 3, seed=62)
     config = HmcConfig(eta=0.9, K=4, seed=3)  # coarse enough to reject often
@@ -236,15 +254,41 @@ def test_held_chains_are_not_integrated(per_chain):
     assert target.gradient_evals == n_chains + moving * K
     assert target.potential_evals == n_chains + moving
     assert np.array_equal(step.positions[step.holds], q[step.holds])
-    if not per_chain:  # the block stream still draws coins, momenta and uniforms for all chains
-        ref = np.random.default_rng(12)
-        ref.random(n_chains), ref.standard_normal((n_chains, 3)), ref.random(n_chains)
-        assert rng.random() == ref.random()
-    else:  # each chain's stream draws a coin, momentum and uniform, held or not
+    if not per_chain:  # the block stream draws every coin, then momenta and uniforms of movers
+        _assert_lazy_draws(rng, np.random.default_rng(12), n_chains, moving, 3)
+    else:  # each chain's stream draws its coin, then a momentum and uniform if it moves
         for c, stream in enumerate(rng):
-            ref = chain_rng(12, c)
-            ref.random(), ref.standard_normal(3), ref.random()
-            assert stream.random() == ref.random()
+            _assert_lazy_draws(stream, chain_rng(12, c), 1, int(not step.holds[c]), 3)
+
+
+def _assert_lazy_draws(stream, ref, rows, moving, d):
+    """stream has drawn one lazy step for `rows` rows of which `moving` move, as ref does here."""
+    ref.random(rows), ref.standard_normal((moving, d)), ref.random(moving)
+    assert stream.random() == ref.random()
+
+
+@pytest.mark.parametrize("hold", [True, False], ids=["every-chain-holds", "no-chain-holds"])
+def test_lazy_step_draws_momenta_for_moving_rows_only(hold):
+    # three streams of four rows whose first four coins all fall on one side of 1/2
+    seeds = [s for s in range(1000)
+             if ((np.random.default_rng(s).random(4) < 0.5) == hold).all()][:3]
+    target = CountingTarget(make_logistic(6, 3, seed=67))
+    q = np.random.default_rng(12).standard_normal((12, 3))
+    streams = [np.random.default_rng(s) for s in seeds]
+    step = batch_transition(target, q, 0.3, 3, streams, lazy=True)
+    assert np.array_equal(step.holds, np.full(12, hold))
+    assert target.gradient_evals == 12 + (0 if hold else 12 * 3)
+    refs = [np.random.default_rng(s) for s in seeds]
+    for ref in refs:
+        ref.random(4)  # the coins
+    if hold:  # coins only: nothing moves and nothing else is drawn
+        assert np.array_equal(step.positions, q)
+        assert np.isnan(step.delta_h).all() and not step.accepted.any()
+    else:  # coins, then the draws of a non-lazy step
+        _assert_same_step(step, batch_transition(make_logistic(6, 3, seed=67), q, 0.3, 3, refs))
+        assert step.accepted.any()
+    for stream, ref in zip(streams, refs):
+        assert stream.random() == ref.random()
 
 
 @pytest.mark.parametrize("lazy", [False, True])
@@ -458,7 +502,7 @@ def test_run_chains_stride_zero_start_accounting():
 
 @pytest.mark.parametrize("q0", [0.5, np.zeros(2), np.zeros((2, 3))], ids=["scalar", "length", "2d"])
 def test_run_chain_rejects_bad_start(q0):
-    with pytest.raises(ValueError, match=r"positions must have shape \(B, 3\)"):
+    with pytest.raises(ValueError, match=r"q0 must have shape \(3,\)"):
         run_chain(GaussianTarget.standard(3), HmcConfig(eta=0.5, K=5), q0, 5)
 
 
