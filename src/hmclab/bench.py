@@ -555,20 +555,23 @@ def run_lemma_suite(cfg: ExperimentConfig):
 
 def run_tensor_report(cfg: ExperimentConfig):
     """Tensor-norm reports of the third derivative at sampled points."""
-    target = _analysis_target(cfg)
     n_points = int(cfg.option("n_points"))
     restarts = int(cfg.option("restarts"))
+    for name, size in (("n_points", n_points), ("restarts", restarts)):
+        if size < 1:  # no rows would read as all orderings ok
+            raise ValueError(f"tensor-report needs {name} >= 1, got {size}")
+    target = _analysis_target(cfg)
     rng = _rng(cfg.seeds[0], 0)
-    rows = []
-    for i in range(n_points):
+    reports = []
+    for _ in range(n_points):
         q = rng.standard_normal(target.d)
-        rep = tensor_report(third_derivative_tensor(target, q), restarts=restarts, rng=rng)
-        rows.append(
-            (i, rep.norm_123, rep.norm_12_3, rep.norm_1_2_3_lower, rep.partition_ordering_ok)
-        )
+        reports.append(tensor_report(third_derivative_tensor(target, q), restarts=restarts, rng=rng))
     header = ["point", "norm_123", "norm_12_3", "norm_1_2_3_lower", "partition_ordering_ok"]
-    ok = all(r[4] for r in rows)
-    return header, rows, {"all_orderings_ok": ok}
+    rows = [(i, *(getattr(rep, h) for h in header[1:])) for i, rep in enumerate(reports)]
+    ok = all(rep.partition_ordering_ok for rep in reports)
+    return header, rows, {"all_orderings_ok": ok,
+                          "max_sweeps": [rep.max_sweeps for rep in reports],
+                          "capped_restarts": [rep.capped_restarts for rep in reports]}
 
 
 _RUNNERS = {

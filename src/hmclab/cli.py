@@ -37,12 +37,13 @@ def _finite_vector(text: str) -> np.ndarray:
     return vec
 
 
-def _stride(text: str) -> int:
-    """argparse type: a thinning stride, checked before any chain runs."""
-    stride = int(text)
-    if stride < 1:
-        raise argparse.ArgumentTypeError(f"thinning stride must be >= 1, got {stride}")
-    return stride
+def _positive_int(text: str) -> int:
+    """argparse type: a count of at least one (a thinning stride, restarts),
+    checked before any work starts; argparse's error names the option."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _vector(vec: np.ndarray | None, d: int) -> np.ndarray:
@@ -131,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-steps", type=int, default=1000)
     p.add_argument("--n-chains", type=int, default=1)
-    p.add_argument("--thin", type=_stride, default=1)
+    p.add_argument("--thin", type=_positive_int, default=1)
     p.add_argument("--q0", type=_finite_vector, default=None,
                    help="comma-separated start, default origin")
     p.add_argument("--out", required=True)
@@ -150,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--at", type=_finite_vector, default=None,
                    help="evaluation point, default origin")
-    p.add_argument("--restarts", type=int, default=20)
+    p.add_argument("--restarts", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_tensor)
 

@@ -19,12 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .leapfrog import _row_blocks
 from .targets import TargetDensity
 
 Array = np.ndarray
 
 #: dense third-derivative tensors hold d^3 entries; small-dimension analysis only
 MAX_TENSOR_DIM = 64
+_MAX_SWEEPS = 200  # per injective-norm restart
 
 
 def as_tensor3(a: Array) -> Array:
@@ -62,35 +64,54 @@ def norm_injective_lower(
     Each restart draws fresh unit vectors from its own substream and
     cyclically replaces x, y, z by the normalized partial contraction, which
     never decreases the value, for at most 200 sweeps or until a sweep gains
-    less than 1e-12 relative.  A certified lower bound on the injective norm.
+    less than 1e-12 relative.  The restarts climb together as one block, in
+    row blocks of `leapfrog._row_blocks` so memory stays O(block d^2); each
+    contraction is one matrix product per restart, so a restart's value does
+    not depend on the others, and a converged restart leaves the block.  A
+    certified lower bound on the injective norm.
     """
+    return _injective_ascent(a, restarts, rng)[0]
+
+
+def _injective_ascent(a: Array, restarts: int, rng: np.random.Generator | None):
+    """(best value, largest sweep count, restarts stopped at the sweep cap)."""
     a = as_tensor3(a)
     if restarts < 1:
         raise ValueError("need at least one restart")
     if rng is None:
         rng = np.random.default_rng(0)
-    best = 0.0
-    for sub in rng.spawn(restarts):
-        vecs = sub.standard_normal((3, a.shape[0]))
-        x, y, z = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
-        value = 0.0
-        for _ in range(200):
-            x = _normalized(np.einsum("ijk,j,k->i", a, y, z), x)
-            y = _normalized(np.einsum("ijk,i,k->j", a, x, z), y)
-            v = np.einsum("ijk,i,j->k", a, x, y)
-            z = _normalized(v, z)
-            new_value = float(abs(v @ z))
-            if new_value - value <= 1e-12 * max(1.0, new_value):
-                value = new_value
-                break
+    d = a.shape[0]
+    by_z = np.ascontiguousarray(np.moveaxis(a, 2, 0)).reshape(d, d * d)  # rows k, columns (i, j)
+    best, max_sweeps, capped = 0.0, 0, 0
+    for rows in _row_blocks(restarts, d * d):
+        starts = np.stack([sub.standard_normal((3, d)) for sub in rng.spawn(rows.stop - rows.start)])
+        x, y, z = np.moveaxis(starts / np.linalg.norm(starts, axis=2, keepdims=True), 1, 0).copy()
+        value = np.zeros(len(starts))
+        for sweep in range(1, _MAX_SWEEPS + 1):
+            m = (z[:, None, :] @ by_z).reshape(-1, d, d)  # A[., ., z]
+            x = _rows_normalized((m @ y[:, :, None])[:, :, 0], x)
+            y = _rows_normalized((x[:, None, :] @ m)[:, 0], y)
+            v = ((x[:, :, None] * y[:, None, :]).reshape(-1, 1, d * d) @ by_z.T)[:, 0]
+            z = _rows_normalized(v, z)
+            new_value = np.abs((v * z).sum(axis=1))
+            done = new_value - value <= 1e-12 * np.maximum(1.0, new_value)
             value = new_value
-        best = max(best, value)
-    return best
+            if done.any():
+                best = max(best, float(value[done].max()))
+                max_sweeps = max(max_sweeps, sweep)
+                x, y, z, value = x[~done], y[~done], z[~done], value[~done]  # frozen rows leave
+                if not value.size:
+                    break
+        else:
+            best = max(best, float(value.max()))
+            max_sweeps, capped = _MAX_SWEEPS, capped + value.size
+    return best, max_sweeps, capped
 
 
-def _normalized(v: Array, fallback: Array) -> Array:
-    norm = np.linalg.norm(v)
-    return v / norm if norm > 0 else fallback
+def _rows_normalized(v: Array, fallback: Array) -> Array:
+    """Each row of v over its norm, written over fallback; a zero row keeps fallback's row."""
+    norms = np.linalg.norm(v, axis=1, keepdims=True)
+    return np.divide(v, norms, out=fallback, where=norms > 0)
 
 
 @dataclass(frozen=True)
@@ -99,6 +120,8 @@ class TensorNormReport:
     norm_12_3: float
     norm_1_2_3_lower: float
     partition_ordering_ok: bool
+    max_sweeps: int  # the injective-norm ascent's largest sweep count over its restarts
+    capped_restarts: int  # restarts stopped at the sweep cap before converging
 
     def to_json(self) -> str:
         return json.dumps(
@@ -107,6 +130,8 @@ class TensorNormReport:
                 "norm_12_3": self.norm_12_3,
                 "norm_1_2_3_lower": self.norm_1_2_3_lower,
                 "partition_ordering_ok": self.partition_ordering_ok,
+                "max_sweeps": self.max_sweeps,
+                "capped_restarts": self.capped_restarts,
             },
             indent=2,
         )
@@ -117,9 +142,9 @@ def tensor_report(
 ) -> TensorNormReport:
     n123 = norm_frobenius_123(a)
     n12_3 = norm_12_3(a)
-    lower = norm_injective_lower(a, restarts=restarts, rng=rng)
+    lower, max_sweeps, capped = _injective_ascent(a, restarts, rng)
     ok = lower <= n12_3 * (1.0 + 1e-10) and n12_3 <= n123 * (1.0 + 1e-10)
-    return TensorNormReport(n123, n12_3, lower, ok)
+    return TensorNormReport(n123, n12_3, lower, ok, max_sweeps, capped)
 
 
 def third_derivative_tensor(target: TargetDensity, q: Array) -> Array:

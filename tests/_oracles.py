@@ -468,3 +468,37 @@ class ZeroTarget(TargetDensity):
 
     def third_contract(self, q, u, v):
         return np.zeros(np.broadcast_shapes(q.shape, u.shape, v.shape))
+
+
+def loop_norm_injective_lower(a: np.ndarray, restarts: int = 20, rng=None) -> float:
+    """Alternating ascent one restart and one vector at a time.
+
+    Each restart draws three unit vectors from its own `rng.spawn` child and
+    replaces x, y, z by the normalized contractions (einsum) for at most 200
+    sweeps, or until a sweep gains at most 1e-12 relative; a zero contraction
+    keeps the previous vector.  Returns the best value over the restarts.
+    """
+    if rng is None:
+        rng = np.random.default_rng(0)
+
+    def normalized(v, fallback):
+        norm = np.linalg.norm(v)
+        return v / norm if norm > 0 else fallback
+
+    best = 0.0
+    for sub in rng.spawn(restarts):
+        vecs = sub.standard_normal((3, a.shape[0]))
+        x, y, z = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+        value = 0.0
+        for _ in range(200):
+            x = normalized(np.einsum("ijk,j,k->i", a, y, z), x)
+            y = normalized(np.einsum("ijk,i,k->j", a, x, z), y)
+            v = np.einsum("ijk,i,j->k", a, x, y)
+            z = normalized(v, z)
+            new_value = float(abs(v @ z))
+            if new_value - value <= 1e-12 * max(1.0, new_value):
+                value = new_value
+                break
+            value = new_value
+        best = max(best, value)
+    return best

@@ -454,8 +454,32 @@ def test_overlap_check_and_lemma_suite_and_tensor_report(tmp_path):
         name="tensor-report", dims=(3,), seeds=(0,),
         options={"n_points": 2, "restarts": 5},
     )
-    _, rows, summary = run_experiment(cfg)
+    _, rows, summary = run_experiment(cfg, out=str(tmp_path / "tensor.csv"))
     assert summary["all_orderings_ok"]
+    # the ascent's convergence, per point, in the sidecar; the CSV columns stay
+    sidecar = json.loads((tmp_path / "tensor.csv.json").read_text())["summary"]
+    assert len(sidecar["max_sweeps"]) == len(sidecar["capped_restarts"]) == len(rows) == 2
+    assert all(1 <= n <= 200 for n in sidecar["max_sweeps"])
+    assert all(0 <= n <= 5 for n in sidecar["capped_restarts"])
+    assert (tmp_path / "tensor.csv").read_text().splitlines()[0] == (
+        "point,norm_123,norm_12_3,norm_1_2_3_lower,partition_ordering_ok")
+
+
+@pytest.mark.parametrize("name, options", [
+    ("n_points", {"n_points": 0, "restarts": 5}),
+    ("n_points", {"n_points": -1, "restarts": 5}),
+    ("restarts", {"n_points": 2, "restarts": 0}),
+])
+def test_tensor_report_rejects_empty_sizes_before_drawing(monkeypatch, name, options):
+    # n_points = 0 once wrote a header-only CSV summarised as "all_orderings_ok": true,
+    # and restarts = 0 failed only after the first tensor was built
+    def drawing(*args):
+        raise AssertionError("tensor-report drew before checking its sizes")
+
+    monkeypatch.setattr(bench, "_rng", drawing)
+    cfg = ExperimentConfig(name="tensor-report", dims=(3,), seeds=(0,), options=options)
+    with pytest.raises(ValueError, match=name):
+        run_experiment(cfg)
 
 
 def test_write_csv_and_sidecar_bit_identical(tmp_path):

@@ -253,6 +253,19 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["partition_ordering_ok"] is True
         assert payload["norm_1_2_3_lower"] <= payload["norm_12_3"] <= payload["norm_123"]
+        assert 1 <= payload["max_sweeps"] <= 200 and 0 <= payload["capped_restarts"] <= 20
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_tensor_rejects_no_restarts_at_parse_time(self, tmp_path, capsys, monkeypatch, value):
+        # --restarts 0 once failed only after the third-derivative tensor was built
+        def build(*args):
+            raise AssertionError("the tensor was built")
+
+        monkeypatch.setattr("hmclab.cli.third_derivative_tensor", build)
+        cfg = write(tmp_path / "ridge.cfg", "family = ridge\nn = 3\ndim = 3\n")
+        with pytest.raises(SystemExit):
+            main(["tensor", "--config", cfg, "--restarts", value])
+        assert "argument --restarts:" in capsys.readouterr().err
 
     def test_overlap_json(self, tmp_path, gaussian_cfg, capsys):
         rc = main(["overlap", "--config", gaussian_cfg, "--K", "2", "--eta", "0.1",

@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import make_logistic, make_ridge
-from _oracles import injective_norm_sphere_grid, norm_12_3_bruteforce
+from _oracles import injective_norm_sphere_grid, loop_norm_injective_lower, norm_12_3_bruteforce
+from hmclab import leapfrog
 from hmclab.targets import (
     GaussianTarget,
     RidgeSeparableTarget,
@@ -60,6 +61,91 @@ def test_injective_rank_one(rng):
     a = rank_one(5.0, e[0], e[1], e[0])
     assert_allclose(norm_injective_lower(a, restarts=20, rng=rng), 5.0, atol=1e-8)
     assert norm_injective_lower(np.zeros((2, 2, 2))) == 0.0
+
+
+def _tensor(d, symmetric, seed, spike=0.0):
+    """A Gaussian tensor, plus a unit rank-one term times spike, scaled by 1/d when spiked."""
+    gen = np.random.default_rng(seed)
+    a = gen.standard_normal((d, d, d))
+    if spike:
+        u = gen.standard_normal((3, d))
+        a = spike * rank_one(1.0, *(u / np.linalg.norm(u, axis=1, keepdims=True))) + a / d
+    return symmetrize(a) if symmetric else a
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["general", "symmetric"])
+@pytest.mark.parametrize("restarts", [1, 3, 20])
+@pytest.mark.parametrize("d", [1, 2, 5, 16, 64])
+def test_injective_block_matches_per_restart_loop(d, restarts, symmetric):
+    # at d = 64 a spike makes the restarts converge in tens of sweeps, where a Gaussian
+    # tensor runs most of them to the cap and the loop oracle takes seconds
+    a = _tensor(d, symmetric, seed=100 * d + restarts, spike=4.0 if d == 64 else 0.0)
+    block_rng, loop_rng = np.random.default_rng(7), np.random.default_rng(7)
+    value = norm_injective_lower(a, restarts=restarts, rng=block_rng)
+    assert_allclose(value, loop_norm_injective_lower(a, restarts, loop_rng), rtol=1e-12, atol=0)
+    # the same children were spawned and the generator itself drew nothing
+    assert block_rng.standard_normal() == loop_rng.standard_normal()
+    assert block_rng.spawn(1)[0].random() == loop_rng.spawn(1)[0].random()
+
+
+def test_injective_zero_tensor_is_zero():
+    for d in (1, 4):
+        assert norm_injective_lower(np.zeros((d, d, d)), restarts=3) == 0.0
+    report = tensor_report(np.zeros((3, 3, 3)), restarts=3)
+    assert report.norm_1_2_3_lower == 0.0 and report.max_sweeps == 1
+    assert report.capped_restarts == 0
+
+
+@pytest.mark.parametrize("d", [1, 3, 16, 40])
+def test_injective_restarts_run_together_equal_each_run_alone(d):
+    # restart i climbs from the i-th child of the caller's generator; a generator that
+    # has already spawned i children gives that child as its first
+    a = _tensor(d, symmetric=False, seed=d)
+    together = norm_injective_lower(a, restarts=7, rng=np.random.default_rng(5))
+    alone = [
+        norm_injective_lower(a, restarts=1, rng=np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(5, n_children_spawned=i))))
+        for i in range(7)
+    ]
+    assert together == max(alone)
+
+
+def test_injective_row_blocks_match_one_block(monkeypatch):
+    # blocks of at least 3 rows at d = 5 split 7 restarts into two blocks, of 3 and 4; here
+    # the largest sweep count is in the first block and the best value in the second
+    a = _tensor(5, symmetric=False, seed=66)
+    whole = tensor_report(a, restarts=7, rng=np.random.default_rng(3))
+    monkeypatch.setattr(leapfrog, "_MIN_BLOCK_ROWS", 2)
+    monkeypatch.setattr(leapfrog, "_BLOCK_DOUBLES", 3 * 5 * 5)
+    assert [r.stop for r in leapfrog._row_blocks(7, 5 * 5)] == [3, 7]
+    block_rng, loop_rng = np.random.default_rng(3), np.random.default_rng(3)
+    blocked = tensor_report(a, restarts=7, rng=block_rng)
+    assert blocked == whole
+    assert_allclose(blocked.norm_1_2_3_lower, loop_norm_injective_lower(a, 7, loop_rng),
+                    rtol=1e-12, atol=0)
+    assert block_rng.spawn(1)[0].random() == loop_rng.spawn(1)[0].random()
+
+
+def test_injective_reruns_are_bit_identical():
+    a = _tensor(16, symmetric=True, seed=16)
+    runs = [tensor_report(a, restarts=20, rng=np.random.default_rng(11)) for _ in range(2)]
+    assert runs[0] == runs[1]
+
+
+def test_injective_reports_capped_restarts():
+    # a general d = 16 tensor where some restarts reach the 200-sweep cap unconverged
+    a = _tensor(16, symmetric=False, seed=1620)
+    report = tensor_report(a, restarts=20, rng=np.random.default_rng(7))
+    assert report.max_sweeps == 200 and 0 < report.capped_restarts < 20
+    # a rank-one tensor converges at once in every restart
+    e = np.eye(3)
+    report = tensor_report(rank_one(2.0, e[0], e[1], e[2]), restarts=5, rng=np.random.default_rng(0))
+    assert report.capped_restarts == 0 and report.max_sweeps <= 3
+
+
+def test_injective_rejects_no_restarts():
+    with pytest.raises(ValueError, match="restart"):
+        norm_injective_lower(np.ones((2, 2, 2)), restarts=0)
 
 
 def test_injective_against_sphere_grid(rng):
@@ -157,5 +243,6 @@ def test_tensor_report_fields(rng):
     assert report.partition_ordering_ok
     assert report.norm_1_2_3_lower <= report.norm_12_3 <= report.norm_123
     payload = report.to_json()
-    for key in ("norm_123", "norm_12_3", "norm_1_2_3_lower", "partition_ordering_ok"):
+    for key in ("norm_123", "norm_12_3", "norm_1_2_3_lower", "partition_ordering_ok",
+                "max_sweeps", "capped_restarts"):
         assert key in payload
