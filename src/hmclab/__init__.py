@@ -24,10 +24,6 @@ from .targets import (
     RidgeSeparableTarget,
     TargetDensity,
     TwoLayerNetTarget,
-    eval_gradient,
-    eval_hessian_vec,
-    eval_potential,
-    eval_third_contract,
 )
 from .tensors import (
     TensorNormReport,

@@ -16,16 +16,23 @@ Wanner, Geometric Numerical Integration)
 
     D_{j+1} = 2 D_j - D_{j-1} - eta^2 H(q_j) D_j,      D_0 = 0,  D_1 = eta I,
 
-which `jacobian_orbit` runs alongside the trajectory with dense matrices:
-K gradient rows, K-1 Hessian-matrix products and O(d^2) memory per batch
-entry.
+which `_jacobians` runs with dense matrices on the positions q_1..q_{K-1}
+of an `_orbit`: K gradient rows, K-1 Hessian-matrix products and O(d^2)
+memory per batch entry.  The orbit's gradients are 2-D matrix products,
+whose rows BLAS rounds as in the whole batch only from `_MIN_BLOCK_ROWS`
+rows up, so batched orbits run in `_row_blocks`.  The recursion's Hessian
+products are stacked per-entry matrix products, which have no such floor:
+the overlap analysis runs the recursion in L2-sized sub-blocks of
+max(1, 16384 // d^2) entries, since floored blocks make megabytes of
+temporaries per step that the heap hands back to the OS and faults in
+again on the next.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,7 +97,7 @@ def _row_blocks(n: int, row_doubles: int) -> Iterator[slice]:
 
     Fewer than two blocks' worth of rows make one block.  The transition
     kernel blocks its (rows, d) arrays this way, and the overlap analysis
-    its (rows, d, d) Jacobians.
+    its leapfrog orbits.
     """
     n_blocks = max(1, n // _block_rows(row_doubles))
     for i in range(n_blocks):
@@ -176,25 +183,26 @@ def _hessian_mat(target: TargetDensity, q: Array, m: Array) -> Array:
     return np.swapaxes(cols, -1, -2)
 
 
-def jacobian_orbit(target: TargetDensity, q: Array, p: Array, K: int, eta: float):
-    """Yield (q_j, D_j) for j = 1..K, batched over the leading axes.
+def _jacobians(target: TargetDensity, positions: Iterable[Array], eta: float, batch_shape: tuple):
+    """Yield D_1..D_K from the orbit positions q_1..q_{K-1}, batched over batch_shape.
 
     D_j is the dense (..., d, d) derivative of q_j with respect to the
     initial momentum, from the three-term recursion in the module docstring.
-    Neither reads grad f(q_K) or H(q_K): a batch entry costs K gradient
-    rows and K-1 Hessian-matrix products.
+    It never reads H(q_K): a batch entry costs K-1 Hessian-matrix products,
+    and with the positions from `_orbit(..., last_gradient=False)` K
+    gradient rows.  The products are stacked per-entry matrix products, so
+    an entry's bits do not depend on the batch it runs in.
     """
-    q, p = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(p, dtype=float))
-    eye = np.broadcast_to(np.eye(target.d), q.shape[:-1] + (target.d, target.d))
+    eye = np.broadcast_to(np.eye(target.d), batch_shape + (target.d, target.d))
     # the recursion runs on E_j = D_j - j eta I, which obeys it too with
     # E_0 = E_1 = 0, so the large identity part is never rounded into it
     prev = dev = 0.0
     jac = eta * eye
-    for j, (q, _, _) in enumerate(_orbit(target, q, p, K, eta, last_gradient=False), start=1):
-        yield q, jac
-        if j < K:
-            prev, dev = dev, 2.0 * dev - prev - eta**2 * _hessian_mat(target, q, jac)
-            jac = (j + 1) * eta * eye + dev
+    yield jac
+    for j, q in enumerate(positions, start=1):
+        prev, dev = dev, 2.0 * dev - prev - eta**2 * _hessian_mat(target, q, jac)
+        jac = (j + 1) * eta * eye + dev
+        yield jac
 
 
 def momentum_jacobian(
@@ -213,8 +221,10 @@ def momentum_jacobian(
     _check_schedule(eta, K)
     if target.d > MAX_JACOBIAN_DIM:
         raise ValueError(f"dense momentum Jacobian capped at d <= {MAX_JACOBIAN_DIM}")
+    q0, p0 = np.broadcast_arrays(np.asarray(q0, dtype=float), np.asarray(p0, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
-        out = [jac for _, jac in jacobian_orbit(target, q0, p0, K, eta)]
+        positions = [q for q, _, _ in _orbit(target, q0, p0, K, eta, last_gradient=False)]
+        out = list(_jacobians(target, positions[:-1], eta, q0.shape[:-1]))
     if not np.all(np.isfinite(out[-1])):
         raise DivergedTrajectory("Jacobian recursion left the trusted region")
     return out if return_all else out[-1]

@@ -13,7 +13,7 @@ only leapfrog runs, no Jacobian.  The proposal log-density at y is
     log rho(y) = log phi(G(q0, y)) - log det D2F(q0, G(q0, y)),
 
 using det D2G = 1 / det D2F; the log-determinant is the one place dense
-d x d matrices are formed, one row block of draws at a time.  The KL
+d x d matrices are formed, one L2-sized sub-block of draws at a time.  The KL
 divergence between proposals launched from q0 and from a nearby start is
 estimated by Monte Carlo over p after the same change of variables.
 """
@@ -25,7 +25,9 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, SingularJacobian
-from .leapfrog import MAX_JACOBIAN_DIM, _row_blocks, jacobian_orbit, leapfrog_final
+from .leapfrog import (
+    _BLOCK_DOUBLES, MAX_JACOBIAN_DIM, _jacobians, _orbit, _row_blocks, leapfrog_final,
+)
 from .targets import TargetDensity
 
 Array = np.ndarray
@@ -45,24 +47,36 @@ def _forward_logdet(
 ) -> tuple[Array, Array]:
     """(F_K(q0, p), log det D2F_K(q0, p)), batched over the leading axis of p.
 
-    The dense (rows, d, d) Jacobians live one row block at a time (blocks of
-    at least max(256, 16384 // d^2) draws, see `leapfrog._row_blocks`); each
-    block writes its endpoints and log-determinants into the (n, d) and (n,)
-    outputs, so memory is O(rows d^2) + O(n d).  Every row's arithmetic is
-    that of one whole-batch recursion.  Raises SingularJacobian when a
-    determinant is not positive.
+    The position orbit runs in the transition kernel's row blocks
+    (`leapfrog._row_blocks(n, d)`): its gradients are 2-D matrix products,
+    whose rows round as in the whole batch only from 256 rows up.  The
+    dense Jacobian recursion then runs over each orbit block in sub-blocks
+    of max(1, 16384 // d^2) draws with no row floor, since its Hessian
+    products are stacked per-draw matrix products.  A sub-block's (rows, d,
+    d) temporaries stay in L2 cache, where 256-row blocks would make about
+    5 MB of them per step at d = 16, which the heap hands back to the OS
+    and faults in again on the next step.  Memory is O(sub-block d max(d, m)) + O(n d) on a
+    target with m data rows, and every row's arithmetic is that of one
+    whole-batch recursion.  Raises SingularJacobian when a determinant is
+    not positive.
     """
     q0, p = np.broadcast_arrays(np.asarray(q0, dtype=float), np.asarray(p, dtype=float))
     y = np.empty(p.shape)
     logdet = np.empty(p.shape[:-1])
-    blocks = _row_blocks(p.shape[0], target.d**2) if p.ndim > 1 else [...]  # (d,): one block
+    step = max(1, _BLOCK_DOUBLES // target.d**2)
+    blocks = _row_blocks(p.shape[0], target.d) if p.ndim > 1 else [...]  # (d,): one block
     for block in blocks:
-        for q, jac in jacobian_orbit(target, q0[block], p[block], K, eta):
-            pass
-        sign, logdet[block] = np.linalg.slogdet(jac)
-        if np.any(sign <= 0):
-            raise SingularJacobian("momentum Jacobian has non-positive determinant")
-        y[block] = q
+        positions = [q for q, _, _ in _orbit(target, q0[block], p[block], K, eta,
+                                             last_gradient=False)]
+        y[block] = positions[-1]
+        ld = logdet[block]  # a view: each sub-block writes its rows into logdet
+        subs = [...] if p.ndim == 1 else [slice(i, i + step) for i in range(0, len(ld), step)]
+        for sub in subs:
+            for jac in _jacobians(target, [q[sub] for q in positions[:-1]], eta, ld[sub].shape):
+                pass
+            sign, ld[sub] = np.linalg.slogdet(jac)
+            if np.any(sign <= 0):
+                raise SingularJacobian("momentum Jacobian has non-positive determinant")
     return y, logdet
 
 

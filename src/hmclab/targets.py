@@ -61,46 +61,6 @@ class TargetDensity:
         return type(self).third_contract is not TargetDensity.third_contract
 
 
-def eval_potential(target: TargetDensity, q: Array) -> Array:
-    """f(q); raises ValueError on dimension mismatch or non-finite result."""
-    q = _check_point(target, q)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = target.potential(q)
-    if not np.all(np.isfinite(value)):
-        raise ValueError("potential overflowed to a non-finite value")
-    return value
-
-
-def eval_gradient(target: TargetDensity, q: Array) -> Array:
-    """grad f(q); raises ValueError on non-finite entries."""
-    q = _check_point(target, q)
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = target.gradient(q)
-    if not np.all(np.isfinite(g)):
-        raise ValueError("gradient has non-finite entries")
-    return g
-
-
-def eval_hessian_vec(target: TargetDensity, q: Array, v: Array) -> Array:
-    """Hessian-vector product (grad^2 f at q) v."""
-    q = _check_point(target, q)
-    v = _check_point(target, v)
-    return target.hessian_vec(q, v)
-
-
-def eval_third_contract(target: TargetDensity, q: Array, u: Array, v: Array) -> Array:
-    """Third-derivative contraction (grad^3 f at q)[u, v, .], symmetric in (u, v)."""
-    q = _check_point(target, q)
-    return target.third_contract(q, _check_point(target, u), _check_point(target, v))
-
-
-def _check_point(target: TargetDensity, q: Array) -> Array:
-    q = np.asarray(q, dtype=float)
-    if q.shape[-1:] != (target.d,):
-        raise ValueError(f"expected trailing dimension {target.d}, got shape {q.shape}")
-    return q
-
-
 class GaussianTarget(TargetDensity):
     """f(q) = q' Lambda q / 2 for a symmetric positive-definite precision Lambda."""
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from hmclab.errors import SingularJacobian
 from hmclab.kernel import BatchTransition, chain_rng
-from hmclab.leapfrog import _in_bounds, _orbit, continuous_flow, jacobian_orbit, leapfrog_final
+from hmclab.leapfrog import _in_bounds, _orbit, continuous_flow, leapfrog_final
 from hmclab.moments import MomentAccumulator, MomentReport, energy_error_bound, upsilon_ell
 from hmclab.targets import TargetDensity
 from hmclab.tuning import d_ell
@@ -98,12 +98,19 @@ def momentum_jacobian_sum_form(target, q0, p0, K: int, eta: float) -> list[np.nd
 def whole_batch_forward_logdet(target, q0, p, K: int, eta: float):
     """(F_K(q0, p), log det D2F_K(q0, p)) from one dense recursion over all rows of p.
 
-    The overlap analysis before it blocked its rows: `jacobian_orbit` on the
-    whole batch, so an (n, d, d) Jacobian, then `slogdet` with the
-    positive-sign check.
+    The overlap analysis before it blocked its rows: the Jacobian recursion
+    interleaved with the leapfrog orbit on the whole batch, so an (n, d, d)
+    Jacobian, then `slogdet` with the positive-sign check.
     """
-    for q, jac in jacobian_orbit(target, q0, p, K, eta):
-        pass
+    q0, p = np.broadcast_arrays(np.asarray(q0, dtype=float), np.asarray(p, dtype=float))
+    eye = np.broadcast_to(np.eye(target.d), q0.shape[:-1] + (target.d, target.d))
+    prev = dev = 0.0
+    jac = eta * eye
+    for j, (q, _, _) in enumerate(_orbit(target, q0, p, K, eta, last_gradient=False), start=1):
+        if j < K:
+            cols = target.hessian_vec(q[..., None, :], np.swapaxes(jac, -1, -2))
+            prev, dev = dev, 2.0 * dev - prev - eta**2 * np.swapaxes(cols, -1, -2)
+            jac = (j + 1) * eta * eye + dev
     sign, logdet = np.linalg.slogdet(jac)
     if np.any(sign <= 0):
         raise SingularJacobian("momentum Jacobian has non-positive determinant")

@@ -89,16 +89,18 @@ def _overlap_target(family: str, d: int, seed: int):
 
 
 def _check_blocks_match_whole_batch(dims, max_examples):
-    # n draws on both sides of the one-, two- and three-block edges of the Jacobian row blocks
+    # n draws on both sides of the one-, two- and three-block edges of the orbit's row blocks
+    # (max(256, 16384 // d) rows) or of the Jacobian recursion's sub-blocks (16384 // d^2 rows)
     hp = pytest.importorskip("hypothesis")
     st = hp.strategies
 
     @hp.settings(derandomize=True, deadline=None, max_examples=max_examples)
-    @hp.given(st.sampled_from(dims), st.integers(1, 3), st.integers(-2, 2),
-              st.sampled_from(["diagonal", "dense", "logistic", "ridge"]), st.integers(1, 4),
-              st.integers(0, 2**16))
-    def check(d, edge, offset, family, K, seed):
-        n = edge * max(256, 16384 // d**2) + offset
+    @hp.given(st.sampled_from(dims), st.sampled_from(["orbit", "sub"]), st.integers(1, 3),
+              st.integers(-2, 2), st.sampled_from(["diagonal", "dense", "logistic", "ridge"]),
+              st.integers(1, 4), st.integers(0, 2**16))
+    def check(d, layer, edge, offset, family, K, seed):
+        rows = max(256, 16384 // d) if layer == "orbit" else max(1, 16384 // d**2)
+        n = max(1, edge * rows + offset)
         target = _overlap_target(family, d, seed)
         eta = 0.25 / (K * math.sqrt(target.smoothness))
         gen = np.random.default_rng(seed)
@@ -131,11 +133,27 @@ def test_jacobian_row_blocks_match_whole_batch():
 
 
 def test_jacobian_row_blocks_match_whole_batch_d64():
-    _check_blocks_match_whole_batch([64], max_examples=4)
+    # MAX_JACOBIAN_DIM: 256-row orbit blocks, 4-draw sub-blocks
+    _check_blocks_match_whole_batch([64], max_examples=6)
+
+
+def test_forward_logdet_memory_is_bounded_by_sub_blocks():
+    # 1000 draws at d = 16 are one orbit block; the recursion's 64-draw sub-blocks peak near
+    # 2 MiB, where 333-draw Jacobian blocks peaked at 5.75 MiB
+    target = make_logistic(32, 16, seed=80)
+    gen = np.random.default_rng(80)
+    q0, p = 0.3 * gen.standard_normal(16), gen.standard_normal((1000, 16))
+    tracemalloc.start()
+    try:
+        overlap._forward_logdet(target, q0, p, 4, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
 
 
 def test_kl_memory_is_bounded_by_row_blocks():
-    # the Jacobians of 4096 draws at d = 64 would take 128 MiB an array; 256-row blocks take 8 MiB
+    # the Jacobians of 4096 draws at d = 64 would take 128 MiB an array; 4-draw sub-blocks 128 KiB
     t = GaussianTarget.standard(64)
     K, eta = 2, 0.1
     q0 = np.zeros(64)

@@ -15,10 +15,6 @@ from hmclab.targets import (
     TargetDensity,
     TwoLayerNetTarget,
     cubic_potential,
-    eval_gradient,
-    eval_hessian_vec,
-    eval_potential,
-    eval_third_contract,
     quadratic_potential,
     _sigmoid,
     tanh_activation,
@@ -45,52 +41,44 @@ def test_unit_diagonal_potential_skips_the_multiply_bit_for_bit():
 
 def test_gaussian_potential_values():
     t = GaussianTarget.standard(2)
-    assert eval_potential(t, np.zeros(2)) == 0.0
-    assert eval_potential(t, np.array([1.0, 1.0])) == 1.0
+    assert t.potential(np.zeros(2)) == 0.0
+    assert t.potential(np.array([1.0, 1.0])) == 1.0
 
 
 def test_gaussian_gradient_values():
-    assert_allclose(eval_gradient(GaussianTarget.standard(2), np.array([1.0, 0.0])), [1.0, 0.0])
+    assert_allclose(GaussianTarget.standard(2).gradient(np.array([1.0, 0.0])), [1.0, 0.0])
     t = GaussianTarget.diagonal([2.0, 3.0])
-    assert_allclose(eval_gradient(t, np.array([1.0, 1.0])), [2.0, 3.0])
+    assert_allclose(t.gradient(np.array([1.0, 1.0])), [2.0, 3.0])
 
 
 def test_logistic_single_point_values():
     t = LogisticPosteriorTarget(np.array([[1.0, 0.0]]), np.array([1.0]), 1.0)
-    assert_allclose(eval_potential(t, np.zeros(2)), math.log(2.0))
+    assert_allclose(t.potential(np.zeros(2)), math.log(2.0))
     t0 = LogisticPosteriorTarget(np.array([[1.0, 0.0]]), np.array([1.0]), 0.0)
-    assert_allclose(eval_gradient(t0, np.zeros(2)), [-0.5, 0.0])
+    assert_allclose(t0.gradient(np.zeros(2)), [-0.5, 0.0])
 
 
 def test_gaussian_hessian_vec_is_precision_product(rng):
     t = make_dense_gaussian(3, seed=5)
     q = rng.standard_normal(3)
     v = rng.standard_normal(3)
-    assert_allclose(eval_hessian_vec(t, q, v), t.precision @ v)
+    assert_allclose(t.hessian_vec(q, v), t.precision @ v)
 
 
 def test_ridge_rank_one_hessian():
     t = RidgeSeparableTarget(np.array([[1.0, 0.0]]), quadratic_potential())
     q = np.array([0.3, -0.7])
-    assert_allclose(eval_hessian_vec(t, q, np.array([1.0, 0.0])), [1.0, 0.0])
-    assert_allclose(eval_hessian_vec(t, q, np.array([0.0, 1.0])), [0.0, 0.0])
+    assert_allclose(t.hessian_vec(q, np.array([1.0, 0.0])), [1.0, 0.0])
+    assert_allclose(t.hessian_vec(q, np.array([0.0, 1.0])), [0.0, 0.0])
 
 
 def test_third_contract_examples():
     g = GaussianTarget.standard(2)
-    assert_allclose(eval_third_contract(g, np.ones(2), np.ones(2), np.ones(2)), np.zeros(2))
+    assert_allclose(g.third_contract(np.ones(2), np.ones(2), np.ones(2)), np.zeros(2))
     t = RidgeSeparableTarget(np.array([[1.0, 0.0]]), cubic_potential())
     e1, e2 = np.eye(2)
-    assert_allclose(eval_third_contract(t, np.zeros(2), e1, e1), e1)
-    assert_allclose(eval_third_contract(t, np.zeros(2), e1, e2), np.zeros(2))
-
-
-def test_eval_potential_rejects_bad_input():
-    t = GaussianTarget.standard(2)
-    with pytest.raises(ValueError):
-        eval_potential(t, np.zeros(3))
-    with pytest.raises(ValueError):
-        eval_potential(t, np.full(2, 1e200))  # overflows to inf
+    assert_allclose(t.third_contract(np.zeros(2), e1, e1), e1)
+    assert_allclose(t.third_contract(np.zeros(2), e1, e2), np.zeros(2))
 
 
 def test_missing_capability_raises():
@@ -107,9 +95,9 @@ def test_missing_capability_raises():
     t = GradOnly()
     assert not t.has_hessian and not t.has_third
     with pytest.raises(UnsupportedCapability):
-        eval_hessian_vec(t, np.zeros(1), np.zeros(1))
+        t.hessian_vec(np.zeros(1), np.zeros(1))
     with pytest.raises(UnsupportedCapability):
-        eval_third_contract(t, np.zeros(1), np.zeros(1), np.zeros(1))
+        t.third_contract(np.zeros(1), np.zeros(1), np.zeros(1))
 
 
 def _all_targets():
