@@ -38,7 +38,7 @@ def _finite_vector(text: str) -> np.ndarray:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type: a count of at least one (a thinning stride, restarts),
+    """argparse type: a count of at least one (steps, chains, a thinning stride, restarts),
     checked before any work starts; argparse's error names the option."""
     value = int(text)
     if value < 1:
@@ -130,8 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--lazy", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-steps", type=int, default=1000)
-    p.add_argument("--n-chains", type=int, default=1)
+    p.add_argument("--n-steps", type=_positive_int, default=1000)
+    p.add_argument("--n-chains", type=_positive_int, default=1)
     p.add_argument("--thin", type=_positive_int, default=1)
     p.add_argument("--q0", type=_finite_vector, default=None,
                    help="comma-separated start, default origin")

@@ -8,14 +8,14 @@ is invertible and its inverse G(q0, y) is the fixed point of
     p <- p - (F(q0, p) - y) / (K eta),
 
 a contraction that shrinks the residual at least 16-fold per step and needs
-only leapfrog runs, no Jacobian.  The proposal log-density at y is
+only position orbits, no Jacobian.  The proposal log-density at y is
 
     log rho(y) = log phi(G(q0, y)) - log det D2F(q0, G(q0, y)),
 
-using det D2G = 1 / det D2F; the log-determinant is the one place dense
-d x d matrices are formed, one L2-sized sub-block of draws at a time.  The KL
-divergence between proposals launched from q0 and from a nearby start is
-estimated by Monte Carlo over p after the same change of variables.
+using det D2G = 1 / det D2F, read off the orbit that confirmed G(q0, y): the
+one place dense d x d matrices are formed, an L2-sized sub-block at a time.
+The KL divergence between proposals launched from q0 and from a nearby start
+is estimated by Monte Carlo over p after the same change of variables.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConvergenceError, SingularJacobian
 from .leapfrog import (
-    _BLOCK_DOUBLES, MAX_JACOBIAN_DIM, _jacobians, _orbit, _row_blocks, leapfrog_final,
+    _BLOCK_DOUBLES, MAX_JACOBIAN_DIM, _check_schedule, _in_bounds, _jacobians, _orbit, _row_blocks,
 )
 from .targets import TargetDensity
 
@@ -42,42 +42,61 @@ def _check_dim(target: TargetDensity) -> None:
         raise ValueError(f"overlap analysis is capped at d <= {MAX_JACOBIAN_DIM}")
 
 
-def _forward_logdet(
-    target: TargetDensity, q0: Array, p: Array, K: int, eta: float
-) -> tuple[Array, Array]:
-    """(F_K(q0, p), log det D2F_K(q0, p)), batched over the leading axis of p.
+def _positions(target: TargetDensity, q0: Array, p: Array, K: int, eta: float) -> list[Array]:
+    """The orbit positions q_1..q_K of F(q0, .) per row of p, in the kernel's row blocks.
 
-    The position orbit runs in the transition kernel's row blocks
-    (`leapfrog._row_blocks(n, d)`): its gradients are 2-D matrix products,
-    whose rows round as in the whole batch only from 256 rows up.  The
-    dense Jacobian recursion then runs over each orbit block in sub-blocks
-    of max(1, 16384 // d^2) draws with no row floor, since its Hessian
-    products are stacked per-draw matrix products.  A sub-block's (rows, d,
-    d) temporaries stay in L2 cache, where 256-row blocks would make about
-    5 MB of them per step at d = 16, which the heap hands back to the OS
-    and faults in again on the next step.  Memory is O(sub-block d max(d, m)) + O(n d) on a
-    target with m data rows, and every row's arithmetic is that of one
-    whole-batch recursion.  Raises SingularJacobian when a determinant is
-    not positive.
+    grad f(q0) is evaluated once, at q0's shape: one gradient row per start, K-1 per draw.
     """
-    q0, p = np.broadcast_arrays(np.asarray(q0, dtype=float), np.asarray(p, dtype=float))
-    y = np.empty(p.shape)
-    logdet = np.empty(p.shape[:-1])
-    step = max(1, _BLOCK_DOUBLES // target.d**2)
+    g0 = target.gradient(q0)
+    q0, g0, p = np.broadcast_arrays(q0, g0, p)
+    positions = [np.empty(p.shape) for _ in range(K)]
     blocks = _row_blocks(p.shape[0], target.d) if p.ndim > 1 else [...]  # (d,): one block
     for block in blocks:
-        positions = [q for q, _, _ in _orbit(target, q0[block], p[block], K, eta,
-                                             last_gradient=False)]
-        y[block] = positions[-1]
-        ld = logdet[block]  # a view: each sub-block writes its rows into logdet
-        subs = [...] if p.ndim == 1 else [slice(i, i + step) for i in range(0, len(ld), step)]
-        for sub in subs:
-            for jac in _jacobians(target, [q[sub] for q in positions[:-1]], eta, ld[sub].shape):
-                pass
-            sign, ld[sub] = np.linalg.slogdet(jac)
-            if np.any(sign <= 0):
-                raise SingularJacobian("momentum Jacobian has non-positive determinant")
-    return y, logdet
+        orbit = _orbit(target, q0[block], p[block], K, eta, g0[block], last_gradient=False)
+        for out, (q, _, _) in zip(positions, orbit):
+            out[block] = q
+    return positions
+
+
+def _logdet(target: TargetDensity, positions: list[Array], eta: float) -> Array:
+    """log det D2F_K per draw from `_positions`' orbit, in L2-sized sub-blocks of draws.
+
+    Memory is O(sub-block d max(d, m)) with m data rows; each draw's bits are those of
+    one whole-batch recursion.  Raises SingularJacobian on a non-positive determinant.
+    """
+    logdet = np.empty(positions[0].shape[:-1])
+    step = max(1, _BLOCK_DOUBLES // target.d**2)
+    subs = [...] if logdet.ndim == 0 else [slice(i, i + step) for i in range(0, len(logdet), step)]
+    for sub in subs:
+        for jac in _jacobians(target, [q[sub] for q in positions[:-1]], eta, logdet[sub].shape):
+            pass
+        sign, logdet[sub] = np.linalg.slogdet(jac)
+        if np.any(sign <= 0):
+            raise SingularJacobian("momentum Jacobian has non-positive determinant")
+    return logdet
+
+
+def _invert(target: TargetDensity, q0: Array, y: Array, K: int, eta: float, tol: float = 1e-10,
+            max_iter: int = 50) -> tuple[Array, list[Array]]:
+    """`inverse_map`'s p, with the orbit positions of F(q0, p) that confirmed it."""
+    _check_schedule(eta, K)
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    q0 = np.asarray(q0, dtype=float)
+    scale = K * eta
+    p = (y - q0) / scale
+    for _ in range(max_iter):
+        with np.errstate(over="ignore", invalid="ignore"):
+            positions = _positions(target, q0, p, K, eta)
+            if not _in_bounds(positions[-1], p_norm2=0.0).all():  # p_K is not formed
+                raise ConvergenceError("inverse map iterate left the trusted region")
+        r = positions[-1] - y
+        if np.all(np.linalg.norm(r, axis=-1) <= tol):
+            return p, positions
+        p = p - r / scale
+    raise ConvergenceError(
+        f"inverse map did not reach tol={tol} within {max_iter} fixed-point steps"
+    )
 
 
 def inverse_map(
@@ -92,28 +111,12 @@ def inverse_map(
     """The momentum p with ||F_K(q0, p) - y|| <= tol, batched over rows of y.
 
     Fixed-point iteration p <- p - (F(q0, p) - y) / (K eta) from
-    p = (y - q0) / (K eta); each step is one leapfrog run (K+1 gradient
-    evaluations and no Hessian products).  Raises ConvergenceError when a
-    row's residual is still above tol after max_iter steps or an iterate
-    leaves the trusted region.
+    p = (y - q0) / (K eta); each step runs one position orbit: K-1 gradient
+    rows per draw, one per start, and no Hessian products.  Raises
+    ConvergenceError when a row's residual is still above tol after
+    max_iter steps or an iterate's q_K leaves the trusted region.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    q0 = np.asarray(q0, dtype=float)
-    y = np.asarray(y, dtype=float)
-    scale = K * eta
-    p = (y - q0) / scale
-    for _ in range(max_iter):
-        f, _, ok = leapfrog_final(target, q0, p, K, eta)
-        if not ok.all():
-            raise ConvergenceError("inverse map iterate left the trusted region")
-        r = f - y
-        if np.all(np.linalg.norm(r, axis=-1) <= tol):
-            return p
-        p = p - r / scale
-    raise ConvergenceError(
-        f"inverse map did not reach tol={tol} within {max_iter} fixed-point steps"
-    )
+    return _invert(target, q0, y, K, eta, tol, max_iter)[0]
 
 
 def proposal_log_density(
@@ -128,12 +131,9 @@ def proposal_log_density(
     y of shape (d,) gives one value, and (n, d) gives n values.
     """
     _check_dim(target)
-    q0 = np.asarray(q0, dtype=float)
-    y = np.asarray(y, dtype=float)
-    p = inverse_map(target, q0, y, K, eta)
-    _, logdet = _forward_logdet(target, q0, p, K, eta)
+    p, positions = _invert(target, q0, y, K, eta)
     log_phi = -0.5 * (p * p).sum(axis=-1) - 0.5 * target.d * math.log(2.0 * math.pi)
-    return log_phi - logdet
+    return log_phi - _logdet(target, positions, eta)
 
 
 def kl_between_proposals(
@@ -155,17 +155,17 @@ def kl_between_proposals(
         raise ValueError("need at least two Monte Carlo draws")
     _check_dim(target)
     q0 = np.asarray(q0, dtype=float)
-    q0_tilde = np.asarray(q0_tilde, dtype=float)
     n_done, mean, m2 = 0, 0.0, 0.0
     while n_done < n_mc:
         b = min(KL_CHUNK, n_mc - n_done)
         p = rng.standard_normal((b, target.d))
-        y, ld0 = _forward_logdet(target, q0, p, K, eta)
+        positions = _positions(target, q0, p, K, eta)
+        ld0 = _logdet(target, positions, eta)
         if np.array_equal(q0, q0_tilde):
             p_t, ld_t = p, ld0
         else:
-            p_t = inverse_map(target, q0_tilde, y, K, eta)
-            ld_t = _forward_logdet(target, q0_tilde, p_t, K, eta)[1]
+            p_t, positions = _invert(target, q0_tilde, positions[-1], K, eta)
+            ld_t = _logdet(target, positions, eta)
         vals = 0.5 * ((p_t * p_t).sum(axis=-1) - (p * p).sum(axis=-1)) - ld0 + ld_t
         # Chan et al. pairwise merge of (count, mean, M2)
         b_mean = float(vals.mean())

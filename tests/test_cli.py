@@ -174,10 +174,12 @@ class TestCli:
         assert 0 < info["diverged"] == int(np.isnan(delta_h).sum())
 
     @pytest.mark.parametrize("flag, value", [("--thin", "0"), ("--thin", "-2"), ("--q0", "nan,0"),
-                                             ("--q0", "0,inf"), ("--eta", "nan"), ("--eta", "inf")])
+                                             ("--q0", "0,inf"), ("--eta", "nan"), ("--eta", "inf"),
+                                             ("--n-steps", "0"), ("--n-chains", "0")])
     def test_sample_rejects_bad_arguments_before_sampling(self, tmp_path, gaussian_cfg, capsys,
                                                           monkeypatch, flag, value):
-        # --thin 0 once ran every chain before the CSV writer rejected the stride
+        # --thin 0 once ran every chain before the CSV writer rejected the stride, and
+        # --n-steps 0 failed in the kernel with an error that named no option
         def sample(*args):
             raise AssertionError("sampling started")
 

@@ -10,6 +10,7 @@ from conftest import make_dense_gaussian, make_logistic, make_ridge
 from _oracles import (
     CountingTarget,
     ZeroTarget,
+    exact_gaussian_acceptance,
     hermite_mean_acceptance,
     traces_to_csv_rows,
     unblocked_run_chains,
@@ -67,6 +68,14 @@ def test_mean_acceptance_matches_hermite_quadrature():
     trace = run_chain(target, config, q0, 100_000, rng=gen)
     oracle = hermite_mean_acceptance(1.0, 0.2, 3, nodes=200)
     assert abs(trace.acceptance_rate - oracle) <= 0.01
+
+
+@pytest.mark.parametrize("eta, K", [(0.2, 3), (0.5, 1), (0.9, 3), (1.2, 1)])
+def test_exact_gaussian_acceptance_matches_hermite_quadrature_at_d1(eta, K):
+    # the Gauss-Hermite rule meets the kink of min(1, exp(delta H)) and is the looser of the two:
+    # the polar form (1/2pi) int min(1, 1 / (1 - 2 g(theta))) dtheta agrees with the exact
+    # oracle to 5e-12 at these points, and the 200-node rule to 1.4e-5
+    assert abs(exact_gaussian_acceptance(1, eta, K) - hermite_mean_acceptance(1.0, eta, K)) <= 5e-5
 
 
 def test_fixed_seed_bit_identical():

@@ -14,6 +14,7 @@ from _oracles import (
     gaussian_proposal_kl,
     gaussian_proposal_moments,
     whole_batch_forward_logdet,
+    whole_batch_invert,
 )
 from hmclab import overlap
 from hmclab.errors import ConvergenceError, SingularJacobian
@@ -78,6 +79,39 @@ def test_kl_hessian_rows_per_draw():
     assert target.hvp_rows == 2 * (K - 1) * target.d * n_mc
 
 
+def test_log_det_reads_the_fixed_point_orbit():
+    # the density evaluates the gradient rows of the inverse map alone; its log-det adds
+    # (K - 1) d Hessian-vector rows per row of y and no gradient row
+    target = CountingTarget(make_logistic(32, 16, seed=82))
+    K, eta, n = 4, 0.01, 300
+    gen = np.random.default_rng(82)
+    q0 = 0.3 * gen.standard_normal(16)
+    y = q0 + K * eta * gen.standard_normal((n, 16))
+    inverse_map(target, q0, y, K, eta)
+    inverse_rows = target.gradient_evals
+    target.gradient_evals = 0
+    proposal_log_density(target, q0, y, K, eta)
+    assert target.gradient_evals == inverse_rows
+    assert target.hvp_rows == (K - 1) * 16 * n
+
+
+def test_kl_runs_one_orbit_per_momentum():
+    # equal starts: one orbit per chunk, grad f(q0) once and K - 1 rows per draw.  Apart, each
+    # fixed-point step is one more such orbit, and the log-dets add no gradient row
+    target = CountingTarget(make_logistic(32, 16, seed=83))
+    K, eta, n_mc = 4, 0.01, 1000
+    gen = np.random.default_rng(83)
+    q0 = 0.3 * gen.standard_normal(16)
+    with mock.patch.object(overlap, "KL_CHUNK", 400):  # chunks of 400, 400 and 200 draws
+        kl_between_proposals(target, q0, q0, K, eta, n_mc, gen)
+    assert target.gradient_evals == n_mc * (K - 1) + 3
+    target.gradient_evals = 0
+    q1 = q0 + K * eta / 64.0 * np.eye(16)[0]
+    kl_between_proposals(target, q0, q1, K, eta, n_mc, gen)
+    per_orbit = n_mc * (K - 1) + 1
+    assert target.gradient_evals % per_orbit == 0 and target.gradient_evals >= 2 * per_orbit
+
+
 def _overlap_target(family: str, d: int, seed: int):
     if family == "diagonal":
         return GaussianTarget.diagonal(np.linspace(0.5, 2.0, d))
@@ -90,7 +124,8 @@ def _overlap_target(family: str, d: int, seed: int):
 
 def _check_blocks_match_whole_batch(dims, max_examples):
     # n draws on both sides of the one-, two- and three-block edges of the orbit's row blocks
-    # (max(256, 16384 // d) rows) or of the Jacobian recursion's sub-blocks (16384 // d^2 rows)
+    # (max(256, 16384 // d) rows) or of the Jacobian recursion's sub-blocks (16384 // d^2 rows);
+    # the push-forward, the fixed point and the analyses built on them against whole-batch runs
     hp = pytest.importorskip("hypothesis")
     st = hp.strategies
 
@@ -109,9 +144,14 @@ def _check_blocks_match_whole_batch(dims, max_examples):
         p = gen.standard_normal((n, d))
         y = q0 + K * eta * gen.standard_normal((n, d))
 
-        y_ours, ld_ours = overlap._forward_logdet(target, q0, p, K, eta)
+        positions = overlap._positions(target, q0, p, K, eta)
         y_ref, ld_ref = whole_batch_forward_logdet(target, q0, p, K, eta)
-        assert np.array_equal(y_ours, y_ref) and np.array_equal(ld_ours, ld_ref)
+        assert np.array_equal(positions[-1], y_ref)
+        assert np.array_equal(overlap._logdet(target, positions, eta), ld_ref)
+        (p_ours, orbit_ours), (p_ref, orbit_ref) = (
+            invert(target, q1, y_ref, K, eta) for invert in (overlap._invert, whole_batch_invert))
+        assert np.array_equal(p_ours, p_ref)
+        assert all(np.array_equal(a, b) for a, b in zip(orbit_ours, orbit_ref, strict=True))
 
         def analyses():
             kl = kl_between_proposals(target, q0, q1, K, eta, n, np.random.default_rng(seed))
@@ -119,7 +159,7 @@ def _check_blocks_match_whole_batch(dims, max_examples):
                 proposal_log_density(target, q0, y[0], K, eta)
 
         ours = analyses()
-        with mock.patch.object(overlap, "_forward_logdet", whole_batch_forward_logdet):
+        with mock.patch.object(overlap, "_invert", whole_batch_invert):
             ref = analyses()
         assert ours[0] == ref[0]
         assert np.array_equal(ours[1], ref[1]) and ours[1].shape == (n,)
@@ -145,7 +185,7 @@ def test_forward_logdet_memory_is_bounded_by_sub_blocks():
     q0, p = 0.3 * gen.standard_normal(16), gen.standard_normal((1000, 16))
     tracemalloc.start()
     try:
-        overlap._forward_logdet(target, q0, p, 4, 0.01)
+        overlap._logdet(target, overlap._positions(target, q0, p, 4, 0.01), 0.01)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
