@@ -474,6 +474,8 @@ def overlap_report(target: TargetDensity, q0, direction, separation, K: int, eta
     q0 = np.asarray(q0, dtype=float)
     if q0.shape != (target.d,):
         raise ValueError(f"q0 must have shape ({target.d},), got {q0.shape}")
+    if separation is not None and not 0 <= separation < math.inf:  # NaN fails both
+        raise ValueError(f"separation must be finite and non-negative, got {separation}")
     if direction is None:
         direction = rng.standard_normal(target.d)
     norm = np.linalg.norm(direction)

@@ -11,13 +11,19 @@ where <experiment> is one of acceptance-scaling, energy-scaling,
 mixing-estimate, overlap-check, lemma-suite, tensor-report, mala-vs-hmc.
 Experiment outputs are a CSV plus a JSON sidecar (config hash, git
 describe, wall time) and rerun bit-identically for a fixed seed.
+
+On glibc, `main` fixes malloc's mmap and trim thresholds at 4 and 8 MiB, so numpy's
+128 KiB-4 MiB temporaries are reused from the heap: under glibc's defaults each
+`overlap-check` call faulted ~10.5k pages in again. `import hmclab` leaves them alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -27,6 +33,18 @@ from .config import EXPERIMENTS, experiment_from_file, target_from_file
 from .kernel import HmcConfig, run_chains, traces_to_csv
 from .tensors import tensor_report, third_derivative_tensor
 from .tuning import COROLLARY_CONSTANTS, TheoryParams, best_hmc_params, mala_step_size
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Fix glibc's mmap and trim thresholds at 4 and 8 MiB; a no-op without glibc's mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no mallopt, or no CDLL(None) (Windows)
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD; setting either one ends glibc's dynamic rule
+    mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
 
 
 def _finite_vector(text: str) -> np.ndarray:
@@ -43,6 +61,15 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    """argparse type: a finite number of at least zero (a separation), checked before any
+    work starts; argparse's error names the option."""
+    value = float(text)
+    if not 0 <= value < math.inf:  # NaN fails both comparisons
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
     return value
 
 
@@ -159,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--q0", type=_finite_vector, default=None)
     p.add_argument("--direction", type=_finite_vector, default=None)
-    p.add_argument("--separation", type=float, default=None)
+    p.add_argument("--separation", type=_nonnegative_float, default=None)
     p.add_argument("--K", type=int, default=2)
     p.add_argument("--eta", type=float, default=0.1)
     p.add_argument("--n-mc", type=int, default=20000)
@@ -188,6 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_heap()
     args = build_parser().parse_args(argv)
     return args.func(args)
 

@@ -153,6 +153,7 @@ def kl_between_proposals(
     """
     if n_mc < 2:
         raise ValueError("need at least two Monte Carlo draws")
+    _check_schedule(eta, K)  # equal starts run no inverse map, which checks it too
     _check_dim(target)
     q0 = np.asarray(q0, dtype=float)
     n_done, mean, m2 = 0, 0.0, 0.0

@@ -246,6 +246,24 @@ def test_overlap_check_rejects_q0_of_wrong_shape(q0):
         run_experiment(cfg)
 
 
+@pytest.mark.parametrize("separation", [math.nan, math.inf, -1.0])
+def test_overlap_report_rejects_a_bad_separation_before_drawing(separation):
+    # nan and inf once failed as "inverse map iterate left the trusted region", and -1.0 ran and
+    # reported separation -1.0
+    gen = np.random.default_rng(0)
+    state = gen.bit_generator.state
+    with pytest.raises(ValueError, match="separation"):
+        bench.overlap_report(GaussianTarget.standard(2), np.zeros(2), None, separation, 2, 0.1, 100,
+                             gen)
+    assert gen.bit_generator.state == state
+
+
+def test_overlap_report_at_zero_separation():
+    report = bench.overlap_report(GaussianTarget.standard(2), np.zeros(2), None, 0.0, 2, 0.1, 100,
+                                  np.random.default_rng(0))
+    assert (report["separation"], report["kl"], report["std_error"]) == (0.0, 0.0, 0.0)
+
+
 def test_corollary_schedules():
     target = GaussianTarget.standard(256)
     cfg = ExperimentConfig(name="mixing-estimate", options={"eta": 0.33, "K": 5})

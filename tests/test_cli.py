@@ -1,5 +1,7 @@
+import functools
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import run_python
+from hmclab import cli
 from hmclab.bench import ExperimentConfig, corollary_schedule, run_experiment, run_overlap_check
 from hmclab.cli import build_parser, main
 from hmclab.config import build_target, experiment_from_file, parse_kv
@@ -282,6 +285,13 @@ class TestCli:
         with pytest.raises(ValueError, match="nonzero"):
             main(["overlap", "--config", gaussian_cfg, "--direction", "0,0", "--n-mc", "100"])
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_overlap_rejects_a_bad_separation_at_parse_time(self, gaussian_cfg, capsys, value):
+        # nan and inf once failed as "inverse map iterate left the trusted region"; -1 ran
+        with pytest.raises(SystemExit):
+            main(["overlap", "--config", gaussian_cfg, "--separation", value, "--n-mc", "100"])
+        assert "argument --separation:" in capsys.readouterr().err
+
     def test_lemmas_json(self, tmp_path, gaussian_cfg, capsys):
         rc = main(["lemmas", "--config", gaussian_cfg, "--ell", "2",
                    "--n-mc", "2000", "--seed", "2"])
@@ -363,6 +373,54 @@ class TestCli:
         assert main(["tensor-report", "--config", path, "--out", str(out)]) == 0
         row = out.read_text().splitlines()[1].split(",")
         assert float(row[1]) > 0.0  # a nonzero third derivative: the ridge target, not a Gaussian
+
+
+#: CI's synthetic-logistic overlap-check: 1000 KL draws at d = 16
+OVERLAP_CFG = ("dims = 16\nseeds = 0\ntarget.family = logistic\ntarget.dim = 16\ntarget.n = 32\n"
+               "K = 4\neta = 0.01\nn_mc = 1000\n")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's mallopt")
+def test_cli_keeps_its_freed_heap_with_the_same_bytes(tmp_path):
+    # glibc's default thresholds hand the log-determinant's 128 KiB-1 MiB temporaries back to
+    # the OS, so every overlap-check call in one process faulted ~10.5k pages in again
+    cfg = write(tmp_path / "overlap.cfg", OVERLAP_CFG)
+    code = ("import resource, sys\n"
+            "from hmclab.cli import main\n"
+            "cfg, out = sys.argv[1:]\n"
+            "for _ in range(2):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    main(['overlap-check', '--config', cfg, '--out', out])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    faults = int(run_python(code, cfg, str(tmp_path / "cli.csv")).splitlines()[-1])
+    assert faults < 1000
+    # a fresh interpreter that never ran main keeps glibc's defaults: the bytes are the same
+    code = ("import sys\n"
+            "from hmclab.bench import run_experiment\n"
+            "from hmclab.config import experiment_from_file\n"
+            "cfg, out = sys.argv[1:]\n"
+            "run_experiment(experiment_from_file(cfg, name='overlap-check'), out=out)\n")
+    run_python(code, cfg, str(tmp_path / "library.csv"))
+    assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [_no_c_library, lambda name: object()],
+                         ids=["no-library", "no-mallopt"])
+def test_cli_runs_where_mallopt_cannot_be_called(tmp_path, monkeypatch, cdll):
+    calls = []
+    monkeypatch.setattr("ctypes.CDLL", lambda name: calls.append(name) or cdll(name))
+    # a fresh cache, so this process's main looks for mallopt again
+    monkeypatch.setattr(cli, "_keep_freed_heap", functools.cache(cli._keep_freed_heap.__wrapped__))
+    cfg = write(tmp_path / "overlap.cfg", OVERLAP_CFG)
+    out, lib = tmp_path / "cli.csv", tmp_path / "library.csv"
+    assert main(["overlap-check", "--config", cfg, "--out", str(out)]) == 0
+    assert calls == [None]
+    run_experiment(experiment_from_file(cfg, name="overlap-check"), out=str(lib))
+    assert out.read_bytes() == lib.read_bytes()
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -214,6 +214,20 @@ def test_kl_singular_jacobian():
         kl_between_proposals(t, np.zeros(1), np.zeros(1), 2, 1.9, 10, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("eta, K", [(math.nan, 2), (-0.1, 2), (0.0, 2), (math.inf, 2), (0.1, 0),
+                                    (0.1, 2.5)])
+@pytest.mark.parametrize("offset", [0.0, 0.001], ids=["equal-starts", "distinct-starts"])
+def test_kl_rejects_a_bad_schedule_before_drawing(eta, K, offset):
+    # with equal starts no inverse map checked the schedule: eta = nan returned (nan, nan) and
+    # eta = -0.1 returned (0.0, 0.0); with distinct starts the check came after the first draw
+    gen = np.random.default_rng(0)
+    state = gen.bit_generator.state
+    with pytest.raises(ValueError, match="step-size eta|leapfrog step"):
+        kl_between_proposals(GaussianTarget.standard(2), np.zeros(2), np.full(2, offset), K, eta,
+                             100, gen)
+    assert gen.bit_generator.state == state
+
+
 def test_dense_analyses_capped_at_d64():
     t = GaussianTarget.standard(65)
     q = np.zeros(65)
