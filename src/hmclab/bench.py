@@ -41,6 +41,7 @@ from .config import TARGET_KEYS, ExperimentConfig, build_target, target_family
 from .errors import BudgetExhausted
 from .diagnostics import integrated_autocorr_time, tv_projection_estimate
 from .kernel import _drive
+from .leapfrog import _check_points
 from .moments import (
     MomentReport,
     _require_sizes,
@@ -472,8 +473,11 @@ def overlap_report(target: TargetDensity, q0, direction, separation, K: int, eta
     with the Pinsker TV and both lemma bounds.  A None direction is drawn
     from rng; a None separation is K eta / 64."""
     q0 = np.asarray(q0, dtype=float)
-    if q0.shape != (target.d,):
-        raise ValueError(f"q0 must have shape ({target.d},), got {q0.shape}")
+    points = {"q0": q0} if direction is None else {"q0": q0, "direction": direction}
+    for name, x in points.items():
+        if np.shape(x) != (target.d,):
+            raise ValueError(f"{name} must have shape ({target.d},), got {np.shape(x)}")
+    _check_points(target.d, **points)
     if separation is not None and not 0 <= separation < math.inf:  # NaN fails both
         raise ValueError(f"separation must be finite and non-negative, got {separation}")
     if direction is None:

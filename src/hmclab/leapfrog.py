@@ -16,23 +16,24 @@ Wanner, Geometric Numerical Integration)
 
     D_{j+1} = 2 D_j - D_{j-1} - eta^2 H(q_j) D_j,      D_0 = 0,  D_1 = eta I,
 
-which `_jacobians` runs with dense matrices on the positions q_1..q_{K-1}
-of an `_orbit`: K gradient rows, K-1 Hessian-matrix products and O(d^2)
-memory per batch entry.  The orbit's gradients are 2-D matrix products,
-whose rows BLAS rounds as in the whole batch only from `_MIN_BLOCK_ROWS`
-rows up, so batched orbits run in `_row_blocks`.  The recursion's Hessian
-products are stacked per-entry matrix products, which have no such floor:
-the overlap analysis runs the recursion in L2-sized sub-blocks of
-max(1, 16384 // d^2) entries, since floored blocks make megabytes of
-temporaries per step that the heap hands back to the OS and faults in
-again on the next.
+which `_jacobians` runs on the positions q_1..q_{K-1} of an `_orbit`: K
+gradient rows, K-1 dense Hessians from one `hessian` call, K-2 d x d
+products and O(K d^2) memory per batch entry.  The orbit's gradients are
+2-D matrix products, whose rows BLAS rounds as in the whole batch only from
+`_MIN_BLOCK_ROWS` rows up, so batched orbits run in `_row_blocks`.  The
+recursion's Hessians and products are stacked per-entry matrix products,
+which have no such floor (one 2-D product of every entry's Hessian rows
+would round a row by the row count of its call): the overlap analysis runs
+the recursion in L2-sized sub-blocks of max(1, 16384 // d^2) entries, since
+floored blocks make megabytes of temporaries per step that the heap hands
+back to the OS and faults in again on the next.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +114,16 @@ def _check_schedule(eta: float, K: int) -> None:
         raise ValueError("need at least one leapfrog step")
 
 
+def _check_points(d: int, **points: Array) -> None:
+    """Each named point has last axis d and finite entries; the ValueError names it."""
+    for name, x in points.items():
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (d,):
+            raise ValueError(f"{name} must have last axis {d}, got shape {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError(f"{name} must be finite")
+
+
 def _orbit(
     target: TargetDensity, q: Array, p: Array, K: int, eta: float, g: Array | None = None,
     last_gradient: bool = True,
@@ -177,30 +188,27 @@ def leapfrog_final(target: TargetDensity, q: Array, p: Array, K: int, eta: float
         return q, p, _in_bounds(q, (p * p).sum(axis=-1))
 
 
-def _hessian_mat(target: TargetDensity, q: Array, m: Array) -> Array:
-    """H(q) @ m for m of shape (..., d, d), batched over leading axes."""
-    cols = target.hessian_vec(q[..., None, :], np.swapaxes(m, -1, -2))
-    return np.swapaxes(cols, -1, -2)
-
-
-def _jacobians(target: TargetDensity, positions: Iterable[Array], eta: float, batch_shape: tuple):
-    """Yield D_1..D_K from the orbit positions q_1..q_{K-1}, batched over batch_shape.
+def _jacobians(target: TargetDensity, positions: Array, eta: float):
+    """Yield D_1..D_K from the orbit positions q_1..q_{K-1}, stacked per entry as (..., K-1, d).
 
     D_j is the dense (..., d, d) derivative of q_j with respect to the
     initial momentum, from the three-term recursion in the module docstring.
-    It never reads H(q_K): a batch entry costs K-1 Hessian-matrix products,
-    and with the positions from `_orbit(..., last_gradient=False)` K
-    gradient rows.  The products are stacked per-entry matrix products, so
-    an entry's bits do not depend on the batch it runs in.
+    It never reads H(q_K): an entry costs one `hessian` call's K-1 Hessians,
+    the K-2 products H(q_j) D_j after the first step and, with the positions
+    from `_orbit(..., last_gradient=False)`, K gradient rows.  Both are stacked
+    per-entry matrix products, so an entry's bits do not depend on its batch.
     """
-    eye = np.broadcast_to(np.eye(target.d), batch_shape + (target.d, target.d))
-    # the recursion runs on E_j = D_j - j eta I, which obeys it too with
-    # E_0 = E_1 = 0, so the large identity part is never rounded into it
-    prev = dev = 0.0
-    jac = eta * eye
+    eye = np.eye(target.d)
+    jac = eta * np.broadcast_to(eye, positions.shape[:-2] + eye.shape)
     yield jac
-    for j, q in enumerate(positions, start=1):
-        prev, dev = dev, 2.0 * dev - prev - eta**2 * _hessian_mat(target, q, jac)
+    if positions.shape[-2] == 0:  # K = 1
+        return
+    scaled = eta**2 * target.hessian(positions)
+    # the recursion runs on E_j = D_j - j eta I, which obeys it too with E_0 = E_1 = 0,
+    # so the large identity part is never rounded into it; step 1 takes no product
+    prev = dev = 0.0
+    for j, h in enumerate(np.moveaxis(scaled, -3, 0), start=1):
+        prev, dev = dev, 2.0 * dev - prev - (h @ jac if j > 1 else eta * h)
         jac = (j + 1) * eta * eye + dev
         yield jac
 
@@ -221,10 +229,11 @@ def momentum_jacobian(
     _check_schedule(eta, K)
     if target.d > MAX_JACOBIAN_DIM:
         raise ValueError(f"dense momentum Jacobian capped at d <= {MAX_JACOBIAN_DIM}")
+    _check_points(target.d, q0=q0, p0=p0)
     q0, p0 = np.broadcast_arrays(np.asarray(q0, dtype=float), np.asarray(p0, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
-        positions = [q for q, _, _ in _orbit(target, q0, p0, K, eta, last_gradient=False)]
-        out = list(_jacobians(target, positions[:-1], eta, q0.shape[:-1]))
+        orbit = [q for q, _, _ in _orbit(target, q0, p0, K, eta, last_gradient=False)]
+        out = list(_jacobians(target, np.stack(orbit, axis=-2)[..., :-1, :], eta))
     if not np.all(np.isfinite(out[-1])):
         raise DivergedTrajectory("Jacobian recursion left the trusted region")
     return out if return_all else out[-1]

@@ -13,7 +13,8 @@ only position orbits, no Jacobian.  The proposal log-density at y is
     log rho(y) = log phi(G(q0, y)) - log det D2F(q0, G(q0, y)),
 
 using det D2G = 1 / det D2F, read off the orbit that confirmed G(q0, y): the
-one place dense d x d matrices are formed, an L2-sized sub-block at a time.
+one place dense d x d matrices are formed, an L2-sized sub-block at a time,
+as K-1 Hessians from one `hessian` call and K-2 d x d products.
 The KL divergence between proposals launched from q0 and from a nearby start
 is estimated by Monte Carlo over p after the same change of variables.
 """
@@ -26,7 +27,8 @@ import numpy as np
 
 from .errors import ConvergenceError, SingularJacobian
 from .leapfrog import (
-    _BLOCK_DOUBLES, MAX_JACOBIAN_DIM, _check_schedule, _in_bounds, _jacobians, _orbit, _row_blocks,
+    _BLOCK_DOUBLES, MAX_JACOBIAN_DIM, _check_points, _check_schedule, _in_bounds, _jacobians, _orbit,
+    _row_blocks,
 )
 from .targets import TargetDensity
 
@@ -61,14 +63,15 @@ def _positions(target: TargetDensity, q0: Array, p: Array, K: int, eta: float) -
 def _logdet(target: TargetDensity, positions: list[Array], eta: float) -> Array:
     """log det D2F_K per draw from `_positions`' orbit, in L2-sized sub-blocks of draws.
 
-    Memory is O(sub-block d max(d, m)) with m data rows; each draw's bits are those of
+    Memory is O(sub-block K d max(d, m)) with m data rows; each draw's bits are those of
     one whole-batch recursion.  Raises SingularJacobian on a non-positive determinant.
     """
     logdet = np.empty(positions[0].shape[:-1])
     step = max(1, _BLOCK_DOUBLES // target.d**2)
     subs = [...] if logdet.ndim == 0 else [slice(i, i + step) for i in range(0, len(logdet), step)]
+    stacked = np.stack(positions, axis=-2)[..., :-1, :]  # q_1..q_{K-1} of each draw
     for sub in subs:
-        for jac in _jacobians(target, [q[sub] for q in positions[:-1]], eta, logdet[sub].shape):
+        for jac in _jacobians(target, stacked[sub], eta):
             pass
         sign, logdet[sub] = np.linalg.slogdet(jac)
         if np.any(sign <= 0):
@@ -116,6 +119,7 @@ def inverse_map(
     ConvergenceError when a row's residual is still above tol after
     max_iter steps or an iterate's q_K leaves the trusted region.
     """
+    _check_points(target.d, q0=q0, y=y)
     return _invert(target, q0, y, K, eta, tol, max_iter)[0]
 
 
@@ -131,6 +135,7 @@ def proposal_log_density(
     y of shape (d,) gives one value, and (n, d) gives n values.
     """
     _check_dim(target)
+    _check_points(target.d, q0=q0, y=y)
     p, positions = _invert(target, q0, y, K, eta)
     log_phi = -0.5 * (p * p).sum(axis=-1) - 0.5 * target.d * math.log(2.0 * math.pi)
     return log_phi - _logdet(target, positions, eta)
@@ -155,6 +160,7 @@ def kl_between_proposals(
         raise ValueError("need at least two Monte Carlo draws")
     _check_schedule(eta, K)  # equal starts run no inverse map, which checks it too
     _check_dim(target)
+    _check_points(target.d, q0=q0, q0_tilde=q0_tilde)
     q0 = np.asarray(q0, dtype=float)
     n_done, mean, m2 = 0, 0.0, 0.0
     while n_done < n_mc:

@@ -3,8 +3,8 @@
 Every evaluator broadcasts over leading batch axes: positions have shape
 (..., d), potentials come back with shape (...,) and gradients with shape
 (..., d).  Second and third derivatives are exposed as contraction
-evaluators (Hessian-vector products and third-derivative contractions),
-never as materialized d^2 / d^3 arrays.
+evaluators (Hessian-vector products and third-derivative contractions);
+the one dense evaluator, `hessian`, feeds the Jacobian recursion at d <= 64.
 """
 
 from __future__ import annotations
@@ -46,6 +46,10 @@ class TargetDensity:
         raise UnsupportedCapability(
             f"{type(self).__name__} has no second-derivative evaluator"
         )
+
+    def hessian(self, q: Array) -> Array:
+        """The dense Hessian at q, shape (..., d, d): hessian_vec on the identity's columns."""
+        return self.hessian_vec(q[..., None, :], np.eye(self.d))
 
     def third_contract(self, q: Array, u: Array, v: Array) -> Array:
         raise UnsupportedCapability(
@@ -116,6 +120,9 @@ class GaussianTarget(TargetDensity):
     def hessian_vec(self, q: Array, v: Array) -> Array:
         hv = self._diag * v if self._diag is not None else v @ self.precision
         return np.broadcast_arrays(q, hv)[1].copy()
+
+    def hessian(self, q: Array) -> Array:
+        return np.broadcast_to(self.precision, q.shape[:-1] + (self.d, self.d)).copy()
 
     def third_contract(self, q: Array, u: Array, v: Array) -> Array:
         shape = np.broadcast_shapes(q.shape, u.shape, v.shape)
@@ -211,6 +218,20 @@ def named_potential(name: str) -> UnivariatePotential:
         raise ValueError(f"unknown univariate potential {name!r}") from None
 
 
+def _outer_sum(w: Array, rows: Array) -> Array:
+    """sum_i w[..., i] r_i r_i' over the rows r_i of an (n, d) matrix, shape (..., d, d).
+
+    The table of outer products is built per call, 2^17 / d^2 rows (1 MiB) at a time,
+    and each chunk's sum is one matrix product."""
+    d = rows.shape[1]
+    step = max(1, 2**17 // d**2)
+    table = lambda r: (r[:, :, None] * r[:, None, :]).reshape(-1, d * d)
+    out = w[..., :step] @ table(rows[:step])
+    for i in range(step, len(rows), step):
+        out += w[..., i:i + step] @ table(rows[i:i + step])
+    return out.reshape(w.shape[:-1] + (d, d))
+
+
 class RidgeSeparableTarget(TargetDensity):
     """f(theta) = sum_i u_i(a_i' theta) with unit direction vectors a_i.
 
@@ -267,6 +288,9 @@ class RidgeSeparableTarget(TargetDensity):
     def hessian_vec(self, q: Array, v: Array) -> Array:
         w = self._apply("d2", self._z(q)) * (v @ self.directions.T)
         return w @ self.directions
+
+    def hessian(self, q: Array) -> Array:
+        return _outer_sum(self._apply("d2", self._z(q)), self.directions)
 
     def third_contract(self, q: Array, u: Array, v: Array) -> Array:
         w = self._apply("d3", self._z(q)) * (u @ self.directions.T) * (v @ self.directions.T)
@@ -339,6 +363,12 @@ class LogisticPosteriorTarget(TargetDensity):
         s = _sigmoid(q @ self.x.T)
         w = s * (1.0 - s)
         return (w * (v @ self.x.T)) @ self.x + self.alpha2 * v
+
+    def hessian(self, q: Array) -> Array:
+        e = np.exp(-np.abs(q @ self.x.T))
+        h = _outer_sum(e / (1.0 + e) ** 2, self.x)  # loss'' = s (1 - s) = e / (1 + e)^2
+        h.reshape(h.shape[:-2] + (self.d**2,))[..., :: self.d + 1] += self.alpha2  # the diagonal
+        return h
 
     def third_contract(self, q: Array, u: Array, v: Array) -> Array:
         s = _sigmoid(q @ self.x.T)

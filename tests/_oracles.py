@@ -125,25 +125,49 @@ def momentum_jacobian_sum_form(target, q0, p0, K: int, eta: float) -> list[np.nd
 def whole_batch_forward_logdet(target, q0, p, K: int, eta: float):
     """(F_K(q0, p), log det D2F_K(q0, p)) from one dense recursion over all rows of p.
 
-    The overlap analysis before it blocked its rows: the Jacobian recursion
-    interleaved with the leapfrog orbit on the whole batch, so an (n, d, d)
-    Jacobian, then `slogdet` with the positive-sign check.  grad f(q0) is
-    evaluated once, at q0's own shape, as the analysis does.
+    The analysis's arithmetic without its sub-blocks: the K-1 Hessians of every
+    row from one `hessian` call on the whole batch's stacked orbit positions,
+    the recursion on E_j = D_j - j eta I with one product H_j D_j per step
+    after the first, over an (n, d, d) batch, then `slogdet` with the
+    positive-sign check.  grad f(q0) is evaluated once, at q0's own shape, as
+    the analysis does.
+    """
+    g0 = target.gradient(np.asarray(q0, dtype=float))
+    q0, p = np.broadcast_arrays(np.asarray(q0, dtype=float), np.asarray(p, dtype=float))
+    positions = [q for q, _, _ in _orbit(target, q0, p, K, eta, g0, last_gradient=False)]
+    eye = np.eye(target.d)
+    jac = eta * np.broadcast_to(eye, q0.shape[:-1] + eye.shape)
+    dev = prev = 0.0
+    if K > 1:
+        scaled = eta**2 * target.hessian(np.stack(positions[:-1], axis=-2))
+        for j in range(1, K):
+            h = scaled[..., j - 1, :, :]
+            prev, dev = dev, 2.0 * dev - prev - (eta * h if j == 1 else h @ jac)
+            jac = (j + 1) * eta * eye + dev
+    sign, logdet = np.linalg.slogdet(jac)
+    if np.any(sign <= 0):
+        raise SingularJacobian("momentum Jacobian has non-positive determinant")
+    return positions[-1], logdet
+
+
+def hvp_recursion_jacobians(target, q0, p, K: int, eta: float) -> list[np.ndarray]:
+    """[D_1, ..., D_K] from the recursion as it ran on Hessian-matrix products.
+
+    D_{j+1} = 2 D_j - D_{j-1} - eta^2 H(q_j) D_j on E_j = D_j - j eta I, each
+    H(q_j) D_j taken as d stacked `hessian_vec` columns of D_j, over all rows of
+    p at once; the accuracy reference for the dense-Hessian recursion.
     """
     g0 = target.gradient(np.asarray(q0, dtype=float))
     q0, p = np.broadcast_arrays(np.asarray(q0, dtype=float), np.asarray(p, dtype=float))
     eye = np.broadcast_to(np.eye(target.d), q0.shape[:-1] + (target.d, target.d))
     prev = dev = 0.0
-    jac = eta * eye
+    jacs = [eta * eye]
     for j, (q, _, _) in enumerate(_orbit(target, q0, p, K, eta, g0, last_gradient=False), start=1):
         if j < K:
-            cols = target.hessian_vec(q[..., None, :], np.swapaxes(jac, -1, -2))
+            cols = target.hessian_vec(q[..., None, :], np.swapaxes(jacs[-1], -1, -2))
             prev, dev = dev, 2.0 * dev - prev - eta**2 * np.swapaxes(cols, -1, -2)
-            jac = (j + 1) * eta * eye + dev
-    sign, logdet = np.linalg.slogdet(jac)
-    if np.any(sign <= 0):
-        raise SingularJacobian("momentum Jacobian has non-positive determinant")
-    return q, logdet
+            jacs.append((j + 1) * eta * eye + dev)
+    return jacs
 
 
 def whole_batch_invert(target, q0, y, K: int, eta: float, tol: float = 1e-10, max_iter: int = 50):

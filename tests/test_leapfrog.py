@@ -171,7 +171,8 @@ def test_momentum_jacobian_matches_sum_form_oracle():
 
 @pytest.mark.parametrize("K", [1, 2, 5])
 def test_momentum_jacobian_evaluation_counts(K):
-    # grad f(q_K) is never read: K gradient rows and (K - 1) d Hessian-vector rows per entry
+    # grad f(q_K) is never read: K gradient rows and K - 1 Hessians per entry, which the
+    # counting wrapper forms by the default `hessian`, d Hessian-vector rows each
     target = CountingTarget(make_logistic(6, 3, seed=K))
     q0, p0 = np.random.default_rng(K).standard_normal((2, 4, 3))
     jacs = momentum_jacobian(target, q0, p0, K, 0.2, return_all=True)

@@ -13,10 +13,11 @@ from _oracles import (
     gaussian_forward_blocks,
     gaussian_proposal_kl,
     gaussian_proposal_moments,
+    hvp_recursion_jacobians,
     whole_batch_forward_logdet,
     whole_batch_invert,
 )
-from hmclab import overlap
+from hmclab import bench, overlap
 from hmclab.errors import ConvergenceError, SingularJacobian
 from hmclab.leapfrog import PhaseState, forward_map, momentum_jacobian
 from hmclab.overlap import (
@@ -70,7 +71,8 @@ def test_inverse_map_takes_no_hessian_products(rng):
 
 
 def test_kl_hessian_rows_per_draw():
-    # one Jacobian recursion per start: 2 (K - 1) d Hessian-vector rows per draw
+    # one Jacobian recursion per start: 2 (K - 1) Hessians per draw, which the counting
+    # wrapper forms by the default `hessian`, d Hessian-vector rows each
     target = CountingTarget(make_logistic(8, 4, seed=79))
     K, n_mc = 3, 50
     eta = 0.25 / (K * math.sqrt(target.smoothness))
@@ -177,6 +179,26 @@ def test_jacobian_row_blocks_match_whole_batch_d64():
     _check_blocks_match_whole_batch([64], max_examples=6)
 
 
+@pytest.mark.parametrize("family", ["diagonal", "dense", "logistic", "ridge"])
+@pytest.mark.parametrize("d", [1, 2, 5, 16, 64])
+def test_dense_hessian_recursion_matches_hessian_products(family, d):
+    # D_K from dense Hessians and K - 2 d x d products against the recursion on K - 1
+    # Hessian-matrix products of hessian_vec columns, at the regime bound K eta sqrt(L) = 1/4
+    target = _overlap_target(family, d, seed=d)
+    gen = np.random.default_rng(d)
+    q0 = 0.3 * gen.standard_normal(d)
+    p = gen.standard_normal((6, d))
+    for K in range(1, 5):
+        eta = 0.25 / (K * math.sqrt(target.smoothness))
+        ref = hvp_recursion_jacobians(target, q0, p, K, eta)
+        ld_ref = np.linalg.slogdet(ref[-1])[1]
+        ld = overlap._logdet(target, overlap._positions(target, q0, p, K, eta), eta)
+        assert np.abs(ld - ld_ref).max() <= 1e-14 * np.abs(ld_ref).max()
+        jacs = momentum_jacobian(target, q0, p, K, eta, return_all=True)
+        for jac, jac_ref in zip(jacs, ref, strict=True):
+            assert np.abs(jac - jac_ref).max() <= 1e-14 * np.abs(jac_ref).max()
+
+
 def test_forward_logdet_memory_is_bounded_by_sub_blocks():
     # 1000 draws at d = 16 are one orbit block; the recursion's 64-draw sub-blocks peak near
     # 2 MiB, where 333-draw Jacobian blocks peaked at 5.75 MiB
@@ -225,6 +247,56 @@ def test_kl_rejects_a_bad_schedule_before_drawing(eta, K, offset):
     with pytest.raises(ValueError, match="step-size eta|leapfrog step"):
         kl_between_proposals(GaussianTarget.standard(2), np.zeros(2), np.full(2, offset), K, eta,
                              100, gen)
+    assert gen.bit_generator.state == state
+
+
+_BAD_POINTS = {"short": np.zeros(1), "nan": np.array([np.nan, 0.0, 0.0, 0.0]),
+               "inf": np.array([0.0, np.inf, 0.0, 0.0])}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_POINTS))
+@pytest.mark.parametrize("arg", ["q0", "q0_tilde"])
+def test_kl_rejects_a_malformed_start_before_drawing(arg, bad):
+    # a (1,) start was broadcast to every coordinate and returned a KL; a NaN start failed
+    # as an inverse map that left the trusted region
+    gen = np.random.default_rng(0)
+    state = gen.bit_generator.state
+    starts = {"q0": np.zeros(4), "q0_tilde": np.full(4, 0.001), arg: _BAD_POINTS[bad]}
+    with pytest.raises(ValueError, match=f"^{arg} must"):
+        kl_between_proposals(GaussianTarget.standard(4), starts["q0"], starts["q0_tilde"], 2, 0.1,
+                             100, gen)
+    assert gen.bit_generator.state == state
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_POINTS))
+@pytest.mark.parametrize("arg", ["q0", "y"])
+def test_density_and_inverse_map_reject_a_malformed_point(arg, bad):
+    points = {"q0": np.zeros(4), "y": np.full((3, 4), 0.01), arg: _BAD_POINTS[bad]}
+    for call in (proposal_log_density, inverse_map):
+        with pytest.raises(ValueError, match=f"^{arg} must"):
+            call(GaussianTarget.standard(4), points["q0"], points["y"], 2, 0.1)
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_POINTS))
+@pytest.mark.parametrize("arg", ["q0", "p0"])
+def test_momentum_jacobian_rejects_a_malformed_point(arg, bad):
+    # a (1,) momentum was broadcast to every coordinate and gave a 4 x 4 Jacobian
+    points = {"q0": np.zeros(4), "p0": np.ones(4), arg: _BAD_POINTS[bad]}
+    with pytest.raises(ValueError, match=f"^{arg} must"):
+        momentum_jacobian(GaussianTarget.standard(4), points["q0"], points["p0"], 2, 0.1)
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_POINTS))
+@pytest.mark.parametrize("arg", ["q0", "direction"])
+def test_overlap_report_rejects_a_malformed_point_before_drawing(arg, bad):
+    # a (1,) direction reported separation 0.01 for starts 0.02 apart; an inf component
+    # raised a RuntimeWarning, then failed as an inverse map that left the trusted region
+    gen = np.random.default_rng(0)
+    state = gen.bit_generator.state
+    points = {"q0": np.zeros(4), "direction": np.ones(4), arg: _BAD_POINTS[bad]}
+    with pytest.raises(ValueError, match=f"^{arg} must"):
+        bench.overlap_report(GaussianTarget.standard(4), points["q0"], points["direction"], 0.01,
+                             2, 0.1, 100, gen)
     assert gen.bit_generator.state == state
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from conftest import make_dense_gaussian, make_logistic, make_mixed_ridge, make_ridge
 from _oracles import finite_diff_gradient, sigmoid_masked
+from hmclab.config import TARGET_KEYS, build_target
 from hmclab.errors import UnsupportedCapability
 from hmclab.targets import (
     GaussianTarget,
@@ -197,6 +199,56 @@ def test_batched_evaluators_match_loops(rng):
                 assert_allclose(pot[i, j], target.potential(q[i, j]))
                 assert_allclose(grad[i, j], target.gradient(q[i, j]), atol=1e-13)
                 assert_allclose(hv[i, j], target.hessian_vec(q[i, j], v[i, j]), atol=1e-13)
+
+
+def _hessian_target(family, d, n, seed, potential):
+    if family == "dense-gaussian":
+        return make_dense_gaussian(d, seed=seed)
+    cfg = {"gaussian": {"precision": list(np.linspace(0.5, 2.0, d)) if d > 1 else None, "dim": d},
+           "ridge": {"dim": d, "n": n, "directions_seed": seed, "potential": potential},
+           "logistic": {"dim": d, "n": n, "alpha2": 0.5, "data_seed": seed},
+           "two-layer": {"m": n % 3 + 1, "n": n, "dprime": d, "data_seed": seed}}[family]
+    return build_target({"family": family, **cfg})
+
+
+def test_dense_hessian_matches_hessian_vec_columns():
+    # every family's hessian(q) is the symmetric matrix whose columns hessian_vec gives, at
+    # any leading shape; the data families form it from a table of row outer products
+    hp = pytest.importorskip("hypothesis")
+    st = hp.strategies
+
+    @hp.settings(derandomize=True, deadline=None, max_examples=60)
+    @hp.given(st.sampled_from(sorted(TARGET_KEYS) + ["dense-gaussian"]), st.integers(1, 7),
+              st.integers(1, 12), st.integers(0, 2**16),
+              st.sampled_from(["logcosh", "sine", "quadratic"]),
+              st.sampled_from([(), (3,), (2, 3)]))
+    def check(family, d, n, seed, potential, lead):
+        target = _hessian_target(family, d, n, seed, potential)
+        q = np.random.default_rng(seed).standard_normal(lead + (target.d,))
+        h = target.hessian(q)
+        cols = np.stack([target.hessian_vec(q, e) for e in np.eye(target.d)], axis=-1)
+        scale = max(1.0, float(np.abs(cols).max()))
+        assert h.shape == lead + (target.d, target.d)
+        assert np.abs(h - cols).max() <= 1e-12 * scale
+        assert np.abs(h - np.swapaxes(h, -1, -2)).max() <= 1e-12 * scale
+
+    check()
+
+
+def test_logistic_hessian_memory_is_bounded_by_table_chunks():
+    # 4096 data rows at d = 64: a table of every row's outer product would take 128 MiB; it is
+    # built in 1 MiB chunks, so 12 Hessians take at most 4 MiB beyond their 384 KiB output
+    target = make_logistic(4096, 64, seed=16)
+    q = np.random.default_rng(16).standard_normal((12, 64))
+    tracemalloc.start()
+    try:
+        h = target.hessian(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - h.nbytes <= 4 * 2**20
+    ref = np.stack([target.hessian_vec(q, e) for e in np.eye(64)], axis=-1)
+    assert np.abs(h - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_logistic_is_convex(rng):
