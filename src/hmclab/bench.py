@@ -41,7 +41,7 @@ from .config import TARGET_KEYS, ExperimentConfig, build_target, target_family
 from .errors import BudgetExhausted
 from .diagnostics import integrated_autocorr_time, tv_projection_estimate
 from .kernel import _drive
-from .leapfrog import _check_points
+from .leapfrog import _check_points, _check_schedule, _check_time
 from .moments import (
     MomentReport,
     _require_sizes,
@@ -397,7 +397,7 @@ def run_mala_vs_hmc(cfg: ExperimentConfig):
     the summary records each method's (eta, K).  Each method runs the chains
     of every seed as one block.
     """
-    d = cfg.dims[-1]
+    d = cfg.dims[0]
     target = GaussianTarget.standard(d)
     budget = int(cfg.option("grad_budget"))
     n_rep = int(cfg.option("n_rep"))
@@ -445,6 +445,10 @@ def run_energy_scaling(cfg: ExperimentConfig):
     ell = int(cfg.option("ell"))
     n_mc = int(cfg.option("n_mc"))
     etas = [float(e) for e in np.atleast_1d(cfg.option("etas"))]
+    for eta in etas:  # before any unit runs; the slope fit would be the first to fail
+        if not 0 < eta < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"energy-scaling needs every entry of etas positive and finite, "
+                             f"got {eta}")
     eta_fixed, d_fixed = 0.05, 64  # the d-sweep's step size, the eta-sweep's dimension
     points = [("eta-sweep", d_fixed, eta) for eta in etas]
     points += [("d-sweep", d, eta_fixed) for d in cfg.dims]
@@ -519,9 +523,12 @@ def lemma_reports(target: TargetDensity, ells, eta: float, n_mc: int, rng: np.ra
     exact for Gaussian targets and come from HMC runs at sampler_eta
     otherwise.  The energy-error check, and the continuous-drift checks when
     t is given, need the target's gamma and run only when it declares one.
-    n_mc and every ell are checked before the sampler warms up or draws."""
+    n_mc, every ell, eta and t are checked before the sampler warms up or draws."""
     for ell in ells:
         _require_sizes(ell, n_mc)
+    _check_schedule(eta, 1)  # the energy-error check's one leapfrog step
+    if t is not None:
+        _check_time(t)
     if isinstance(target, GaussianTarget):
         sampler = exact_gaussian_sampler(target, rng)
     else:
@@ -552,10 +559,9 @@ def run_lemma_suite(cfg: ExperimentConfig):
         float(cfg.option("eta")), int(cfg.option("n_mc")), _rng(cfg.seeds[0], 0),
         t=None if t is None else float(t), sampler_warmup=int(cfg.option("sampler_warmup")),
     )
-    header = ["quantity", "ell", "empirical", "std_error",
-              "bound", "slack_ratio", "violated", "calibration"]
+    header = list(MomentReport.COLUMNS)
     rows = [tuple(getattr(rep, h) for h in header) for rep in reports]
-    n_violated = sum(1 for r in rows if r[6])
+    n_violated = sum(1 for rep in reports if rep.violated)
     return header, rows, {"n_reports": len(rows), "n_violated": n_violated}
 
 

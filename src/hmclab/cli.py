@@ -65,8 +65,8 @@ def _positive_int(text: str) -> int:
 
 
 def _nonnegative_float(text: str) -> float:
-    """argparse type: a finite number of at least zero (a separation), checked before any
-    work starts; argparse's error names the option."""
+    """argparse type: a finite number of at least zero (a separation, a time), checked before
+    any work starts; argparse's error names the option."""
     value = float(text)
     if not 0 <= value < math.inf:  # NaN fails both comparisons
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--ell", type=int, default=2)
     p.add_argument("--eta", type=float, default=0.05)
-    p.add_argument("--t", type=float, default=None,
+    p.add_argument("--t", type=_nonnegative_float, default=None,
                    help="also run the continuous-drift checks at this time")
     p.add_argument("--n-mc", type=int, default=20000)
     p.add_argument("--sampler-eta", type=float, default=0.1)

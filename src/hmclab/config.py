@@ -82,6 +82,9 @@ class ExperimentConfig:
             raise ValueError("dimension list must be ascending")
         if self.schedule not in ("fixed", "corollary-hmc", "corollary-mala"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
+        if self.name == "mala-vs-hmc" and len(self.dims) > 1:
+            raise ValueError(f"mala-vs-hmc runs one dimension and would ignore all but one of "
+                             f"dims = {', '.join(map(str, self.dims))}")
         if self.name not in _SCHEDULED and self.schedule != "corollary-hmc":
             raise ValueError(f"{self.name} reads no schedule and would ignore {self.schedule!r}")
         unknown = sorted(set(self.options) - _DECLARED)

@@ -337,29 +337,21 @@ def _step(
     The step runs under one errstate, and |p_K|^2 is summed once, for both
     the divergence guard and delta_h.  A block accepts in place: np.copyto
     writes the accepted rows of q and of the carry.  A lazy step with holds
-    gathers its moving rows and writes them back.  When the step is one
-    block of slice rows, that block's accepted, delta_h and diverged arrays
-    are the result's.
+    gathers its moving rows and writes them back.  The blocks' accepted,
+    delta_h and diverged arrays are joined once after the loop (one block's
+    are used as they are); with holds they are then scattered into
+    full-length arrays that read False, NaN and False on the held rows.  A
+    step where every chain holds runs one empty block.
     """
     coins, p, u = draws
     f, g = carry
     n_chains, d = q.shape
     holds = coins < 0.5 if lazy else np.zeros(n_chains, dtype=bool)
-    gather = lazy and holds.any()  # without holds every row moves: blocks are slices
-    if gather:  # held rows keep their positions, with no acceptance and NaN delta_h
-        move = np.flatnonzero(~holds)
-        out = BatchTransition(q, np.zeros(n_chains, dtype=bool), np.full(n_chains, math.nan),
-                              holds, np.zeros(n_chains, dtype=bool))
-        if not move.size:  # every chain holds
-            return out
-        blocks = [(move[rows], rows) for rows in _row_blocks(move.size, d)]
-    else:
-        blocks = [(rows, rows) for rows in _row_blocks(n_chains, d)]
-        out = None if len(blocks) == 1 else BatchTransition(
-            q, np.empty(n_chains, dtype=bool), np.empty(n_chains), holds,
-            np.empty(n_chains, dtype=bool))
+    move = np.flatnonzero(~holds) if lazy and holds.any() else None  # else blocks are slices
+    parts = []
     with np.errstate(invalid="ignore", over="ignore"):
-        for block, rows in blocks:
+        for rows in _row_blocks(n_chains if move is None else move.size, d):
+            block = rows if move is None else move[rows]
             # views of q's and the carry's rows unless gathered; the draws are packed
             q0, f0, g0, p0, u0 = q[block], f[block], g[block], p[rows], u[rows]
             for q1, p1, g1 in _orbit(target, q0, p0, K, eta, g0):
@@ -374,14 +366,18 @@ def _step(
             np.copyto(q0, q1, where=take)
             np.copyto(f0, f1, where=accepted)
             np.copyto(g0, g1, where=take)
-            if gather:
+            if move is not None:
                 q[block], f[block], g[block] = q0, f0, g0
-            if out is None:
-                return BatchTransition(q, accepted, delta_h, holds, diverged)
-            out.accepted[block] = accepted
-            out.delta_h[block] = delta_h
-            out.diverged[block] = diverged
-    return out
+            parts.append((accepted, delta_h, diverged))
+    joined = parts[0] if len(parts) == 1 else [np.concatenate(x) for x in zip(*parts)]
+    if move is not None:  # held rows keep their positions, with no acceptance and NaN delta_h
+        full = (np.zeros(n_chains, dtype=bool), np.full(n_chains, math.nan),
+                np.zeros(n_chains, dtype=bool))
+        for out, part in zip(full, joined):
+            out[move] = part
+        joined = full
+    accepted, delta_h, diverged = joined
+    return BatchTransition(q, accepted, delta_h, holds, diverged)
 
 
 def traces_to_csv(traces: list[ChainTrace], path: str, thin: int = 1) -> None:

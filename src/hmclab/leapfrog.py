@@ -114,6 +114,11 @@ def _check_schedule(eta: float, K: int) -> None:
         raise ValueError("need at least one leapfrog step")
 
 
+def _check_time(t: float) -> None:
+    if not 0 <= t < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"time t must be finite and nonnegative, got {t}")
+
+
 def _check_points(d: int, **points: Array) -> None:
     """Each named point has last axis d and finite entries; the ValueError names it."""
     for name, x in points.items():
@@ -264,8 +269,7 @@ def continuous_flow(
     Classic fourth-order Runge-Kutta, doubling the step count until two
     successive refinements agree to within tol (sup norm over the batch).
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    _check_time(t)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if t == 0:

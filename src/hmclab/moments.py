@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import _drive
-from .leapfrog import _orbit, continuous_flow
+from .leapfrog import _check_schedule, _check_time, _orbit, continuous_flow
 from .targets import TargetDensity
 from .tuning import d_ell
 
@@ -127,6 +127,9 @@ class MomentReport:
     n_samples: int
     #: universal constant in the bound: every check states its bound with c = 1
     calibration = 1.0
+    #: a report's columns, in the order `to_json` and the lemma-suite CSV write them
+    COLUMNS = ("quantity", "ell", "empirical", "std_error", "bound", "slack_ratio", "violated",
+               "calibration")
 
     @property
     def slack_ratio(self) -> float:
@@ -140,20 +143,8 @@ class MomentReport:
         return self.empirical > self.bound * (1.0 + 3.0 * self.std_error / self.empirical)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "quantity": self.quantity,
-                "ell": self.ell,
-                "empirical": self.empirical,
-                "std_error": self.std_error,
-                "bound": self.bound,
-                "slack_ratio": self.slack_ratio,
-                "violated": self.violated,
-                "calibration": self.calibration,
-                "n_samples": self.n_samples,
-            },
-            indent=2,
-        )
+        payload = {key: getattr(self, key) for key in self.COLUMNS}
+        return json.dumps({**payload, "n_samples": self.n_samples}, indent=2)
 
 
 def exact_gaussian_sampler(target, rng: np.random.Generator):
@@ -309,6 +300,7 @@ def check_dynamics_diffs(
     with the universal constant c = 1 in (i) and (ii).
     """
     _require_sizes(ell, n_mc)
+    _check_time(t)
     if target.gamma is None:
         raise ValueError("target declares no gamma; estimate it first")
     L, g1 = target.smoothness, target.gamma + 1.0
@@ -335,6 +327,7 @@ def check_dynamics_diffs(
 def energy_error_bound(target: TargetDensity, eta: float, ell: int) -> float:
     """(gamma+1) (eta^3 ell^(3/2) L^(3/2) d_ell^(1/2) + eta^5 ell^(1/2)
     L^(5/2) d_ell + eta^7 L^(7/2) d_ell^(3/2))."""
+    _check_schedule(eta, 1)  # one leapfrog step of size eta
     if target.gamma is None:
         raise ValueError("target declares no gamma; estimate it first")
     L = target.smoothness

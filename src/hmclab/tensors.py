@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -124,17 +124,7 @@ class TensorNormReport:
     capped_restarts: int  # restarts stopped at the sweep cap before converging
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "norm_123": self.norm_123,
-                "norm_12_3": self.norm_12_3,
-                "norm_1_2_3_lower": self.norm_1_2_3_lower,
-                "partition_ordering_ok": self.partition_ordering_ok,
-                "max_sweeps": self.max_sweeps,
-                "capped_restarts": self.capped_restarts,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
 
 def tensor_report(

@@ -93,33 +93,23 @@ def best_hmc_params(tp: TheoryParams) -> TunedParams:
     )
     eta = math.sqrt(eta_sq)
     K = max(1, round(tp.c_prime / (2.0 * math.sqrt(tp.L) * (tp.gamma + 1.0) ** (1.0 / 3.0) * eta)))
-    ell = ell_for(tp.M, tp.epsilon, tp.c_prime)
-    mixing = log_ratio / (K**2 * eta_sq * tp.psi**2)
-    return TunedParams(
-        eta=eta,
-        K=K,
-        ell=ell,
-        d_ell=d_ell(tp.d, ell),
-        predicted_mixing_steps=mixing,
-        predicted_gradient_complexity=K * mixing,
-    )
+    return _schedule(tp, eta_sq, K)
 
 
 def mala_step_size(tp: TheoryParams) -> TunedParams:
     """Single-step schedule: eta^2 = c / (L (d + ln(M/eps))^(3/7) ln^(3/7)(M/eps))."""
     log_ratio = tp.log_ratio
     eta_sq = tp.c / (tp.L * (tp.d + log_ratio) ** (3.0 / 7.0) * log_ratio ** (3.0 / 7.0))
-    eta = math.sqrt(eta_sq)
+    return _schedule(tp, eta_sq, 1)
+
+
+def _schedule(tp: TheoryParams, eta_sq: float, K: int) -> TunedParams:
+    """The schedule (sqrt(eta_sq), K), its moment order, and its predicted costs:
+    ln(M/eps) / (K^2 eta^2 psi^2) mixing steps of K gradients each.  MALA is K = 1."""
     ell = ell_for(tp.M, tp.epsilon, tp.c_prime)
-    mixing = log_ratio / (eta_sq * tp.psi**2)
-    return TunedParams(
-        eta=eta,
-        K=1,
-        ell=ell,
-        d_ell=d_ell(tp.d, ell),
-        predicted_mixing_steps=mixing,
-        predicted_gradient_complexity=mixing,
-    )
+    mixing = tp.log_ratio / (K**2 * eta_sq * tp.psi**2)
+    return TunedParams(eta=math.sqrt(eta_sq), K=K, ell=ell, d_ell=d_ell(tp.d, ell),
+                       predicted_mixing_steps=mixing, predicted_gradient_complexity=K * mixing)
 
 
 def check_theorem_constraints(

@@ -222,6 +222,12 @@ def test_experiment_config_validation():
     assert a.config_hash() != c.config_hash()
 
 
+def test_mala_vs_hmc_rejects_several_dims():
+    # dims = 16, 64 once ran d = 64 alone, and nothing in its output showed that 16 was dropped
+    with pytest.raises(ValueError, match="dims = 16, 64"):
+        ExperimentConfig(name="mala-vs-hmc", dims=(16, 64))
+
+
 @pytest.mark.parametrize(
     "name", ["acceptance-scaling", "energy-scaling", "mixing-estimate", "mala-vs-hmc"]
 )
@@ -583,6 +589,33 @@ def test_lemma_reports_check_sizes_before_sampling(ell, n_mc, name):
     with pytest.raises(ValueError, match=name):
         bench.lemma_reports(target, [2, ell], 0.1, n_mc, np.random.default_rng(0))
     assert target.gradient_evals == target.potential_evals == target.hvp_rows == 0
+
+
+@pytest.mark.parametrize("eta, t, match", [(0.0, None, "step-size eta"),
+                                            (math.nan, None, "step-size eta"),
+                                            (0.1, math.nan, "time t"), (0.1, math.inf, "time t"),
+                                            (0.1, -0.1, "time t")])
+def test_lemma_reports_check_step_size_and_time_before_sampling(eta, t, match):
+    # t = nan once hung in the drift check's RK4 refinement after the sampler's warmup
+    target = CountingTarget(make_logistic(64, 16, seed=5))
+    gen = np.random.default_rng(0)
+    before = gen.bit_generator.state
+    with pytest.raises(ValueError, match=match):
+        bench.lemma_reports(target, [2], eta, 100, gen, t=t)
+    assert gen.bit_generator.state == before
+    assert target.gradient_evals == target.potential_evals == target.hvp_rows == 0
+
+
+@pytest.mark.parametrize("etas", [[0.0, 0.1], [0.1, -0.05], [0.1, math.nan], [math.inf]])
+def test_energy_scaling_checks_etas_before_any_unit(monkeypatch, etas):
+    # an eta <= 0 once ran every point and failed only in the slope fit's SVD
+    def no_units(fn, units):
+        raise AssertionError("a unit ran")
+
+    monkeypatch.setattr(bench, "_map_units", no_units)
+    cfg = ExperimentConfig(name="energy-scaling", dims=(16,), options={"n_mc": 100, "etas": etas})
+    with pytest.raises(ValueError, match="etas"):
+        bench.run_energy_scaling(cfg)
 
 
 # each multi-unit runner, at sizes that keep its units to a fraction of a second

@@ -5,6 +5,7 @@ import platform
 import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from hmclab.targets import (
     RidgeSeparableTarget,
     TwoLayerNetTarget,
 )
+from hmclab.tensors import TensorNormReport
 from hmclab.tuning import TheoryParams, best_hmc_params
 
 
@@ -72,19 +74,21 @@ class TestConfigParsing:
 
     def test_experiment_from_file(self, tmp_path):
         cfg = experiment_from_file(write(tmp_path / "e.cfg", """
-            experiment = mala-vs-hmc
+            experiment = acceptance-scaling
             dims = 16, 64
             seeds = 0, 1
             schedule = corollary-hmc
             grad_budget = 4000
             target.family = gaussian
         """))
-        assert cfg.name == "mala-vs-hmc"
+        assert cfg.name == "acceptance-scaling"
         assert cfg.dims == (16, 64) and cfg.seeds == (0, 1)
         assert cfg.options["grad_budget"] == 4000
         assert cfg.target == {"family": "gaussian"}
         override = experiment_from_file(str(tmp_path / "e.cfg"), seed=7)
         assert override.seeds[0] == 7
+        with pytest.raises(ValueError, match="dims"):  # mala-vs-hmc runs one dimension
+            experiment_from_file(str(tmp_path / "e.cfg"), name="mala-vs-hmc")
 
     def test_experiment_from_file_rejects_undeclared_key(self, tmp_path):
         path = write(tmp_path / "typo.cfg", "experiment = mixing-estimate\ndims = 4\nn_chain = 8\n")
@@ -256,6 +260,7 @@ class TestCli:
         rc = main(["tensor", "--config", cfg, "--seed", "1"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == [f.name for f in fields(TensorNormReport)]
         assert payload["partition_ordering_ok"] is True
         assert payload["norm_1_2_3_lower"] <= payload["norm_12_3"] <= payload["norm_123"]
         assert 1 <= payload["max_sweeps"] <= 200 and 0 <= payload["capped_restarts"] <= 20
@@ -310,6 +315,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.count('"quantity"') == 9
         assert "leapfrog_position_gap" in out
+
+    def test_lemma_suite_header_is_the_lemmas_json_keys(self, tmp_path, gaussian_cfg, capsys):
+        main(["lemmas", "--config", gaussian_cfg, "--n-mc", "100"])
+        first = json.loads(capsys.readouterr().out.split("}\n{")[0] + "}")
+        cfg = write(tmp_path / "suite.cfg", "dims = 2\nells = 2\nn_mc = 100\n")
+        main(["lemma-suite", "--config", cfg, "--out", str(tmp_path / "suite.csv")])
+        header = (tmp_path / "suite.csv").read_text().splitlines()[0].split(",")
+        assert header + ["n_samples"] == list(first)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.1"])
+    def test_lemmas_rejects_a_bad_time_at_parse_time(self, gaussian_cfg, capsys, value):
+        # --t nan once ran 20,000 draws through 16 rounds of RK4 refinement, in effect a hang
+        with pytest.raises(SystemExit):
+            main(["lemmas", "--config", gaussian_cfg, "--t", value])
+        assert "argument --t:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("t", [None, "0.1"])
     def test_lemmas_on_a_target_without_gamma(self, tmp_path, capsys, t):

@@ -293,6 +293,9 @@ def test_lazy_step_draws_momenta_for_moving_rows_only(hold):
     if hold:  # coins only: nothing moves and nothing else is drawn
         assert np.array_equal(step.positions, q)
         assert np.isnan(step.delta_h).all() and not step.accepted.any()
+        oracle = [np.random.default_rng(s) for s in seeds]
+        _assert_same_step(step, unblocked_step(make_logistic(6, 3, seed=67), q, 0.3, 3, oracle,
+                                               True)[0])
     else:  # coins, then the draws of a non-lazy step
         _assert_same_step(step, batch_transition(make_logistic(6, 3, seed=67), q, 0.3, 3, refs))
         assert step.accepted.any()

@@ -242,6 +242,13 @@ def test_continuous_reference_energy_drift(rng):
     assert abs(energy(out) - energy(s)) <= 10.0 * tol
 
 
+@pytest.mark.parametrize("t", [-0.5, math.nan, math.inf])
+def test_continuous_flow_rejects_a_bad_time(t):
+    # nan and inf once ran every refinement round before failing to converge
+    with pytest.raises(ValueError, match="time t"):
+        continuous_flow(harmonic(), np.ones(1), np.ones(1), t, 1e-9)
+
+
 def test_continuous_flow_no_convergence():
     with pytest.raises(ConvergenceError):
         continuous_flow(harmonic(), np.ones(1), np.ones(1), 2.0, 1e-16, max_refinements=2)

@@ -413,6 +413,30 @@ def test_moment_checks_fail_before_sampling(name, missing, ell, n_mc, match):
     assert target.gradient_evals == target.potential_evals == target.hvp_rows == 0
 
 
+_BAD_STEPS = [("energy", eta, "step-size eta") for eta in (0.0, -0.1, math.nan, math.inf)]
+_BAD_STEPS += [("dynamics", t, "time t") for t in (-0.1, math.nan, math.inf)]
+
+
+@pytest.mark.parametrize("name, value, match", _BAD_STEPS)
+def test_moment_checks_reject_a_bad_step_size_or_time_before_sampling(name, value, match):
+    # eta = 0 once gave a bound of 0 reported as violated; t = nan ran 16 rounds of
+    # RK4 refinement after the draws before failing
+    target = CountingTarget(GaussianTarget.standard(3))
+    gen = np.random.default_rng(0)
+    before = gen.bit_generator.state
+    sampler = exact_gaussian_sampler(target, gen)
+    with pytest.raises(ValueError, match=match):
+        if name == "energy":
+            energy_error_moment(target, value, 2, 100, sampler, gen)
+        else:
+            check_dynamics_diffs(target, value, 2, 100, sampler, gen)
+    assert gen.bit_generator.state == before
+    assert target.gradient_evals == target.potential_evals == target.hvp_rows == 0
+    if name == "energy":
+        with pytest.raises(ValueError, match=match):
+            energy_error_bound(target, value, 2)
+
+
 def test_energy_error_moment_below_bound_gaussian():
     t = GaussianTarget.standard(16)
     gen = np.random.default_rng(15)
