@@ -517,10 +517,9 @@ def run_overlap_check(cfg: ExperimentConfig):
 
 
 def lemma_reports(target: TargetDensity, ells, eta: float, n_mc: int, rng: np.random.Generator,
-                  t: float | None = None, sampler_eta: float = 0.1,
-                  sampler_warmup: int = 2000) -> list[MomentReport]:
+                  t: float | None = None, sampler_warmup: int = 2000) -> list[MomentReport]:
     """Every moment check at each order in ells, in report order.  Draws are
-    exact for Gaussian targets and come from HMC runs at sampler_eta
+    exact for Gaussian targets and come from HMC runs at eta = 0.1
     otherwise.  The energy-error check, and the continuous-drift checks when
     t is given, need the target's gamma and run only when it declares one.
     n_mc, every ell, eta and t are checked before the sampler warms up or draws."""
@@ -532,7 +531,7 @@ def lemma_reports(target: TargetDensity, ells, eta: float, n_mc: int, rng: np.ra
     if isinstance(target, GaussianTarget):
         sampler = exact_gaussian_sampler(target, rng)
     else:
-        sampler = chain_stationary_sampler(target, rng, eta=sampler_eta, warmup=sampler_warmup)
+        sampler = chain_stationary_sampler(target, rng, eta=0.1, warmup=sampler_warmup)
     x = sampler(1)[0]
     reports = []
     for ell in ells:

@@ -131,7 +131,7 @@ def _cmd_overlap(args) -> int:
 def _cmd_lemmas(args) -> int:
     reports = bench.lemma_reports(
         target_from_file(args.config), [args.ell], args.eta, args.n_mc,
-        np.random.default_rng(args.seed), t=args.t, sampler_eta=args.sampler_eta,
+        np.random.default_rng(args.seed), t=args.t,
     )
     for report in reports:
         print(report.to_json())
@@ -200,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_nonnegative_float, default=None,
                    help="also run the continuous-drift checks at this time")
     p.add_argument("--n-mc", type=int, default=20000)
-    p.add_argument("--sampler-eta", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_lemmas)
 

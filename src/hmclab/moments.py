@@ -140,7 +140,8 @@ class MomentReport:
         """Empirical exceeds the bound by more than 3 relative standard errors."""
         if self.empirical <= 0.0:
             return False
-        return self.empirical > self.bound * (1.0 + 3.0 * self.std_error / self.empirical)
+        # bool(): a numpy bound makes the comparison a numpy.bool_, which json cannot write
+        return bool(self.empirical > self.bound * (1.0 + 3.0 * self.std_error / self.empirical))
 
     def to_json(self) -> str:
         payload = {key: getattr(self, key) for key in self.COLUMNS}

@@ -9,6 +9,7 @@ the one dense evaluator, `hessian`, feeds the Jacobian recursion at d <= 64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -113,6 +114,8 @@ class GaussianTarget(TargetDensity):
         return 0.5 * np.einsum("...i,ij,...j->...", q, self.precision, q)
 
     def gradient(self, q: Array) -> Array:
+        if self._unit:  # a fresh array: the carried gradient must not alias q
+            return np.array(q, dtype=float)
         if self._diag is not None:
             return self._diag * q
         return q @ self.precision
@@ -150,7 +153,6 @@ class UnivariatePotential:
     d3: Callable[[Array], Array]
     rho2: float
     rho3: float
-    name: str = "custom"
 
 
 def quadratic_potential() -> UnivariatePotential:
@@ -161,7 +163,6 @@ def quadratic_potential() -> UnivariatePotential:
         d3=lambda z: np.zeros_like(z),
         rho2=1.0,
         rho3=0.0,
-        name="quadratic",
     )
 
 
@@ -174,7 +175,6 @@ def cubic_potential() -> UnivariatePotential:
         d3=lambda z: np.ones_like(z),
         rho2=1.0,
         rho3=1.0,
-        name="cubic",
     )
 
 
@@ -186,8 +186,7 @@ def logcosh_potential() -> UnivariatePotential:
         d2=lambda z: 1.0 / np.cosh(z) ** 2,
         d3=lambda z: -2.0 * np.tanh(z) / np.cosh(z) ** 2,
         rho2=1.0,
-        rho3=4.0 / (3.0 * np.sqrt(3.0)),
-        name="logcosh",
+        rho3=4.0 / (3.0 * math.sqrt(3.0)),
     )
 
 
@@ -199,7 +198,6 @@ def sine_potential() -> UnivariatePotential:
         d3=lambda z: -np.cos(z),
         rho2=1.0,
         rho3=1.0,
-        name="sine",
     )
 
 
@@ -233,67 +231,46 @@ def _outer_sum(w: Array, rows: Array) -> Array:
 
 
 class RidgeSeparableTarget(TargetDensity):
-    """f(theta) = sum_i u_i(a_i' theta) with unit direction vectors a_i.
+    """f(theta) = sum_i u(a_i' theta) with unit direction vectors a_i and one potential u.
 
     With |u''| <= rho2 and |u'''| <= rho3 the Hessian operator norm is at
     most n*rho2 and the third derivative's {12}{3}- and {123}-norms are at
     most n*rho3, which fixes the declared constants.
     """
 
-    def __init__(
-        self,
-        directions: Array,
-        potentials: UnivariatePotential | Sequence[UnivariatePotential],
-        smoothness: float | None = None,
-    ):
+    def __init__(self, directions: Array, potential: UnivariatePotential,
+                 smoothness: float | None = None):
         directions = np.atleast_2d(np.asarray(directions, dtype=float))
         norms = np.linalg.norm(directions, axis=1)
         if not np.allclose(norms, 1.0, atol=1e-9):
             raise ValueError("ridge directions must have unit norm")
         self.directions = directions
         self.n, self.d = directions.shape
-        if isinstance(potentials, UnivariatePotential):
-            self._shared = potentials
-            self._potentials = [potentials] * self.n
-        else:
-            potentials = list(potentials)
-            if len(potentials) != self.n:
-                raise ValueError("need one univariate potential per direction")
-            self._shared = potentials[0] if len(set(map(id, potentials))) == 1 else None
-            self._potentials = potentials
-        self.rho2 = max(u.rho2 for u in self._potentials)
-        self.rho3 = max(u.rho3 for u in self._potentials)
+        self._u = potential
+        self.rho2, self.rho3 = potential.rho2, potential.rho3
         self.smoothness = float(smoothness if smoothness is not None else self.n * self.rho2)
         self.trace_bound = self.n * self.rho2
         cap = self.n * self.rho3
         self.gamma = cap / self.smoothness**1.5 if self.smoothness > 0 else None
 
-    def _z(self, q: Array) -> Array:
-        return q @ self.directions.T
-
-    def _apply(self, which: str, z: Array) -> Array:
-        if self._shared is not None:
-            return getattr(self._shared, which)(z)
-        out = np.empty_like(z)
-        for i, u in enumerate(self._potentials):
-            out[..., i] = getattr(u, which)(z[..., i])
-        return out
+    def _apply(self, which: str, q: Array) -> Array:
+        return getattr(self._u, which)(q @ self.directions.T)
 
     def potential(self, q: Array) -> Array:
-        return self._apply("value", self._z(q)).sum(axis=-1)
+        return self._apply("value", q).sum(axis=-1)
 
     def gradient(self, q: Array) -> Array:
-        return self._apply("d1", self._z(q)) @ self.directions
+        return self._apply("d1", q) @ self.directions
 
     def hessian_vec(self, q: Array, v: Array) -> Array:
-        w = self._apply("d2", self._z(q)) * (v @ self.directions.T)
+        w = self._apply("d2", q) * (v @ self.directions.T)
         return w @ self.directions
 
     def hessian(self, q: Array) -> Array:
-        return _outer_sum(self._apply("d2", self._z(q)), self.directions)
+        return _outer_sum(self._apply("d2", q), self.directions)
 
     def third_contract(self, q: Array, u: Array, v: Array) -> Array:
-        w = self._apply("d3", self._z(q)) * (u @ self.directions.T) * (v @ self.directions.T)
+        w = self._apply("d3", q) * (u @ self.directions.T) * (v @ self.directions.T)
         return w @ self.directions
 
 
@@ -377,47 +354,31 @@ class LogisticPosteriorTarget(TargetDensity):
         return (w * (u @ self.x.T) * (v @ self.x.T)) @ self.x + prior
 
 
-@dataclass(frozen=True)
-class Activation:
-    """Bounded activation with derivatives up to third order, all |.| <= cap."""
-
-    value: Callable[[Array], Array]
-    d1: Callable[[Array], Array]
-    d2: Callable[[Array], Array]
-    d3: Callable[[Array], Array]
-    cap: float
-    name: str = "custom"
+def _sech2(z: Array) -> Array:
+    return 1.0 / np.cosh(z) ** 2
 
 
-def tanh_activation() -> Activation:
-    # |tanh| <= 1, |sech^2| <= 1, |sigma''| <= 4/(3 sqrt 3), |sigma'''| <= 2;
-    # cap 2 covers all four
-    sech2 = lambda z: 1.0 / np.cosh(z) ** 2
-    return Activation(
-        value=np.tanh,
-        d1=sech2,
-        d2=lambda z: -2.0 * np.tanh(z) * sech2(z),
-        d3=lambda z: sech2(z) * (4.0 * np.tanh(z) ** 2 - 2.0 * sech2(z)),
-        cap=2.0,
-        name="tanh",
-    )
+# tanh and its first three derivatives: |tanh| <= 1, |sech^2| <= 1,
+# |tanh''| <= 4/(3 sqrt 3), |tanh'''| <= 2; the cap 2 covers all four
+_TANH = (
+    np.tanh,
+    _sech2,
+    lambda z: -2.0 * np.tanh(z) * _sech2(z),
+    lambda z: _sech2(z) * (4.0 * np.tanh(z) ** 2 - 2.0 * _sech2(z)),
+)
+_TANH_CAP = 2.0
 
 
 class TwoLayerNetTarget(TargetDensity):
-    """Squared-error risk of a two-layer network with fixed outer weights.
+    """Squared-error risk of a two-layer tanh network with fixed outer weights.
 
-    f(theta) = sum_i (y_i - sum_j w_j sigma(theta_j' x_i))^2 over parameters
-    theta = (theta_1, ..., theta_m) flattened to R^(m * dp).
+    f(theta) = sum_i (y_i - sum_j w_j tanh(theta_j' x_i))^2 over parameters
+    theta = (theta_1, ..., theta_m) flattened to R^(m * dp).  tanh and its
+    first three derivatives are bounded by the cap c = 2, which fixes the
+    declared constants.
     """
 
-    def __init__(
-        self,
-        weights: Array,
-        x: Array,
-        y: Array,
-        activation: Activation | None = None,
-    ):
-        self.activation = activation if activation is not None else tanh_activation()
+    def __init__(self, weights: Array, x: Array, y: Array):
         self.w = np.asarray(weights, dtype=float).ravel()
         if np.any(np.abs(self.w) > 1.0 + 1e-12):
             raise ValueError("outer-layer weights must satisfy |w_j| <= 1")
@@ -428,7 +389,7 @@ class TwoLayerNetTarget(TargetDensity):
         self.y = np.asarray(y, dtype=float).ravel()
         self.m = self.w.size
         self.n, self.dp = x.shape
-        c = self.activation.cap
+        c = _TANH_CAP
         if np.any(np.abs(self.y) > self.m * c + 1e-12):
             raise ValueError("labels must satisfy |y_i| <= m * cap")
         self.d = self.m * self.dp
@@ -441,19 +402,18 @@ class TwoLayerNetTarget(TargetDensity):
     def synthetic(
         cls, m: int, n: int, dp: int, rng: np.random.Generator
     ) -> "TwoLayerNetTarget":
-        act = tanh_activation()
         w = rng.uniform(-1.0, 1.0, size=m)
         x = rng.standard_normal((n, dp))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
-        y = rng.uniform(-m * act.cap, m * act.cap, size=n)
-        return cls(w, x, y, act)
+        y = rng.uniform(-m * _TANH_CAP, m * _TANH_CAP, size=n)
+        return cls(w, x, y)
 
     def _blocks(self, q: Array) -> Array:
         return q.reshape(q.shape[:-1] + (self.m, self.dp))
 
     def _residual(self, z: Array) -> Array:
         # z has shape (..., m, n); returns y_i - f_NN(x_i), shape (..., n)
-        return self.y - np.einsum("j,...jn->...n", self.w, self.activation.value(z))
+        return self.y - np.einsum("j,...jn->...n", self.w, _TANH[0](z))
 
     def potential(self, q: Array) -> Array:
         z = self._blocks(q) @ self.x.T
@@ -463,18 +423,18 @@ class TwoLayerNetTarget(TargetDensity):
     def gradient(self, q: Array) -> Array:
         z = self._blocks(q) @ self.x.T
         r = self._residual(z)
-        coef = -2.0 * self.w[:, None] * self.activation.d1(z) * r[..., None, :]
+        coef = -2.0 * self.w[:, None] * _TANH[1](z) * r[..., None, :]
         return (coef @ self.x).reshape(q.shape)
 
     def hessian_vec(self, q: Array, v: Array) -> Array:
         q, v = np.broadcast_arrays(q, v)
         z = self._blocks(q) @ self.x.T
         r = self._residual(z)
-        s1 = self.activation.d1(z)
+        s1 = _TANH[1](z)
         pv = self._blocks(v) @ self.x.T
         g = np.einsum("j,...jn,...jn->...n", self.w, s1, pv)
         coef = self.w[:, None] * (
-            s1 * g[..., None, :] - self.activation.d2(z) * pv * r[..., None, :]
+            s1 * g[..., None, :] - _TANH[2](z) * pv * r[..., None, :]
         )
         return 2.0 * (coef @ self.x).reshape(q.shape)
 
@@ -482,7 +442,7 @@ class TwoLayerNetTarget(TargetDensity):
         q, u, v = np.broadcast_arrays(q, u, v)
         z = self._blocks(q) @ self.x.T
         r = self._residual(z)
-        s1, s2, s3 = (getattr(self.activation, k)(z) for k in ("d1", "d2", "d3"))
+        s1, s2, s3 = (fn(z) for fn in _TANH[1:])
         a = self._blocks(u) @ self.x.T
         b = self._blocks(v) @ self.x.T
         g_u = np.einsum("j,...jn,...jn->...n", self.w, s1, a)

@@ -31,18 +31,12 @@ class TheoryParams:
     c_prime: float = 1.0
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError("smoothness L must be positive")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
         if self.d < 1:
-            raise ValueError("dimension must be a positive integer")
-        if self.M < 1:
-            raise ValueError("warmness M must be at least 1")
-        if not 0 < self.epsilon < 1:
-            raise ValueError("error tolerance must lie in (0, 1)")
-        if self.psi <= 0:
-            raise ValueError("isoperimetric coefficient must be positive")
+            raise ValueError("dimension d must be a positive integer")
+        for name in ("L", "psi", "c"):
+            _require(name, getattr(self, name), 0.0)
+        _require("gamma", self.gamma, 0.0, strict=False)
+        ell_for(self.M, self.epsilon, self.c_prime)  # checks M, epsilon and c_prime
 
     @property
     def log_ratio(self) -> float:
@@ -64,12 +58,19 @@ class TunedParams:
         return json.dumps(payload, indent=2)
 
 
+def _require(name: str, value: float, low: float, strict: bool = True) -> None:
+    """Raise naming `name` unless value is finite and > low (>= low when not strict)."""
+    if not (math.isfinite(value) and (value > low if strict else value >= low)):
+        raise ValueError(f"{name} must be finite and {'>' if strict else '>='} {low:g}, "
+                         f"got {value!r}")
+
+
 def ell_for(M: float, epsilon: float, c_prime: float = 1.0) -> int:
     """Even moment order 2 * ceil(c' * ln(M / eps)), never below 2."""
-    if M < 1:
-        raise ValueError("warmness M must be at least 1")
-    if not 0 < epsilon < 1:
-        raise ValueError("error tolerance must lie in (0, 1)")
+    _require("M", M, 1.0, strict=False)
+    if not 0 < epsilon < 1:  # NaN fails both comparisons
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    _require("c_prime", c_prime, 0.0)
     return max(2, 2 * math.ceil(c_prime * math.log(M / epsilon)))
 
 
@@ -122,8 +123,9 @@ def check_theorem_constraints(
                      + eta^7 L^(7/2) d_ell^(3/2)) <= 1 / (c (gamma+1) ell^(3/2)).
     Margins are bound minus left-hand side.
     """
-    if eta <= 0 or K < 1 or ell < 1:
-        raise ValueError("eta, K and ell must be positive")
+    if not (0 < eta < math.inf and K >= 1 and 1 <= ell < math.inf):  # NaN fails each test
+        raise ValueError(f"eta and ell must be finite, eta > 0, K >= 1 and ell >= 1, "
+                         f"got eta={eta!r}, K={K!r}, ell={ell!r}")
     dl = d_ell(tp.d, ell)
     lhs1 = K * eta * math.sqrt(tp.L)
     bound1 = math.inf if tp.gamma == 0 else 1.0 / (2.0 * tp.gamma ** (1.0 / 3.0))

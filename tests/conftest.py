@@ -12,7 +12,6 @@ from hmclab.targets import (
     RidgeSeparableTarget,
     logcosh_potential,
     random_unit_rows,
-    sine_potential,
 )
 
 
@@ -25,12 +24,6 @@ def make_ridge(n: int, d: int, seed: int, potential=None) -> RidgeSeparableTarge
     gen = np.random.default_rng(seed)
     pot = potential if potential is not None else logcosh_potential()
     return RidgeSeparableTarget(random_unit_rows(n, d, gen), pot)
-
-
-def make_mixed_ridge(n: int, d: int, seed: int) -> RidgeSeparableTarget:
-    gen = np.random.default_rng(seed)
-    pots = [logcosh_potential() if i % 2 == 0 else sine_potential() for i in range(n)]
-    return RidgeSeparableTarget(random_unit_rows(n, d, gen), pots)
 
 
 def make_logistic(n: int, d: int, seed: int, alpha2: float = 1.0) -> LogisticPosteriorTarget:

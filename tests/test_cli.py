@@ -240,6 +240,19 @@ class TestCli:
         assert payload["K"] == expected.K
         assert payload["ell"] == expected.ell
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--psi", "nan", "psi"), ("--c", "0", "c"), ("--c", "-1", "c"), ("--c", "nan", "c"),
+        ("--M", "inf", "M"), ("--M", "nan", "M"), ("--L", "nan", "L"), ("--L", "inf", "L"),
+        ("--gamma", "inf", "gamma"), ("--c-prime", "nan", "c_prime"), ("--c-prime", "0", "c_prime"),
+    ])
+    def test_tune_rejects_a_bad_theory_parameter(self, capsys, flag, value, field):
+        # psi = nan once printed NaN into the JSON, c' = 0 printed K = 1 and ell = 2, and the
+        # others failed in the arithmetic (ZeroDivisionError, a math domain error, NaN to int)
+        argv = {"--L": "1", "--d": "64", flag: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            main(["tune", *(x for item in argv.items() for x in item)])
+        assert capsys.readouterr().out == ""
+
     def test_tune_mala(self, capsys):
         main(["tune", "--L", "2.0", "--d", "64", "--mala"])
         payload = json.loads(capsys.readouterr().out)
@@ -341,6 +354,19 @@ class TestCli:
         quantities = re.findall(r'"quantity": "(\w+)"', capsys.readouterr().out)
         assert quantities == ["grad_norm", "p_hessian_p", "grad_hessian_p",
                               "third_ppp", "third_pp_norm_sq"]
+
+    @pytest.mark.parametrize("t", [None, "0.05"])
+    def test_lemmas_on_the_default_ridge_family(self, tmp_path, capsys, t):
+        # logcosh's rho3 was a numpy scalar, so `violated` came back as numpy.bool_ and the
+        # fourth report (the energy error) failed to serialise
+        cfg = write(tmp_path / "ridge.cfg", "family = ridge\n")
+        rc = main(["lemmas", "--config", cfg, "--n-mc", "200"] + ([] if t is None else ["--t", t]))
+        assert rc == 0
+        reports = json.loads("[" + capsys.readouterr().out.replace("}\n{", "},{") + "]")
+        expected = ["grad_norm", "p_hessian_p", "grad_hessian_p", "leapfrog_energy_error",
+                    "third_ppp", "third_pp_norm_sq"]
+        drift = ["php_drift", "hp_drift", "leapfrog_position_gap"]
+        assert [r["quantity"] for r in reports] == expected + (drift if t else [])
 
     def test_experiment_subcommand(self, tmp_path, capsys):
         cfg = write(tmp_path / "exp.cfg", """

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import make_dense_gaussian, make_logistic, make_mixed_ridge, make_ridge
+from conftest import make_dense_gaussian, make_logistic, make_ridge
 from _oracles import finite_diff_gradient, sigmoid_masked
 from hmclab.config import TARGET_KEYS, build_target
 from hmclab.errors import UnsupportedCapability
@@ -18,8 +18,10 @@ from hmclab.targets import (
     TwoLayerNetTarget,
     cubic_potential,
     quadratic_potential,
+    _TANH,
+    _TANH_CAP,
     _sigmoid,
-    tanh_activation,
+    sine_potential,
 )
 
 
@@ -39,6 +41,14 @@ def test_unit_diagonal_potential_skips_the_multiply_bit_for_bit():
     for ones in (np.ones(6), np.ones(6) + np.eye(6)[2]):  # unit, and a diagonal with a 2
         expected = 0.5 * (ones * q * q).sum(axis=-1)
         assert GaussianTarget.diagonal(ones).potential(q).tobytes() == expected.tobytes()
+
+
+def test_unit_diagonal_gradient_is_a_copy_of_q_bit_for_bit():
+    q = 1e3 * np.random.default_rng(4).standard_normal((9, 6))
+    q[0, 0], q[1, 1], q[2, 2] = np.inf, np.nan, -0.0
+    g = GaussianTarget.standard(6).gradient(q)
+    assert g.tobytes() == (np.ones(6) * q).tobytes() == q.tobytes()
+    assert not np.shares_memory(g, q)  # the kernel carries the gradient while q moves on
 
 
 def test_gaussian_potential_values():
@@ -106,7 +116,7 @@ def _all_targets():
     return [
         ("gaussian", make_dense_gaussian(4, seed=11)),
         ("ridge", make_ridge(5, 4, seed=12)),
-        ("ridge-mixed", make_mixed_ridge(6, 3, seed=13)),
+        ("ridge-sine", make_ridge(6, 3, seed=13, potential=sine_potential())),
         ("logistic", make_logistic(8, 4, seed=14)),
         ("two-layer", TwoLayerNetTarget.synthetic(3, 4, 3, np.random.default_rng(15))),
     ]
@@ -304,7 +314,7 @@ def test_two_layer_net_derivative_tensor_bounds():
         gen = np.random.default_rng(700 + seed)
         m, n, dp = (int(gen.integers(2, 7)) for _ in range(3))
         target = TwoLayerNetTarget.synthetic(m, n, dp, gen)
-        c = target.activation.cap
+        c = _TANH_CAP
         theta = gen.standard_normal(target.d)
         hess = np.stack([target.hessian_vec(theta, e) for e in np.eye(target.d)])
         assert np.linalg.norm(hess, 2) <= C * m * n * c**2
@@ -313,12 +323,11 @@ def test_two_layer_net_derivative_tensor_bounds():
 
 
 def test_tanh_activation_caps():
-    act = tanh_activation()
     z = np.linspace(-20, 20, 20001)
-    for fn in (act.value, act.d1, act.d2, act.d3):
-        assert np.abs(fn(z)).max() <= act.cap + 1e-12
+    for fn in _TANH:
+        assert np.abs(fn(z)).max() <= _TANH_CAP + 1e-12
     # derivative consistency by finite differences
     h = 1e-6
-    for fn, dfn in ((act.value, act.d1), (act.d1, act.d2), (act.d2, act.d3)):
+    for fn, dfn in zip(_TANH, _TANH[1:]):
         zs = np.linspace(-3, 3, 41)
         assert_allclose(dfn(zs), (fn(zs + h) - fn(zs - h)) / (2 * h), atol=1e-7)

@@ -34,6 +34,16 @@ def test_ell_for_floor_and_preconditions():
         ell_for(2.0, 1.5)
 
 
+@pytest.mark.parametrize("kw, field", [
+    ({"c_prime": -3.0}, "c_prime"), ({"c_prime": 0.0}, "c_prime"), ({"c_prime": math.nan}, "c_prime"),
+    ({"M": math.inf}, "M"), ({"M": math.nan}, "M"),
+])
+def test_ell_for_rejects_a_bad_constant(kw, field):
+    # c' = -3 and c' = 0 once gave ell = 2; the others failed converting NaN or inf to int
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        ell_for(**{"M": 2.0, "epsilon": 0.5, **kw})
+
+
 def test_d_ell():
     assert d_ell(16, 2) == 18
     assert d_ell(100, 2) == 102
@@ -98,6 +108,13 @@ def test_constraint_check_examples():
     dl = 102.0
     lhs = 10.0 * (dl**0.5 + dl + dl**1.5)
     assert_allclose(m2, 1.0 / 2.0**1.5 - lhs, rtol=1e-12)
+
+
+@pytest.mark.parametrize("eta, ell", [(math.nan, 2), (math.inf, 2), (0.1, math.nan), (0.1, math.inf)])
+def test_constraint_check_rejects_a_non_finite_step_size_or_order(eta, ell):
+    # eta = nan once returned (False, (nan, nan)) as if the schedule had been checked
+    with pytest.raises(ValueError, match="must be finite"):
+        check_theorem_constraints(eta, 2, tp(), ell)
 
 
 def test_gamma_zero_first_constraint_vacuous():
