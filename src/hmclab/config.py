@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -57,11 +58,19 @@ OPTIONS = {
 EXPERIMENTS = tuple(OPTIONS)
 # One file may serve several subcommands, so a key is valid when any experiment declares it.
 _DECLARED = {key for defaults in OPTIONS.values() for key in defaults}
-# Only these read the schedule; the others accept its default alone.
-_SCHEDULED = ("acceptance-scaling", "mixing-estimate")
-# These always run on GaussianTarget.standard(d) and read no target keys.
-STANDARD_GAUSSIAN_ONLY = ("acceptance-scaling", "energy-scaling", "mixing-estimate",
-                          "mala-vs-hmc")
+# What each experiment reads besides OPTIONS, checked before any draw: its schedules, every entry
+# of dims or dims[0] alone, target. keys or the standard Gaussian, and each count's least value.
+_READS = {
+    "acceptance-scaling": (("fixed", "corollary-hmc"), True, False,
+                           {"n_chains": 2, "n_steps": 1, "K": 1}),  # a between-chain CI
+    "energy-scaling": (("corollary-hmc",), True, False, {"ell": 1, "n_mc": 1}),
+    "mixing-estimate": (("fixed", "corollary-hmc", "corollary-mala"), True, False,
+                        {"n_chains": 1, "step_cap": 32, "K": 1}),  # 32, the first checkpoint
+    "overlap-check": (("corollary-hmc",), False, True, {"K": 1, "n_mc": 2}),  # the KL's variance
+    "lemma-suite": (("corollary-hmc",), False, True, {"ells": 1, "n_mc": 1, "sampler_warmup": 0}),
+    "tensor-report": (("corollary-hmc",), False, True, {"n_points": 1, "restarts": 1}),
+    "mala-vs-hmc": (("corollary-hmc",), False, False, {"grad_budget": 1, "n_rep": 1}),
+}
 
 
 @dataclass(frozen=True)
@@ -76,26 +85,27 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.name not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.name!r}")
-        if len(self.dims) == 0:
-            raise ValueError("dimension list must be nonempty")
-        if list(self.dims) != sorted(self.dims):
-            raise ValueError("dimension list must be ascending")
-        if self.schedule not in ("fixed", "corollary-hmc", "corollary-mala"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.name == "mala-vs-hmc" and len(self.dims) > 1:
-            raise ValueError(f"mala-vs-hmc runs one dimension and would ignore all but one of "
-                             f"dims = {', '.join(map(str, self.dims))}")
-        if self.name not in _SCHEDULED and self.schedule != "corollary-hmc":
-            raise ValueError(f"{self.name} reads no schedule and would ignore {self.schedule!r}")
-        unknown = sorted(set(self.options) - _DECLARED)
-        if unknown:
+        if len(self.dims) == 0 or list(self.dims) != sorted(self.dims):
+            raise ValueError(f"dimension list must be nonempty and ascending, got {self.dims}")
+        if unknown := sorted(set(self.options) - _DECLARED):
             raise ValueError(f"no experiment declares option {', '.join(unknown)}")
-        if self.name in STANDARD_GAUSSIAN_ONLY and self.target != {"family": "gaussian"}:
+        schedules, every_dim, reads_target, least = _READS[self.name]
+        if self.schedule not in schedules:
+            raise ValueError(f"{self.name} reads no schedule and would ignore {self.schedule!r}"
+                             if len(schedules) == 1 else f"{self.name} runs the "
+                             f"{' or '.join(schedules)} schedule, not {self.schedule}")
+        if not every_dim and len(self.dims) > 1:
+            raise ValueError(f"{self.name} runs one dimension and would ignore all but one of "
+                             f"dims = {', '.join(map(str, self.dims))}")
+        if not reads_target and self.target != {"family": "gaussian"}:
             raise ValueError(f"{self.name} runs on the standard Gaussian and would "
                              f"ignore target {self.target!r}")
-        if self.name == "acceptance-scaling" and self.schedule == "corollary-mala":
-            raise ValueError("acceptance-scaling runs the fixed or corollary-hmc schedule, "
-                             "not corollary-mala")
+        for key, low in least.items():  # a count is integral: 8.0 reads as 8, 8.9 and true do not
+            value = self.option(key)
+            for v in value if isinstance(value, (list, tuple)) else [value]:
+                whole = isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()
+                if isinstance(v, bool) or not whole or v < low:
+                    raise ValueError(f"{self.name} needs integer {key} >= {low}, got {value!r}")
 
     def option(self, key: str):
         """The configured value of key, or this experiment's default for it."""

@@ -31,7 +31,6 @@ back to the OS and faults in again on the next.
 
 from __future__ import annotations
 
-import math
 import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -106,17 +105,15 @@ def _row_blocks(n: int, row_doubles: int) -> Iterator[slice]:
 
 
 def _check_schedule(eta: float, K: int) -> None:
-    if not 0 < eta < math.inf:  # NaN fails both comparisons
-        raise ValueError(f"step-size eta must be positive and finite, got {eta}")
-    if not isinstance(K, numbers.Integral):
-        raise ValueError(f"the number of leapfrog steps K must be an integer, got {K!r}")
-    if K < 1:
-        raise ValueError("need at least one leapfrog step")
+    if not 0 < eta <= DIVERGENCE_LIMIT:  # NaN fails both; longer steps leave the guard at |p| >= 1
+        raise ValueError(f"step-size eta must be in (0, {DIVERGENCE_LIMIT:g}], got {eta}")
+    if not isinstance(K, numbers.Integral) or K < 1:
+        raise ValueError(f"the number of leapfrog steps K must be an integer >= 1, got {K!r}")
 
 
 def _check_time(t: float) -> None:
-    if not 0 <= t < math.inf:  # NaN fails both comparisons
-        raise ValueError(f"time t must be finite and nonnegative, got {t}")
+    if not 0 <= t <= DIVERGENCE_LIMIT:  # NaN fails both comparisons
+        raise ValueError(f"time t must be in [0, {DIVERGENCE_LIMIT:g}], got {t}")
 
 
 def _check_points(d: int, **points: Array) -> None:

@@ -166,8 +166,11 @@ def chain_stationary_sampler(
     Runs n_chains coupled-seed chains from the origin past `warmup`, then
     harvests every 4th state.  The draws are correlated and only
     approximately stationary; checks using them say so in their
-    documentation.
+    documentation.  Bad counts are rejected before any draw.
     """
+    for name, value, least in (("warmup", warmup, 0), ("n_chains", n_chains, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     state = np.zeros((n_chains, target.d))  # stepped in place by every run
     for _ in _drive(target, state, eta, K, [rng], False, warmup):
         pass

@@ -15,7 +15,7 @@ from scipy.stats import norm
 
 from _oracles import CountingTarget
 from conftest import make_logistic, run_python
-from hmclab import bench
+from hmclab import bench, config
 from hmclab.bench import (
     ExperimentConfig,
     WarmStartSpec,
@@ -245,6 +245,52 @@ def test_acceptance_scaling_rejects_mala_schedule(options):
                          options=options)
 
 
+# Each (experiment, count option) pair and the option's least value
+_LEAST = {
+    ("acceptance-scaling", "n_chains"): 2,  # its CI is a between-chain spread
+    ("acceptance-scaling", "n_steps"): 1, ("acceptance-scaling", "K"): 1,
+    ("energy-scaling", "ell"): 1, ("energy-scaling", "n_mc"): 1,
+    ("mixing-estimate", "n_chains"): 1, ("mixing-estimate", "K"): 1,
+    ("mixing-estimate", "step_cap"): 32,  # the first checkpoint
+    ("overlap-check", "K"): 1, ("overlap-check", "n_mc"): 2,  # the KL needs a variance
+    ("lemma-suite", "ells"): 1, ("lemma-suite", "n_mc"): 1, ("lemma-suite", "sampler_warmup"): 0,
+    ("tensor-report", "n_points"): 1, ("tensor-report", "restarts"): 1,
+    ("mala-vs-hmc", "grad_budget"): 1, ("mala-vs-hmc", "n_rep"): 1,
+}
+_ONE_DIMENSION = ("overlap-check", "lemma-suite", "tensor-report", "mala-vs-hmc")
+
+
+def test_every_count_option_declares_its_least_value():
+    declared = {(name, key) for name, (*_, least) in config._READS.items() for key in least}
+    assert declared == set(_LEAST)
+    assert sum(len(defaults) for defaults in OPTIONS.values()) == 29
+
+
+@pytest.mark.parametrize("bad", ["below", "fraction", "bool"])
+@pytest.mark.parametrize("name, key", sorted(_LEAST))
+def test_a_count_below_its_least_value_or_not_an_integer_is_rejected(name, key, bad):
+    least = _LEAST[(name, key)]
+    value = {"below": least - 1, "fraction": least + 0.5, "bool": True}[bad]
+    with pytest.raises(ValueError, match=f"{key} >= {least}"):
+        ExperimentConfig(name=name, options={key: value})
+
+
+@pytest.mark.parametrize("name, key", sorted(_LEAST))
+def test_a_count_at_its_least_value_is_accepted(name, key):
+    least = _LEAST[(name, key)]
+    assert ExperimentConfig(name=name, options={key: least}).option(key) == least
+    assert ExperimentConfig(name=name, options={key: float(least)}).option(key) == least
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_only_multi_dimension_experiments_accept_several_dims(name):
+    if name in _ONE_DIMENSION:
+        with pytest.raises(ValueError, match="dims = 16, 32"):
+            ExperimentConfig(name=name, dims=(16, 32))
+    else:
+        assert ExperimentConfig(name=name, dims=(16, 32)).dims == (16, 32)
+
+
 @pytest.mark.parametrize("q0", [0.5, [0.0, 0.0]], ids=["scalar", "wrong-length"])
 def test_overlap_check_rejects_q0_of_wrong_shape(q0):
     cfg = ExperimentConfig(name="overlap-check", dims=(3,), options={"q0": q0, "n_mc": 100})
@@ -422,10 +468,9 @@ def test_mala_vs_hmc_rejects_budget_below_two_transitions(budget):
 
 
 def test_acceptance_scaling_rejects_single_chain():
-    cfg = ExperimentConfig(name="acceptance-scaling", dims=(16,), seeds=(0,),
-                           options={"accept_constant": 1.0, "n_chains": 1, "n_steps": 8})
     with pytest.raises(ValueError, match="n_chains >= 2"):
-        run_experiment(cfg)
+        ExperimentConfig(name="acceptance-scaling", dims=(16,), seeds=(0,),
+                         options={"accept_constant": 1.0, "n_chains": 1, "n_steps": 8})
 
 
 def test_mala_vs_hmc_identical_seeds_identical_iact():
@@ -501,9 +546,8 @@ def test_tensor_report_rejects_empty_sizes_before_drawing(monkeypatch, name, opt
         raise AssertionError("tensor-report drew before checking its sizes")
 
     monkeypatch.setattr(bench, "_rng", drawing)
-    cfg = ExperimentConfig(name="tensor-report", dims=(3,), seeds=(0,), options=options)
     with pytest.raises(ValueError, match=name):
-        run_experiment(cfg)
+        run_experiment(ExperimentConfig(name="tensor-report", dims=(3,), seeds=(0,), options=options))
 
 
 def test_write_csv_and_sidecar_bit_identical(tmp_path):

@@ -128,6 +128,42 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="reads no schedule"):
             experiment_from_file(path)
 
+    @pytest.mark.parametrize("command, body, key", [
+        # each of these once ran: n_steps = 0 wrote a row of nan acceptance, n_rep = 0 four nan
+        # IACT rows, sampler_warmup = -3 ran no warm-up, step_cap = 16 ran no step before
+        # reporting that TV stayed above epsilon, n_chains = 8.9 ran 8 chains and n_steps = 4.5
+        # 4 steps, n_points = true one point, and dims = 16, 32 ran d = 16 alone
+        ("acceptance-scaling", "accept_constant = 1.0\nn_steps = 0\n", "n_steps"),
+        ("mala-vs-hmc", "grad_budget = 2000\nn_rep = 0\n", "n_rep"),
+        ("lemma-suite", "dims = 2\nn_mc = 100\nsampler_warmup = -3\n", "sampler_warmup"),
+        ("mixing-estimate", "dims = 4\nn_chains = 64\nstep_cap = 16\n", "step_cap"),
+        ("acceptance-scaling", "accept_constant = 1.0\nn_chains = 8.9\nn_steps = 4\n", "n_chains"),
+        ("acceptance-scaling", "accept_constant = 1.0\nn_chains = 8\nn_steps = 4.5\n", "n_steps"),
+        ("tensor-report", "dims = 2\nn_points = true\n", "n_points"),
+        ("overlap-check", "dims = 16, 32\nn_mc = 100\n", "dims"),
+        ("lemma-suite", "dims = 2\nn_mc = 100\nells = 2, 0\n", "ells"),
+    ])
+    def test_experiment_rejects_a_config_it_cannot_honour_before_drawing(
+            self, tmp_path, monkeypatch, command, body, key):
+        def drawing(*args):
+            raise AssertionError(f"{command} drew before checking its config")
+
+        monkeypatch.setattr("hmclab.bench._rng", drawing)
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=key):
+            main([command, "--config", write(tmp_path / "e.cfg", body), "--out", str(out)])
+        assert not out.exists()
+
+    def test_an_integral_float_count_reads_as_its_integer(self, tmp_path):
+        body = "accept_constant = 1.0\ndims = 4\nn_chains = {}\nn_steps = {}\n"
+        outs = []
+        for counts in (("8.0", "4.0"), ("8", "4")):
+            out = tmp_path / f"accept-{len(outs)}.csv"
+            main(["acceptance-scaling", "--config", write(tmp_path / "e.cfg", body.format(*counts)),
+                  "--out", str(out)])
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
 
 @pytest.fixture
 def gaussian_cfg(tmp_path):
@@ -229,6 +265,24 @@ class TestCli:
                             np.zeros(3), 60, 4)
         assert 0.0 < info["acceptance_rate"] < 1.0
         assert info["acceptance_rate"] == float(np.mean([t.acceptance_rate for t in traces]))
+
+    @pytest.mark.parametrize("command, extra, match", [
+        ("sample", ["--eta", "1e300", "--K", "2"], "step-size eta"),
+        ("overlap-check", [], "step-size eta"),
+        ("lemmas", ["--eta", "1e200", "--n-mc", "100"], "step-size eta"),
+        ("lemmas", ["--t", "1e200", "--n-mc", "100"], "time t"),
+    ])
+    def test_a_huge_finite_step_size_or_time_is_rejected_by_name(self, tmp_path, gaussian_cfg,
+                                                                command, extra, match):
+        # each once failed with a bare OverflowError: 0.5 * eta**2 in the orbit, and eta**6,
+        # eta**7 or t**3 in the bounds, while --eta 1e9 reported every proposal as diverged
+        out = tmp_path / "out.csv"
+        if command == "overlap-check":
+            gaussian_cfg = write(tmp_path / "e.cfg", "dims = 2\neta = 1e200\nn_mc = 100\n")
+        writes = ["--out", str(out)] if command != "lemmas" else []
+        with pytest.raises(ValueError, match=match):
+            main([command, "--config", gaussian_cfg, *extra, *writes])
+        assert not out.exists()
 
     def test_tune_json(self, capsys):
         rc = main(["tune", "--L", "1.0", "--d", "256", "--M", "10", "--epsilon", "0.05",

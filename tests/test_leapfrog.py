@@ -14,6 +14,7 @@ from _oracles import (
 )
 from hmclab.errors import ConvergenceError, DivergedTrajectory
 from hmclab.leapfrog import (
+    DIVERGENCE_LIMIT,
     PhaseState,
     Trajectory,
     continuous_flow,
@@ -247,6 +248,17 @@ def test_continuous_flow_rejects_a_bad_time(t):
     # nan and inf once ran every refinement round before failing to converge
     with pytest.raises(ValueError, match="time t"):
         continuous_flow(harmonic(), np.ones(1), np.ones(1), t, 1e-9)
+
+
+def test_step_size_and_time_stop_at_the_divergence_limit():
+    # a finite eta or t above ~1.3e154 once failed with a bare OverflowError: 0.5 * eta**2 in the
+    # orbit, eta**6, eta**7 and t**3 in the bounds
+    above = np.nextafter(DIVERGENCE_LIMIT, math.inf)
+    forward_map(harmonic(), state(0.0, 0.0), 1, DIVERGENCE_LIMIT)
+    with pytest.raises(ValueError, match="step-size eta"):
+        forward_map(harmonic(), state(0.0, 0.0), 1, above)
+    with pytest.raises(ValueError, match="time t"):
+        continuous_flow(harmonic(), np.ones(1), np.ones(1), above, 1e-9)
 
 
 def test_continuous_flow_no_convergence():

@@ -520,6 +520,17 @@ def test_chain_stationary_sampler_deterministic_and_shaped():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("counts, match", [({"warmup": -5}, "^warmup"),
+                                           ({"n_chains": 0}, "^n_chains")])
+def test_chain_stationary_sampler_rejects_bad_counts_before_drawing(counts, match):
+    # warmup = -5 once ran no warm-up, and n_chains = 0 failed with a bare ZeroDivisionError
+    gen = np.random.default_rng(0)
+    state = gen.bit_generator.state
+    with pytest.raises(ValueError, match=match):
+        chain_stationary_sampler(GaussianTarget.standard(2), gen, eta=0.1, **counts)(4)
+    assert gen.bit_generator.state == state
+
+
 def test_calibration_constants_stable_across_dimension_sweep():
     # the empirical/bound ratio per lemma stays within a factor 2 over d in {4, 16, 64}
     from _oracles import CubicFormTarget
