@@ -44,13 +44,15 @@ from .kernel import _drive
 from .leapfrog import _check_points, _check_schedule, _check_time
 from .moments import (
     MomentReport,
+    _chaos_check,
+    _dynamics_check,
+    _energy_check,
+    _grad_norm_check,
+    _gradhp_check,
+    _monte_carlo,
+    _php_check,
     _require_sizes,
     chain_stationary_sampler,
-    check_chaos_moments,
-    check_dynamics_diffs,
-    check_grad_norm_moment,
-    check_gradhp_moment,
-    check_php_moment,
     energy_error_moment,
     exact_gaussian_sampler,
 )
@@ -346,9 +348,12 @@ def run_mixing_estimate(cfg: ExperimentConfig):
     estimator is biased upward by binning; it is a diagnostic, not a
     certificate.
     """
+    epsilon = float(cfg.option("epsilon"))
+    if not 0 < epsilon < 1:  # before any unit runs; NaN fails too
+        raise ValueError(f"mixing-estimate needs epsilon in (0, 1), got {epsilon}")
     warm = WarmStartSpec(cfg.option("warm_start"), float(cfg.option("warm_s")))
     rows = []
-    summary = {"epsilon": float(cfg.option("epsilon")), "mixing_steps": {}, "warmness_M": {}}
+    summary = {"epsilon": epsilon, "mixing_steps": {}, "warmness_M": {}}
     results = _map_units(_mixing_point, [(cfg, idx) for idx in range(len(cfg.dims))])
     for d, (d_rows, hit) in zip(cfg.dims, results):
         rows += d_rows
@@ -511,11 +516,14 @@ def run_overlap_check(cfg: ExperimentConfig):
 
 def lemma_reports(target: TargetDensity, ells, eta: float, n_mc: int, rng: np.random.Generator,
                   t: float | None = None, sampler_warmup: int = 2000) -> list[MomentReport]:
-    """Every moment check at each order in ells, in report order.  Draws are
-    exact for Gaussian targets and come from HMC runs at eta = 0.1
-    otherwise.  The energy-error check, and the continuous-drift checks when
-    t is given, need the target's gamma and run only when it declares one.
-    n_mc, every ell, eta and t are checked before the sampler warms up or draws."""
+    """Every moment check at each order in ells, in report order, from one
+    Monte Carlo pass: every check and every order reads the same n_mc draws
+    of (q, p), and grad f(q) is evaluated once per draw.  Draws are exact for
+    Gaussian targets and come from HMC runs at eta = 0.1 otherwise; the fixed
+    point x of the p'Hp and chaos checks is the sampler's first draw.  The
+    energy-error check, and the continuous-drift checks when t is given, need
+    the target's gamma and run only when it declares one.  n_mc, every ell,
+    eta and t are checked before the sampler warms up or draws."""
     for ell in ells:
         _require_sizes(ell, n_mc)
     _check_schedule(eta, 1)  # the energy-error check's one leapfrog step
@@ -526,21 +534,14 @@ def lemma_reports(target: TargetDensity, ells, eta: float, n_mc: int, rng: np.ra
     else:
         sampler = chain_stationary_sampler(target, rng, eta=0.1, warmup=sampler_warmup)
     x = sampler(1)[0]
-    reports = []
-    for ell in ells:
-        even = ell + ell % 2
-        reports += [
-            check_grad_norm_moment(target, ell, n_mc, sampler),
-            check_php_moment(target, x, ell, n_mc, rng),
-            check_gradhp_moment(target, even, n_mc, sampler, rng),
-        ]
-        if target.gamma is not None:
-            reports.append(energy_error_moment(target, eta, even, n_mc, sampler, rng))
-        if target.has_third and target.d <= 16:
-            reports += check_chaos_moments(target, x, ell, n_mc, rng)
-        if t is not None and target.gamma is not None:
-            reports += check_dynamics_diffs(target, t, ell, n_mc, sampler, rng)
-    return reports
+    checks = [_grad_norm_check(target), _php_check(target, x), _gradhp_check(target)]
+    if target.gamma is not None:
+        checks.append(_energy_check(target, eta))
+    if target.has_third and target.d <= 16:
+        checks.append(_chaos_check(target, x))
+    if t is not None and target.gamma is not None:
+        checks.append(_dynamics_check(target, t))
+    return list(_monte_carlo(target, ells, n_mc, sampler, rng, checks))
 
 
 def run_lemma_suite(cfg: ExperimentConfig):

@@ -85,8 +85,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.name not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.name!r}")
-        if len(self.dims) == 0 or list(self.dims) != sorted(self.dims):
-            raise ValueError(f"dimension list must be nonempty and ascending, got {self.dims}")
         if unknown := sorted(set(self.options) - _DECLARED):
             raise ValueError(f"no experiment declares option {', '.join(unknown)}")
         schedules, every_dim, reads_target, least = _READS[self.name]
@@ -100,12 +98,19 @@ class ExperimentConfig:
         if not reads_target and self.target != {"family": "gaussian"}:
             raise ValueError(f"{self.name} runs on the standard Gaussian and would "
                              f"ignore target {self.target!r}")
-        for key, low in least.items():  # a count is integral: 8.0 reads as 8, 8.9 and true do not
-            value = self.option(key)
+        counts = {"dims": (self.dims, 1), "seeds": (self.seeds, 0),
+                  **{key: (self.option(key), low) for key, low in least.items()}}
+        for key, (value, low) in counts.items():  # integral: 8.0 reads as 8, 8.9 and true do not
             for v in value if isinstance(value, (list, tuple)) else [value]:
                 whole = isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()
                 if isinstance(v, bool) or not whole or v < low:
                     raise ValueError(f"{self.name} needs integer {key} >= {low}, got {value!r}")
+        for key in ("dims", "seeds"):  # the runners index and print them as ints
+            object.__setattr__(self, key, tuple(int(v) for v in getattr(self, key)))
+        if len(self.dims) == 0 or list(self.dims) != sorted(self.dims):
+            raise ValueError(f"dimension list must be nonempty and ascending, got {self.dims}")
+        if not self.seeds:  # every runner reads seeds[0]
+            raise ValueError(f"{self.name} needs at least one entry of seeds")
 
     def option(self, key: str):
         """The configured value of key, or this experiment's default for it."""
@@ -214,10 +219,10 @@ def experiment_from_file(path: str, seed: int | None = None,
         k: v for k, v in raw.items()
         if not k.startswith("target.") and k not in _EXPERIMENT_KEYS
     }
-    dims = tuple(int(d) for d in np.atleast_1d(raw.get("dims", 16)))
-    seeds = tuple(int(s) for s in np.atleast_1d(raw.get("seeds", 0)))
+    dims, seeds = raw.get("dims", 16), raw.get("seeds", 0)
+    dims, seeds = (tuple(v) if isinstance(v, list) else (v,) for v in (dims, seeds))
     if seed is not None:
-        seeds = (int(seed),) + tuple(s for s in seeds if s != seed)
+        seeds = (seed,) + tuple(s for s in seeds if s != seed)
     return ExperimentConfig(
         name=name or str(raw.get("experiment", "acceptance-scaling")),
         dims=dims,

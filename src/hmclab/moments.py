@@ -14,10 +14,13 @@ moments) are hard.  The rest are stated here with their universal constant
 c = 1, recorded as each report's calibration, and the report's slack ratio
 is the measurement.
 
-Every check needs n_mc >= 1 and ell >= 1 and is one chunked pass: per chunk
-of 10,000 draws it takes the sampler's positions, then the momenta, and makes
-one `add` per accumulator.  The lemma-suite and energy-scaling CSV bytes
-depend on this order.
+Every check needs n_mc >= 1 and ell >= 1 and is one chunked pass,
+`_monte_carlo`: per chunk of 10,000 draws it takes the sampler's positions,
+then the momenta, and makes one `add` per accumulator.  Each check's reports,
+and so the energy-scaling CSV bytes, depend on this order.  The lemma suite
+(`bench.lemma_reports`) runs every check at every order in one such pass:
+all its reports read the same draws, and grad f(q) is evaluated once per
+draw, so a report does not depend on which other checks or orders run.
 """
 
 from __future__ import annotations
@@ -197,28 +200,117 @@ def _require_sizes(ell: int, n_mc: int) -> None:
             raise ValueError(f"{name} must be at least 1, got {value}")
 
 
-def _monte_carlo(target, ell, n_mc, sampler, rng, quantities, reports) -> tuple[MomentReport, ...]:
-    """The one Monte Carlo pass behind every check, in chunks of at most _CHUNK
-    draws: q = sampler(b), then p = rng.standard_normal((b, d)), each None when
-    its source is; the i-th array of quantities(q, p) takes one `add` to the
-    i-th accumulator.  One report per (name, power, root, bound) in reports."""
-    accs = [MomentAccumulator(power, root) for _, power, root, _ in reports]
+def _monte_carlo(target, ells, n_mc, sampler, rng, checks) -> tuple[MomentReport, ...]:
+    """The one Monte Carlo pass behind every check and the lemma suite, in chunks
+    of at most _CHUNK draws: q = sampler(b), then p = rng.standard_normal((b, d)),
+    each None when its source is, and g = grad f(q) when q is drawn.  A check is
+    (rows, specs): rows(q, p, g) maps each of its quantities' names to that
+    chunk's rows, and specs(ell) lists one (name, ell, power, root, bound) per
+    report.  Each report, per ell in ells and then per check, has its own
+    accumulator, which takes one `add` of its quantity per chunk.  Every spec,
+    so every bound and the checks it makes, is built before the first draw."""
+    specs = [spec for ell in ells for _, at in checks for spec in at(ell)]
+    accs = [MomentAccumulator(power, root) for _, _, power, root, _ in specs]
     for done in range(0, n_mc, _CHUNK):
         b = min(_CHUNK, n_mc - done)
         q = None if sampler is None else sampler(b)
         p = None if rng is None else rng.standard_normal((b, target.d))
-        for acc, x in zip(accs, quantities(q, p), strict=True):
-            acc.add(x)
+        g = None if q is None else target.gradient(q)
+        values = {name: x for rows, _ in checks for name, x in rows(q, p, g).items()}
+        for (name, *_), acc in zip(specs, accs):
+            acc.add(values[name])
     return tuple(MomentReport(name, ell, *acc.norm_and_se(), bound, acc.n)
-                 for (name, _, _, bound), acc in zip(reports, accs))
+                 for (name, ell, _, _, bound), acc in zip(specs, accs))
+
+
+# Each check as (rows, specs) for _monte_carlo; the public checks and the lemma
+# suite build their passes from these.  The signed checks (grad_hessian_p and
+# the energy error) report at the even order ell + ell % 2.
+
+def _grad_norm_check(target):
+    return (lambda q, p, g: {"grad_norm": np.linalg.norm(g, axis=-1)},
+            lambda ell: [("grad_norm", ell, 2 * ell, ell, upsilon_ell(target, ell))])
+
+
+def _php_check(target, x):
+    return (lambda q, p, g: {"p_hessian_p": (p * target.hessian_vec(x, p)).sum(axis=-1)},
+            lambda ell: [("p_hessian_p", ell, ell, ell, upsilon_ell(target, ell))])
+
+
+def _gradhp_check(target):
+    def specs(ell):
+        ell += ell % 2
+        bound = math.sqrt(ell) * target.smoothness * math.sqrt(upsilon_ell(target, ell))
+        return [("grad_hessian_p", ell, ell, ell, bound)]
+
+    return (lambda q, p, g: {"grad_hessian_p": (g * target.hessian_vec(q, p)).sum(axis=-1)},
+            specs)
+
+
+def _chaos_check(target, x, norm_123=None, norm_12_3=None):
+    """Tensor norms at x are computed here, once, when not supplied (small d only)."""
+    if norm_123 is None or norm_12_3 is None:
+        from .tensors import norm_12_3 as _n12_3, norm_frobenius_123 as _n123
+        from .tensors import third_derivative_tensor
+
+        tensor = third_derivative_tensor(target, x)
+        norm_123 = _n123(tensor) if norm_123 is None else norm_123
+        norm_12_3 = _n12_3(tensor) if norm_12_3 is None else norm_12_3
+
+    def rows(q, p, g):
+        contraction = target.third_contract(x, p, p)
+        return {"third_ppp": (contraction * p).sum(axis=-1),
+                "third_pp_norm_sq": np.linalg.norm(contraction, axis=-1)}
+
+    def specs(ell):
+        b1 = ell**1.5 * norm_123 + math.sqrt(ell * target.d) * norm_12_3
+        b2 = ell**2 * norm_123**2 + ell**2 * target.d * norm_12_3**2
+        return [("third_ppp", ell, ell, ell, b1), ("third_pp_norm_sq", ell, 2 * ell, ell, b2)]
+
+    return rows, specs
+
+
+def _dynamics_check(target, t, tol=1e-9):
+    L, g1 = target.smoothness, target.gamma + 1.0
+
+    def rows(q0, p0, g):
+        qc, pc = continuous_flow(target, q0, p0, t, tol)
+        hp0 = target.hessian_vec(q0, p0)
+        hpc = target.hessian_vec(qc, pc)
+        q_leap, _, _ = next(_orbit(target, q0, p0, 1, t, g))
+        return {"php_drift": (pc * hpc).sum(axis=-1) - (p0 * hp0).sum(axis=-1),
+                "hp_drift": np.linalg.norm(hpc - hp0, axis=-1),
+                "leapfrog_position_gap": np.linalg.norm(qc - q_leap, axis=-1)}
+
+    def specs(ell):
+        dl = d_ell(target.d, ell)
+        return [
+            ("php_drift", ell, ell, ell, t * g1 * ell**1.5 * L**1.5 * math.sqrt(dl)),
+            ("hp_drift", ell, 2 * ell, 2 * ell, t * g1 * math.sqrt(ell) * L**1.5 * math.sqrt(dl)),
+            ("leapfrog_position_gap", ell, 2 * ell, 2 * ell,
+             t**3 * math.sqrt(L) * math.sqrt(upsilon_ell(target, ell))),
+        ]
+
+    return rows, specs
+
+
+def _energy_check(target, eta):
+    def rows(q0, p0, g):
+        h0 = target.potential(q0) + 0.5 * (p0 * p0).sum(axis=-1)
+        q1, p1, _ = next(_orbit(target, q0, p0, 1, eta, g))
+        return {"leapfrog_energy_error": h0 - target.potential(q1) - 0.5 * (p1 * p1).sum(axis=-1)}
+
+    def specs(ell):
+        ell += ell % 2
+        return [("leapfrog_energy_error", ell, ell, ell, energy_error_bound(target, eta, ell))]
+
+    return rows, specs
 
 
 def check_grad_norm_moment(target: TargetDensity, ell: int, n_mc: int, sampler) -> MomentReport:
     """[E ||grad f(q)||^(2 ell)]^(1/ell) against Upsilon_ell; constant-free."""
     _require_sizes(ell, n_mc)
-    return _monte_carlo(target, ell, n_mc, sampler, None,
-                        lambda q, p: (np.linalg.norm(target.gradient(q), axis=-1),),
-                        [("grad_norm", 2 * ell, ell, upsilon_ell(target, ell))])[0]
+    return _monte_carlo(target, [ell], n_mc, sampler, None, [_grad_norm_check(target)])[0]
 
 
 def check_php_moment(
@@ -227,9 +319,7 @@ def check_php_moment(
     """[E (p' H p)^ell]^(1/ell) at fixed x against Upsilon_ell; constant-free."""
     _require_sizes(ell, n_mc)
     x = np.asarray(x, dtype=float)
-    return _monte_carlo(target, ell, n_mc, None, rng,
-                        lambda q, p: ((p * target.hessian_vec(x, p)).sum(axis=-1),),
-                        [("p_hessian_p", ell, ell, upsilon_ell(target, ell))])[0]
+    return _monte_carlo(target, [ell], n_mc, None, rng, [_php_check(target, x)])[0]
 
 
 def check_gradhp_moment(
@@ -242,11 +332,7 @@ def check_gradhp_moment(
     _require_sizes(ell, n_mc)
     if ell % 2 != 0:
         raise ValueError("the moment norm of this signed quantity needs even ell")
-    bound = math.sqrt(ell) * target.smoothness * math.sqrt(upsilon_ell(target, ell))
-    return _monte_carlo(
-        target, ell, n_mc, sampler, rng,
-        lambda q, p: ((target.gradient(q) * target.hessian_vec(q, p)).sum(axis=-1),),
-        [("grad_hessian_p", ell, ell, bound)])[0]
+    return _monte_carlo(target, [ell], n_mc, sampler, rng, [_gradhp_check(target)])[0]
 
 
 def check_chaos_moments(
@@ -269,22 +355,8 @@ def check_chaos_moments(
     """
     _require_sizes(ell, n_mc)
     x = np.asarray(x, dtype=float)
-    if norm_123 is None or norm_12_3 is None:
-        from .tensors import norm_12_3 as _n12_3, norm_frobenius_123 as _n123
-        from .tensors import third_derivative_tensor
-
-        tensor = third_derivative_tensor(target, x)
-        norm_123 = _n123(tensor) if norm_123 is None else norm_123
-        norm_12_3 = _n12_3(tensor) if norm_12_3 is None else norm_12_3
-
-    def rows(q, p):
-        contraction = target.third_contract(x, p, p)
-        return (contraction * p).sum(axis=-1), np.linalg.norm(contraction, axis=-1)
-
-    b1 = ell**1.5 * norm_123 + math.sqrt(ell * target.d) * norm_12_3
-    b2 = ell**2 * norm_123**2 + ell**2 * target.d * norm_12_3**2
-    return _monte_carlo(target, ell, n_mc, None, rng, rows,
-                        [("third_ppp", ell, ell, b1), ("third_pp_norm_sq", 2 * ell, ell, b2)])
+    return _monte_carlo(target, [ell], n_mc, None, rng,
+                        [_chaos_check(target, x, norm_123, norm_12_3)])
 
 
 def check_dynamics_diffs(
@@ -307,25 +379,7 @@ def check_dynamics_diffs(
     _check_time(t)
     if target.gamma is None:
         raise ValueError("target declares no gamma; estimate it first")
-    L, g1 = target.smoothness, target.gamma + 1.0
-    dl = d_ell(target.d, ell)
-    b1 = t * g1 * ell**1.5 * L**1.5 * math.sqrt(dl)
-    b2 = t * g1 * math.sqrt(ell) * L**1.5 * math.sqrt(dl)
-    b3 = t**3 * math.sqrt(L) * math.sqrt(upsilon_ell(target, ell))
-
-    def rows(q0, p0):
-        qc, pc = continuous_flow(target, q0, p0, t, tol)
-        hp0 = target.hessian_vec(q0, p0)
-        hpc = target.hessian_vec(qc, pc)
-        q_leap, _, _ = next(_orbit(target, q0, p0, 1, t))
-        return ((pc * hpc).sum(axis=-1) - (p0 * hp0).sum(axis=-1),
-                np.linalg.norm(hpc - hp0, axis=-1), np.linalg.norm(qc - q_leap, axis=-1))
-
-    return _monte_carlo(target, ell, n_mc, sampler, rng, rows, [
-        ("php_drift", ell, ell, b1),
-        ("hp_drift", 2 * ell, 2 * ell, b2),
-        ("leapfrog_position_gap", 2 * ell, 2 * ell, b3),
-    ])
+    return _monte_carlo(target, [ell], n_mc, sampler, rng, [_dynamics_check(target, t, tol)])
 
 
 def energy_error_bound(target: TargetDensity, eta: float, ell: int) -> float:
@@ -355,12 +409,4 @@ def energy_error_moment(
     _require_sizes(ell, n_mc)
     if ell % 2 != 0:
         raise ValueError("the energy error is signed; use even ell")
-    bound = energy_error_bound(target, eta, ell)
-
-    def rows(q0, p0):
-        h0 = target.potential(q0) + 0.5 * (p0 * p0).sum(axis=-1)
-        q1, p1, _ = next(_orbit(target, q0, p0, 1, eta))
-        return (h0 - target.potential(q1) - 0.5 * (p1 * p1).sum(axis=-1),)
-
-    return _monte_carlo(target, ell, n_mc, sampler, rng, rows,
-                        [("leapfrog_energy_error", ell, ell, bound)])[0]
+    return _monte_carlo(target, [ell], n_mc, sampler, rng, [_energy_check(target, eta)])[0]

@@ -15,8 +15,16 @@ import numpy as np
 from hmclab.errors import ConvergenceError, SingularJacobian
 from hmclab.kernel import BatchTransition, chain_rng
 from hmclab.leapfrog import _in_bounds, _orbit, continuous_flow, leapfrog_final
-from hmclab.moments import MomentAccumulator, MomentReport, energy_error_bound, upsilon_ell
-from hmclab.targets import TargetDensity
+from hmclab.moments import (
+    MomentAccumulator,
+    MomentReport,
+    chain_stationary_sampler,
+    energy_error_bound,
+    exact_gaussian_sampler,
+    upsilon_ell,
+)
+from hmclab.targets import GaussianTarget, TargetDensity
+from hmclab.tensors import norm_12_3, norm_frobenius_123, third_derivative_tensor
 from hmclab.tuning import d_ell
 
 
@@ -414,6 +422,84 @@ def loop_energy_error_moment(target, eta, ell, n_mc, sampler, rng):
         q1, p1, _ = next(_orbit(target, q0, p0, 1, eta))
         acc.add(h0 - target.potential(q1) - 0.5 * (p1 * p1).sum(axis=-1))
     return _loop_report("leapfrog_energy_error", ell, acc, bound)
+
+
+def loop_lemma_reports(target, ells, eta, n_mc, rng, t=None, sampler_warmup=2000, tol=1e-9):
+    """The lemma suite as one chunk loop over the public evaluators: x, then per
+    chunk of 10,000 draws q, then p, every quantity once, and one accumulator
+    per report; the leapfrog steps are written out."""
+    if isinstance(target, GaussianTarget):
+        sampler = exact_gaussian_sampler(target, rng)
+    else:
+        sampler = chain_stationary_sampler(target, rng, eta=0.1, warmup=sampler_warmup)
+    x = sampler(1)[0]
+    energy = target.gamma is not None
+    chaos = target.has_third and target.d <= 16
+    drift = t is not None and energy
+    if chaos:
+        tensor = third_derivative_tensor(target, x)
+        n123, n12_3 = norm_frobenius_123(tensor), norm_12_3(tensor)
+    d, L = target.d, target.smoothness
+    reports = []  # (quantity, reported ell, power, root, bound)
+    for ell in ells:
+        even = ell + ell % 2
+        reports += [
+            ("grad_norm", ell, 2 * ell, ell, upsilon_ell(target, ell)),
+            ("p_hessian_p", ell, ell, ell, upsilon_ell(target, ell)),
+            ("grad_hessian_p", even, even, even,
+             math.sqrt(even) * L * math.sqrt(upsilon_ell(target, even))),
+        ]
+        if energy:
+            reports.append(("leapfrog_energy_error", even, even, even,
+                            energy_error_bound(target, eta, even)))
+        if chaos:
+            reports += [
+                ("third_ppp", ell, ell, ell, ell**1.5 * n123 + math.sqrt(ell * d) * n12_3),
+                ("third_pp_norm_sq", ell, 2 * ell, ell, ell**2 * n123**2 + ell**2 * d * n12_3**2),
+            ]
+        if drift:
+            g1, dl = target.gamma + 1.0, d_ell(d, ell)
+            reports += [
+                ("php_drift", ell, ell, ell, t * g1 * ell**1.5 * L**1.5 * math.sqrt(dl)),
+                ("hp_drift", ell, 2 * ell, 2 * ell, t * g1 * math.sqrt(ell) * L**1.5 * math.sqrt(dl)),
+                ("leapfrog_position_gap", ell, 2 * ell, 2 * ell,
+                 t**3 * math.sqrt(L) * math.sqrt(upsilon_ell(target, ell))),
+            ]
+    accs = [MomentAccumulator(power, root) for _, _, power, root, _ in reports]
+
+    def leapfrog(q, p, g, step):
+        q1 = q + step * p - 0.5 * step**2 * g
+        g_1 = target.gradient(q1)
+        return q1, p - 0.5 * step * (g + g_1)
+
+    for b in _chunk_sizes(n_mc):
+        q = sampler(b)
+        p = rng.standard_normal((b, d))
+        g = target.gradient(q)
+        hp = target.hessian_vec(q, p)
+        values = {
+            "grad_norm": np.linalg.norm(g, axis=-1),
+            "p_hessian_p": (p * target.hessian_vec(x, p)).sum(axis=-1),
+            "grad_hessian_p": (g * hp).sum(axis=-1),
+        }
+        if energy:
+            q1, p1 = leapfrog(q, p, g, eta)
+            values["leapfrog_energy_error"] = (target.potential(q) + 0.5 * (p * p).sum(axis=-1)
+                                               - target.potential(q1) - 0.5 * (p1 * p1).sum(axis=-1))
+        if chaos:
+            contraction = target.third_contract(x, p, p)
+            values["third_ppp"] = (contraction * p).sum(axis=-1)
+            values["third_pp_norm_sq"] = np.linalg.norm(contraction, axis=-1)
+        if drift:
+            qc, pc = continuous_flow(target, q, p, t, tol)
+            hpc = target.hessian_vec(qc, pc)
+            values["php_drift"] = (pc * hpc).sum(axis=-1) - (p * hp).sum(axis=-1)
+            values["hp_drift"] = np.linalg.norm(hpc - hp, axis=-1)
+            values["leapfrog_position_gap"] = np.linalg.norm(qc - leapfrog(q, p, g, t)[0], axis=-1)
+        for (name, *_), acc in zip(reports, accs):
+            acc.add(values[name])
+    return [_loop_report(name, ell, acc, bound)
+            for (name, ell, _, _, bound), acc in zip(reports, accs)]
 
 
 def gaussian_energy_error_norm(d: int, eta: float) -> float:

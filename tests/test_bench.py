@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -13,8 +14,8 @@ from numpy.testing import assert_allclose
 from scipy.special import ndtr
 from scipy.stats import norm
 
-from _oracles import CountingTarget
-from conftest import make_logistic, run_python
+from _oracles import CountingTarget, loop_lemma_reports
+from conftest import make_dense_gaussian, make_logistic, make_ridge, run_python
 from hmclab import bench, config
 from hmclab.bench import (
     ExperimentConfig,
@@ -280,6 +281,37 @@ def test_a_count_at_its_least_value_is_accepted(name, key):
     least = _LEAST[(name, key)]
     assert ExperimentConfig(name=name, options={key: least}).option(key) == least
     assert ExperimentConfig(name=name, options={key: float(least)}).option(key) == least
+
+
+@pytest.mark.parametrize("key, value, least", [
+    ("dims", (4.7,), 1), ("dims", (0,), 1), ("dims", (True,), 1), ("dims", ("4",), 1),
+    ("seeds", (1.9,), 0), ("seeds", (-1,), 0), ("seeds", (True,), 0), ("seeds", (0, 2.5), 0),
+])
+def test_dims_and_seeds_follow_the_count_rule(key, value, least):
+    # dims = 4.7 and seeds = 1.9 once ran d = 4 and seed 1
+    with pytest.raises(ValueError, match=f"{key} >= {least}"):
+        ExperimentConfig(name="mixing-estimate", **{key: value})
+
+
+def test_integral_float_dims_and_seeds_read_as_their_integers():
+    cfg = ExperimentConfig(name="mixing-estimate", dims=(8.0, np.int64(16)), seeds=(1.0, 0))
+    assert (cfg.dims, cfg.seeds) == ((8, 16), (1, 0))
+    assert all(type(v) is int for v in cfg.dims + cfg.seeds)
+    assert cfg.config_hash() == ExperimentConfig(name="mixing-estimate", dims=(8, 16),
+                                                 seeds=(1, 0)).config_hash()
+
+
+@pytest.mark.parametrize("epsilon", [-1.0, 0.0, 1.0, 1.5, math.nan])
+def test_mixing_estimate_rejects_epsilon_outside_the_unit_interval_before_any_unit(
+        monkeypatch, epsilon):
+    # epsilon = -1 once ran every checkpoint up to step_cap and then raised BudgetExhausted
+    def no_units(fn, units):
+        raise AssertionError("a unit ran")
+
+    monkeypatch.setattr(bench, "_map_units", no_units)
+    cfg = ExperimentConfig(name="mixing-estimate", dims=(4,), options={"epsilon": epsilon})
+    with pytest.raises(ValueError, match="epsilon"):
+        run_experiment(cfg)
 
 
 @pytest.mark.parametrize("name", EXPERIMENTS)
@@ -648,6 +680,49 @@ def test_lemma_reports_check_step_size_and_time_before_sampling(eta, t, match):
         bench.lemma_reports(target, [2], eta, 100, gen, t=t)
     assert gen.bit_generator.state == before
     assert target.gradient_evals == target.potential_evals == target.hvp_rows == 0
+
+
+_SUITE_TARGETS = {
+    "gaussian": lambda: make_dense_gaussian(3, seed=40),
+    "logistic": lambda: make_logistic(6, 3, seed=41),  # drawn by the chain sampler
+    "ridge": lambda: make_ridge(5, 3, seed=42),
+}
+
+
+@pytest.mark.parametrize("t", [None, 0.05])
+@pytest.mark.parametrize("family", _SUITE_TARGETS)
+def test_lemma_reports_match_one_chunk_loop_bit_for_bit(family, t):
+    # 10,001 draws span two chunks; every order's reports read the same draws
+    target = _SUITE_TARGETS[family]()
+    new = bench.lemma_reports(target, (1, 2, 4), 0.1, 10_001, np.random.default_rng(3), t=t,
+                              sampler_warmup=50)
+    old = loop_lemma_reports(target, (1, 2, 4), 0.1, 10_001, np.random.default_rng(3), t=t,
+                             sampler_warmup=50)
+    assert [dataclasses.astuple(r) for r in new] == [dataclasses.astuple(r) for r in old]
+    assert len(new) == 3 * (6 if t is None else 9)
+    assert all(r.n_samples == 10_001 for r in new)
+
+
+def test_lemma_reports_do_not_depend_on_the_other_orders():
+    target = make_logistic(6, 3, seed=41)
+
+    def run(ells, t):
+        return bench.lemma_reports(target, ells, 0.1, 500, np.random.default_rng(4), t=t,
+                                   sampler_warmup=20)
+
+    both, drift = run((2, 4), None), run((4,), 0.05)
+    assert both[len(both) // 2:] == drift[:len(both) // 2]
+
+
+def test_lemma_reports_evaluate_each_gradient_row_once_for_every_order():
+    # 500 warm-up steps, 4 for x and 4 x 32 harvest steps of 64 chains (40,448 rows), one
+    # gradient per run start (3 x 64), and per draw grad f(q) and grad f(q_eta) (2 x 2000)
+    counts = []
+    for ells in [(2,), (2, 4)]:
+        target = CountingTarget(make_logistic(32, 16, seed=5))
+        bench.lemma_reports(target, ells, 0.05, 2000, np.random.default_rng(0), sampler_warmup=500)
+        counts.append(target.gradient_evals)
+    assert counts == [44_640, 44_640]
 
 
 @pytest.mark.parametrize("etas", [[0.0, 0.1], [0.1, -0.05], [0.1, math.nan], [math.inf]])

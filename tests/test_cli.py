@@ -142,6 +142,13 @@ class TestConfigParsing:
         ("tensor-report", "dims = 2\nn_points = true\n", "n_points"),
         ("overlap-check", "dims = 16, 32\nn_mc = 100\n", "dims"),
         ("lemma-suite", "dims = 2\nn_mc = 100\nells = 2, 0\n", "ells"),
+        # dims = 4.7 ran d = 4 and seeds = 1.9 seed 1; epsilon = -1 ran every checkpoint
+        ("mixing-estimate", "dims = 4.7\nn_chains = 64\n", "dims"),
+        ("mixing-estimate", "dims = 4\nseeds = 1.9\nn_chains = 64\n", "seeds"),
+        ("mixing-estimate", "dims = 4, 8.5\nn_chains = 64\n", "dims"),
+        ("lemma-suite", "dims = 2\nseeds = ,\nn_mc = 100\n", "seeds"),  # an IndexError
+        ("mixing-estimate", "dims = 4\nn_chains = 64\nepsilon = -1\n", "epsilon"),
+        ("mixing-estimate", "dims = 4\nn_chains = 64\nepsilon = nan\n", "epsilon"),
     ])
     def test_experiment_rejects_a_config_it_cannot_honour_before_drawing(
             self, tmp_path, monkeypatch, command, body, key):
