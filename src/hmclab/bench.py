@@ -18,9 +18,10 @@ macOS or Windows), and not inside a daemonic process; otherwise the units run
 in the caller.  Rows and summaries are assembled in unit order and each unit
 draws only from its own streams, so outputs are the same bytes either way.
 The single-unit runners (overlap-check, lemma-suite, tensor-report) run in
-the caller.  `overlap_report`,
-`lemma_reports` and `tensors.tensor_report` compute the analyses that both
-the runners and the `hmclab overlap|lemmas|tensor` commands print.
+the caller.  `overlap_report`, `lemma_reports` and `tensors.tensor_report`
+compute the analyses that the runners and `hmclab overlap|lemmas|tensor`
+print.  Every runner builds its target from cfg.target through `_target`,
+and every stationary draw comes from `moments._stationary_sampler`.
 """
 
 from __future__ import annotations
@@ -52,9 +53,8 @@ from .moments import (
     _monte_carlo,
     _php_check,
     _require_sizes,
-    chain_stationary_sampler,
+    _stationary_sampler,
     energy_error_moment,
-    exact_gaussian_sampler,
 )
 from .overlap import kl_between_proposals, kl_lemma_bound, kl_proof_form_bound
 from .targets import GaussianTarget, TargetDensity
@@ -96,6 +96,13 @@ class WarmStartSpec:
         if self.kind == "scaled-covariance":
             return math.sqrt(self.s) * target.sample_exact(n, rng)
         return np.zeros((n, target.d))
+
+
+def _target(cfg: ExperimentConfig, d: int) -> TargetDensity:
+    """The target named by cfg.target, with `dim` defaulting to the grid point's d
+    when its family declares `dim` (two-layer does not)."""
+    dim = {"dim": d} if "dim" in TARGET_KEYS[target_family(cfg.target)] else {}
+    return build_target({**dim, **cfg.target})
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -256,22 +263,17 @@ def _mean_acceptance(
     return float(flags.mean()), ci, n_steps * n_chains * (K + 1)
 
 
-def calibrate_acceptance_constant(
-    d: int,
-    seed: int,
-    target_accept: float = 0.85,
-) -> float:
-    """Pilot bisection for a in eta = a d^(-1/4): acceptance falls as a grows.
-
-    Each of its 12 rounds runs 64 exact-start chains for 16 transitions.
-    """
+def calibrate_acceptance_constant(target: TargetDensity, seed: int,
+                                  target_accept: float = 0.85) -> float:
+    """Pilot bisection for a in eta = a d^(-1/4) on target: acceptance falls as a grows.
+    Each of its 12 rounds runs 64 chains from stationary starts for 16 transitions."""
     lo, hi = 0.2, 2.0
-    target_g = GaussianTarget.standard(d)
+    d = target.d
     for _ in range(12):
         mid = 0.5 * (lo + hi)
         rng = _rng(seed, 999, int(mid * 1e6) % (2**31))
-        start = target_g.sample_exact(64, rng)
-        acc, _, _ = _mean_acceptance(target_g, start, mid * d**-0.25, math.ceil(d**0.25), 16, rng)
+        start = _stationary_sampler(target, rng)(64)
+        acc, _, _ = _mean_acceptance(target, start, mid * d**-0.25, math.ceil(d**0.25), 16, rng)
         if acc > target_accept:
             lo = mid
         else:
@@ -281,14 +283,14 @@ def calibrate_acceptance_constant(
 
 def _acceptance_point(cfg: ExperimentConfig, a, idx: int) -> tuple:
     """The acceptance-scaling row of grid point idx, from its own stream."""
-    d = cfg.dims[idx]
-    target = GaussianTarget.standard(d)
+    target = _target(cfg, cfg.dims[idx])
+    d = target.d
     if cfg.schedule == "fixed":
         eta, K = corollary_schedule("fixed", target, cfg)
     else:
         eta, K = float(a) * d**-0.25, math.ceil(d**0.25)
     rng = _rng(cfg.seeds[0], idx)
-    start = target.sample_exact(int(cfg.option("n_chains")), rng)
+    start = _stationary_sampler(target, rng)(int(cfg.option("n_chains")))
     acc, ci, grads = _mean_acceptance(target, start, eta, K, int(cfg.option("n_steps")), rng)
     return d, eta, K, acc, ci, grads
 
@@ -298,7 +300,7 @@ def run_acceptance_scaling(cfg: ExperimentConfig):
     or under a fixed (eta, K) control."""
     a = cfg.option("accept_constant")
     if a is None and cfg.schedule == "corollary-hmc":
-        a = calibrate_acceptance_constant(cfg.dims[0], cfg.seeds[0])
+        a = calibrate_acceptance_constant(_target(cfg, cfg.dims[0]), cfg.seeds[0])
     rows = _map_units(_acceptance_point, [(cfg, a, idx) for idx in range(len(cfg.dims))])
     header = ["d", "eta", "K", "accept_mean", "accept_ci", "grad_evals"]
     summary = {
@@ -312,12 +314,12 @@ def _mixing_point(cfg: ExperimentConfig, idx: int) -> tuple[list, int]:
     """Grid point idx's mixing-estimate rows and its first checkpoint with the TV
     estimate at most epsilon; BudgetExhausted when no checkpoint up to step_cap
     reaches it."""
-    d = cfg.dims[idx]
     epsilon = float(cfg.option("epsilon"))
     step_cap = int(cfg.option("step_cap"))
     lazy = bool(cfg.option("lazy"))
     warm = WarmStartSpec(cfg.option("warm_start"), float(cfg.option("warm_s")))
-    target = GaussianTarget.standard(d)
+    target = _target(cfg, cfg.dims[idx])
+    d = target.d
     eta, K = corollary_schedule(cfg.schedule, target, cfg)
     rng = _rng(cfg.seeds[0], idx)
     q = warm.draw(target, int(cfg.option("n_chains")), rng)
@@ -355,7 +357,8 @@ def run_mixing_estimate(cfg: ExperimentConfig):
     rows = []
     summary = {"epsilon": epsilon, "mixing_steps": {}, "warmness_M": {}}
     results = _map_units(_mixing_point, [(cfg, idx) for idx in range(len(cfg.dims))])
-    for d, (d_rows, hit) in zip(cfg.dims, results):
+    for d_rows, hit in results:
+        d = d_rows[0][0]  # the built target's d
         rows += d_rows
         summary["mixing_steps"][d] = hit
         summary["warmness_M"][d] = warm.warmness(d)
@@ -363,27 +366,24 @@ def run_mixing_estimate(cfg: ExperimentConfig):
     return header, rows, summary
 
 
-def _iact_rows(d, method, eta, K, n_iters, n_rep, seeds, key):
-    """IACT rows of n_rep chains per seed on N(0, I_d), all run as one block; seeds[i]
-    draws from the stream (seeds[i], key).
-
-    Returns one list of rows per seed.
-    """
-    target = GaussianTarget.standard(d)
-    streams = [_rng(seed, key) for seed in seeds]
-    q = np.concatenate([target.sample_exact(n_rep, rng) for rng in streams])
+def _iact_rows(cfg: ExperimentConfig, method, eta, K, n_iters, key):
+    """One list per seed of the IACT rows of n_rep chains on cfg's target at dims[0], all
+    run as one block from stationary starts; seed i draws from the stream (seeds[i], key)."""
+    target, n_rep = _target(cfg, cfg.dims[0]), int(cfg.option("n_rep"))
+    streams = [_rng(seed, key) for seed in cfg.seeds]
+    q = np.concatenate([_stationary_sampler(target, rng)(n_rep) for rng in streams])
     series_q1 = np.empty((n_iters, q.shape[0]))
     series_qq = np.empty((n_iters, q.shape[0]))
     for i, _ in enumerate(_drive(target, q, eta, K, streams, False, n_iters)):  # steps q
         series_q1[i] = q[:, 0]
         series_qq[i] = (q * q).sum(axis=1)
     rows = []
-    for j, seed in enumerate(seeds):
+    for j, seed in enumerate(cfg.seeds):
         chains = range(j * n_rep, (j + 1) * n_rep)
         rows.append([])
         for stat, series in (("q1", series_q1), ("qnorm2", series_qq)):
             iact = float(np.mean([integrated_autocorr_time(series[:, r]) for r in chains]))
-            rows[-1].append((d, method, stat, eta, K, iact, (K + 1) * iact, seed))
+            rows[-1].append((target.d, method, stat, eta, K, iact, (K + 1) * iact, seed))
     return rows
 
 
@@ -395,10 +395,8 @@ def run_mala_vs_hmc(cfg: ExperimentConfig):
     the summary records each method's (eta, K).  Each method runs the chains
     of every seed as one block.
     """
-    d = cfg.dims[0]
-    target = GaussianTarget.standard(d)
+    target = _target(cfg, cfg.dims[0])
     budget = int(cfg.option("grad_budget"))
-    n_rep = int(cfg.option("n_rep"))
     eta_h, K_h = corollary_schedule("corollary-hmc", target, cfg)
     eta_m, K_m = corollary_schedule("corollary-mala", target, cfg)
     for method, K in (("hmc", K_h), ("mala", K_m)):
@@ -406,8 +404,8 @@ def run_mala_vs_hmc(cfg: ExperimentConfig):
             raise ValueError(f"grad_budget = {budget} gives {method} (K = {K}) fewer than "
                              f"2 transitions; IACT needs at least 2")
     hmc, mala = _map_units(_iact_rows, [
-        (d, "hmc", eta_h, K_h, budget // (K_h + 1), n_rep, cfg.seeds, 0),
-        (d, "mala", eta_m, K_m, budget // (K_m + 1), n_rep, cfg.seeds, 1),
+        (cfg, "hmc", eta_h, K_h, budget // (K_h + 1), 0),
+        (cfg, "mala", eta_m, K_m, budget // (K_m + 1), 1),
     ])
     rows = [row for h, m in zip(hmc, mala) for row in h + m]  # seed-major, hmc then mala
     header = ["d", "method", "statistic", "eta", "K", "iact", "grad_evals_per_ess", "seed"]
@@ -428,30 +426,28 @@ def run_mala_vs_hmc(cfg: ExperimentConfig):
     return header, rows, summary
 
 
-def _energy_point(seed: int, point: int, sweep: str, d: int, eta: float, ell: int,
-                  n_mc: int) -> tuple:
+def _energy_point(cfg: ExperimentConfig, point: int, sweep: str, d: int, eta: float) -> tuple:
     """The energy-scaling row of grid point `point`, from its own stream."""
-    target = GaussianTarget.standard(d)
-    rng = _rng(seed, point)
-    rep = energy_error_moment(target, eta, ell, n_mc, exact_gaussian_sampler(target, rng), rng)
-    return sweep, d, eta, ell, rep.empirical, rep.std_error, rep.bound
+    target, ell = _target(cfg, d), int(cfg.option("ell"))
+    rng = _rng(cfg.seeds[0], point)
+    rep = energy_error_moment(target, eta, ell, int(cfg.option("n_mc")),
+                              _stationary_sampler(target, rng), rng)
+    return sweep, target.d, eta, ell, rep.empirical, rep.std_error, rep.bound
 
 
 def run_energy_scaling(cfg: ExperimentConfig):
     """Single-leapfrog energy-error moment against step-size and dimension."""
-    seed = cfg.seeds[0]
-    ell = int(cfg.option("ell"))
-    n_mc = int(cfg.option("n_mc"))
     etas = [float(e) for e in np.atleast_1d(cfg.option("etas"))]
     for eta in etas:  # before any unit runs; the slope fit would be the first to fail
         if not 0 < eta < math.inf:  # NaN fails both comparisons
             raise ValueError(f"energy-scaling needs every entry of etas positive and finite, "
                              f"got {eta}")
     eta_fixed, d_fixed = 0.05, 64  # the d-sweep's step size, the eta-sweep's dimension
+    if _target(cfg, d_fixed).gamma is None:  # the bound's gamma, before any unit runs
+        raise ValueError(f"energy-scaling needs gamma; {target_family(cfg.target)} declares none")
     points = [("eta-sweep", d_fixed, eta) for eta in etas]
     points += [("d-sweep", d, eta_fixed) for d in cfg.dims]
-    rows = _map_units(_energy_point,
-                      [(seed, point, *p, ell, n_mc) for point, p in enumerate(points)])
+    rows = _map_units(_energy_point, [(cfg, point, *p) for point, p in enumerate(points)])
     header = ["sweep", "d", "eta", "ell", "empirical", "std_error", "bound"]
     eta_rows = [r for r in rows if r[0] == "eta-sweep"]
     d_rows = [r for r in rows if r[0] == "d-sweep"]
@@ -460,13 +456,6 @@ def run_energy_scaling(cfg: ExperimentConfig):
         "d_slope": fit_loglog_slope([r[1] for r in d_rows], [r[4] for r in d_rows]),
     }
     return header, rows, summary
-
-
-def _analysis_target(cfg: ExperimentConfig) -> TargetDensity:
-    """The target named by cfg.target, with `dim` defaulting to dims[0] when
-    its family declares `dim` (two-layer does not)."""
-    dim = {"dim": cfg.dims[0]} if "dim" in TARGET_KEYS[target_family(cfg.target)] else {}
-    return build_target({**dim, **cfg.target})
 
 
 def overlap_report(target: TargetDensity, q0, direction, separation, K: int, eta: float,
@@ -503,7 +492,7 @@ def overlap_report(target: TargetDensity, q0, direction, separation, K: int, eta
 
 def run_overlap_check(cfg: ExperimentConfig):
     """KL between proposals from two nearby starts, with the lemma bounds."""
-    target = _analysis_target(cfg)
+    target = _target(cfg, cfg.dims[0])
     K, eta = int(cfg.option("K")), float(cfg.option("eta"))
     q0 = cfg.option("q0")
     rep = overlap_report(target, np.zeros(target.d) if q0 is None else q0, None, None,
@@ -529,10 +518,7 @@ def lemma_reports(target: TargetDensity, ells, eta: float, n_mc: int, rng: np.ra
     _check_schedule(eta, 1)  # the energy-error check's one leapfrog step
     if t is not None:
         _check_time(t)
-    if isinstance(target, GaussianTarget):
-        sampler = exact_gaussian_sampler(target, rng)
-    else:
-        sampler = chain_stationary_sampler(target, rng, eta=0.1, warmup=sampler_warmup)
+    sampler = _stationary_sampler(target, rng, sampler_warmup)
     x = sampler(1)[0]
     checks = [_grad_norm_check(target), _php_check(target, x), _gradhp_check(target)]
     if target.gamma is not None:
@@ -548,7 +534,7 @@ def run_lemma_suite(cfg: ExperimentConfig):
     """All moment checks at the configured orders, one row per report."""
     t = cfg.option("t")
     reports = lemma_reports(
-        _analysis_target(cfg), [int(e) for e in np.atleast_1d(cfg.option("ells"))],
+        _target(cfg, cfg.dims[0]), [int(e) for e in np.atleast_1d(cfg.option("ells"))],
         float(cfg.option("eta")), int(cfg.option("n_mc")), _rng(cfg.seeds[0], 0),
         t=None if t is None else float(t), sampler_warmup=int(cfg.option("sampler_warmup")),
     )
@@ -561,7 +547,7 @@ def run_lemma_suite(cfg: ExperimentConfig):
 def run_tensor_report(cfg: ExperimentConfig):
     """Tensor-norm reports of the third derivative at sampled points."""
     restarts = int(cfg.option("restarts"))
-    target = _analysis_target(cfg)
+    target = _target(cfg, cfg.dims[0])
     rng = _rng(cfg.seeds[0], 0)
     reports = []
     for _ in range(int(cfg.option("n_points"))):

@@ -15,11 +15,11 @@ declares for it; a key that the family does not declare is rejected:
 
 Experiment files add experiment-level keys (experiment, dims, seeds,
 schedule), `target.`-prefixed target keys and the options that OPTIONS
-declares; a key that no experiment declares is rejected.  The analysis
-experiments (overlap-check, lemma-suite, tensor-report) build their target
-from the target keys, with `dim` defaulting to the first entry of `dims`
-for every family that declares `dim`;
-the others run on the standard Gaussian and accept no target keys.
+declares; a key that no experiment declares is rejected.  Every experiment
+builds its target from the target keys (the standard Gaussian without them),
+with `dim` defaulting to each grid point's entry of `dims` for every family
+that declares `dim`.  A target whose d does not come from `dims` runs one
+entry of it; mixing-estimate runs Gaussian targets only.
 """
 
 from __future__ import annotations
@@ -58,18 +58,18 @@ OPTIONS = {
 EXPERIMENTS = tuple(OPTIONS)
 # One file may serve several subcommands, so a key is valid when any experiment declares it.
 _DECLARED = {key for defaults in OPTIONS.values() for key in defaults}
-# What each experiment reads besides OPTIONS, checked before any draw: its schedules, every entry
-# of dims or dims[0] alone, target. keys or the standard Gaussian, and each count's least value.
+# What each experiment reads besides OPTIONS and target. keys, checked before any draw: its
+# schedules, every entry of dims or dims[0] alone, and each count's least value.
 _READS = {
-    "acceptance-scaling": (("fixed", "corollary-hmc"), True, False,
+    "acceptance-scaling": (("fixed", "corollary-hmc"), True,
                            {"n_chains": 2, "n_steps": 1, "K": 1}),  # a between-chain CI
-    "energy-scaling": (("corollary-hmc",), True, False, {"ell": 1, "n_mc": 1}),
-    "mixing-estimate": (("fixed", "corollary-hmc", "corollary-mala"), True, False,
+    "energy-scaling": (("corollary-hmc",), True, {"ell": 1, "n_mc": 1}),
+    "mixing-estimate": (("fixed", "corollary-hmc", "corollary-mala"), True,
                         {"n_chains": 1, "step_cap": 32, "K": 1}),  # 32, the first checkpoint
-    "overlap-check": (("corollary-hmc",), False, True, {"K": 1, "n_mc": 2}),  # the KL's variance
-    "lemma-suite": (("corollary-hmc",), False, True, {"ells": 1, "n_mc": 1, "sampler_warmup": 0}),
-    "tensor-report": (("corollary-hmc",), False, True, {"n_points": 1, "restarts": 1}),
-    "mala-vs-hmc": (("corollary-hmc",), False, False, {"grad_budget": 1, "n_rep": 1}),
+    "overlap-check": (("corollary-hmc",), False, {"K": 1, "n_mc": 2}),  # the KL's variance
+    "lemma-suite": (("corollary-hmc",), False, {"ells": 1, "n_mc": 1, "sampler_warmup": 0}),
+    "tensor-report": (("corollary-hmc",), False, {"n_points": 1, "restarts": 1}),
+    "mala-vs-hmc": (("corollary-hmc",), False, {"grad_budget": 1, "n_rep": 1}),
 }
 
 
@@ -87,7 +87,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.name!r}")
         if unknown := sorted(set(self.options) - _DECLARED):
             raise ValueError(f"no experiment declares option {', '.join(unknown)}")
-        schedules, every_dim, reads_target, least = _READS[self.name]
+        schedules, every_dim, least = _READS[self.name]
         if self.schedule not in schedules:
             raise ValueError(f"{self.name} reads no schedule and would ignore {self.schedule!r}"
                              if len(schedules) == 1 else f"{self.name} runs the "
@@ -95,9 +95,17 @@ class ExperimentConfig:
         if not every_dim and len(self.dims) > 1:
             raise ValueError(f"{self.name} runs one dimension and would ignore all but one of "
                              f"dims = {', '.join(map(str, self.dims))}")
-        if not reads_target and self.target != {"family": "gaussian"}:
-            raise ValueError(f"{self.name} runs on the standard Gaussian and would "
-                             f"ignore target {self.target!r}")
+        family = target_family(self.target)
+        if self.name == "mixing-estimate" and family != "gaussian":  # gaussian_projected_std
+            raise ValueError(f"mixing-estimate measures TV against exact Gaussian projections "
+                             f"and cannot run target family {family!r}")
+        precision = self.target.get("precision")  # a scalar scales the identity of size dim
+        for key, sets_d in (("dim", "dim" in self.target), ("data", "data" in self.target),
+                            ("precision", isinstance(precision, str) or np.size(precision) > 1),
+                            ("family", family == "two-layer")):
+            if sets_d and len(self.dims) > 1:
+                raise ValueError(f"{self.name} would run one target at each of dims = "
+                                 f"{', '.join(map(str, self.dims))}: target.{key} sets its d")
         counts = {"dims": (self.dims, 1), "seeds": (self.seeds, 0),
                   **{key: (self.option(key), low) for key, low in least.items()}}
         for key, (value, low) in counts.items():  # integral: 8.0 reads as 8, 8.9 and true do not

@@ -19,12 +19,14 @@ Every check needs n_mc >= 1 and ell >= 1 and is one chunked pass,
 then the momenta, and makes one `add` per accumulator.  Each check's reports,
 and so the energy-scaling CSV bytes, depend on this order.  The lemma suite
 (`bench.lemma_reports`) runs every check at every order in one such pass:
-all its reports read the same draws, and grad f(q) is evaluated once per
-draw, so a report does not depend on which other checks or orders run.
+all its reports read the same draws, and grad f(q), and grad^2 f(q) p when a
+check reads it, are evaluated once per draw, so a report does not depend on
+which other checks or orders run.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -190,6 +192,13 @@ def chain_stationary_sampler(
     return sample
 
 
+def _stationary_sampler(target: TargetDensity, rng: np.random.Generator, warmup: int = 2000):
+    """Exact draws where the target has `sample_exact`, else HMC draws at eta = 0.1."""
+    if hasattr(target, "sample_exact"):
+        return exact_gaussian_sampler(target, rng)
+    return chain_stationary_sampler(target, rng, eta=0.1, warmup=warmup)
+
+
 _CHUNK = 10_000
 
 
@@ -204,8 +213,9 @@ def _monte_carlo(target, ells, n_mc, sampler, rng, checks) -> tuple[MomentReport
     """The one Monte Carlo pass behind every check and the lemma suite, in chunks
     of at most _CHUNK draws: q = sampler(b), then p = rng.standard_normal((b, d)),
     each None when its source is, and g = grad f(q) when q is drawn.  A check is
-    (rows, specs): rows(q, p, g) maps each of its quantities' names to that
-    chunk's rows, and specs(ell) lists one (name, ell, power, root, bound) per
+    (rows, specs): rows(q, p, g, hp) maps each of its quantities' names to that
+    chunk's rows, where hp() is grad^2 f(q) p, evaluated once per chunk and only
+    when a check reads it, and specs(ell) lists one (name, ell, power, root, bound) per
     report.  Each report, per ell in ells and then per check, has its own
     accumulator, which takes one `add` of its quantity per chunk.  Every spec,
     so every bound and the checks it makes, is built before the first draw."""
@@ -216,7 +226,8 @@ def _monte_carlo(target, ells, n_mc, sampler, rng, checks) -> tuple[MomentReport
         q = None if sampler is None else sampler(b)
         p = None if rng is None else rng.standard_normal((b, target.d))
         g = None if q is None else target.gradient(q)
-        values = {name: x for rows, _ in checks for name, x in rows(q, p, g).items()}
+        hp = functools.cache(lambda: target.hessian_vec(q, p))
+        values = {name: x for rows, _ in checks for name, x in rows(q, p, g, hp).items()}
         for (name, *_), acc in zip(specs, accs):
             acc.add(values[name])
     return tuple(MomentReport(name, ell, *acc.norm_and_se(), bound, acc.n)
@@ -228,12 +239,12 @@ def _monte_carlo(target, ells, n_mc, sampler, rng, checks) -> tuple[MomentReport
 # the energy error) report at the even order ell + ell % 2.
 
 def _grad_norm_check(target):
-    return (lambda q, p, g: {"grad_norm": np.linalg.norm(g, axis=-1)},
+    return (lambda q, p, g, hp: {"grad_norm": np.linalg.norm(g, axis=-1)},
             lambda ell: [("grad_norm", ell, 2 * ell, ell, upsilon_ell(target, ell))])
 
 
 def _php_check(target, x):
-    return (lambda q, p, g: {"p_hessian_p": (p * target.hessian_vec(x, p)).sum(axis=-1)},
+    return (lambda q, p, g, hp: {"p_hessian_p": (p * target.hessian_vec(x, p)).sum(axis=-1)},
             lambda ell: [("p_hessian_p", ell, ell, ell, upsilon_ell(target, ell))])
 
 
@@ -243,8 +254,7 @@ def _gradhp_check(target):
         bound = math.sqrt(ell) * target.smoothness * math.sqrt(upsilon_ell(target, ell))
         return [("grad_hessian_p", ell, ell, ell, bound)]
 
-    return (lambda q, p, g: {"grad_hessian_p": (g * target.hessian_vec(q, p)).sum(axis=-1)},
-            specs)
+    return (lambda q, p, g, hp: {"grad_hessian_p": (g * hp()).sum(axis=-1)}, specs)
 
 
 def _chaos_check(target, x, norm_123=None, norm_12_3=None):
@@ -257,7 +267,7 @@ def _chaos_check(target, x, norm_123=None, norm_12_3=None):
         norm_123 = _n123(tensor) if norm_123 is None else norm_123
         norm_12_3 = _n12_3(tensor) if norm_12_3 is None else norm_12_3
 
-    def rows(q, p, g):
+    def rows(q, p, g, hp):
         contraction = target.third_contract(x, p, p)
         return {"third_ppp": (contraction * p).sum(axis=-1),
                 "third_pp_norm_sq": np.linalg.norm(contraction, axis=-1)}
@@ -273,9 +283,9 @@ def _chaos_check(target, x, norm_123=None, norm_12_3=None):
 def _dynamics_check(target, t, tol=1e-9):
     L, g1 = target.smoothness, target.gamma + 1.0
 
-    def rows(q0, p0, g):
+    def rows(q0, p0, g, hp):
         qc, pc = continuous_flow(target, q0, p0, t, tol)
-        hp0 = target.hessian_vec(q0, p0)
+        hp0 = hp()
         hpc = target.hessian_vec(qc, pc)
         q_leap, _, _ = next(_orbit(target, q0, p0, 1, t, g))
         return {"php_drift": (pc * hpc).sum(axis=-1) - (p0 * hp0).sum(axis=-1),
@@ -295,7 +305,7 @@ def _dynamics_check(target, t, tol=1e-9):
 
 
 def _energy_check(target, eta):
-    def rows(q0, p0, g):
+    def rows(q0, p0, g, hp):
         h0 = target.potential(q0) + 0.5 * (p0 * p0).sum(axis=-1)
         q1, p1, _ = next(_orbit(target, q0, p0, 1, eta, g))
         return {"leapfrog_energy_error": h0 - target.potential(q1) - 0.5 * (p1 * p1).sum(axis=-1)}

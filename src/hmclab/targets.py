@@ -58,10 +58,6 @@ class TargetDensity:
         )
 
     @property
-    def has_hessian(self) -> bool:
-        return type(self).hessian_vec is not TargetDensity.hessian_vec
-
-    @property
     def has_third(self) -> bool:
         return type(self).third_contract is not TargetDensity.third_contract
 

@@ -203,7 +203,8 @@ def criterion_07_runs():
     """Criterion 7's corollary-schedule and fixed-control rows, and the time they started."""
     t0 = time.monotonic()
     dims = (16, 64, 256, 1024, 4096)
-    a = bench.calibrate_acceptance_constant(dims[0], seed=0, target_accept=0.9)
+    a = bench.calibrate_acceptance_constant(GaussianTarget.standard(dims[0]), seed=0,
+                                            target_accept=0.9)
     cfg = bench.ExperimentConfig(
         name="acceptance-scaling", dims=dims, seeds=(0,),
         options={"accept_constant": a, "n_chains": 160, "n_steps": 32},

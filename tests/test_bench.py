@@ -27,6 +27,7 @@ from hmclab.bench import (
     run_experiment,
     write_csv,
 )
+from hmclab.cli import main as cli_main
 from hmclab.config import EXPERIMENTS, OPTIONS
 from hmclab.diagnostics import (
     _TV_EDGES,
@@ -229,13 +230,87 @@ def test_mala_vs_hmc_rejects_several_dims():
         ExperimentConfig(name="mala-vs-hmc", dims=(16, 64))
 
 
-@pytest.mark.parametrize(
-    "name", ["acceptance-scaling", "energy-scaling", "mixing-estimate", "mala-vs-hmc"]
-)
-def test_standard_gaussian_experiments_reject_target_keys(name):
-    with pytest.raises(ValueError, match="would ignore target"):
-        ExperimentConfig(name=name, target={"family": "ridge", "n": 3, "dim": 4})
-    ExperimentConfig(name=name, target={"family": "gaussian"})
+# each sampling experiment at sizes that keep it to a fraction of a second
+_SAMPLING_CONFIGS = {
+    "acceptance-scaling": ExperimentConfig(
+        name="acceptance-scaling", dims=(4, 8), options={"accept_constant": 1.0, "n_chains": 8,
+                                                         "n_steps": 2}),
+    "energy-scaling": ExperimentConfig(
+        name="energy-scaling", dims=(4, 8), options={"n_mc": 200, "etas": [0.05, 0.1]}),
+    "mixing-estimate": ExperimentConfig(
+        name="mixing-estimate", dims=(4, 8), options={"epsilon": 0.5, "n_chains": 256}),
+    "mala-vs-hmc": ExperimentConfig(
+        name="mala-vs-hmc", dims=(4,), options={"grad_budget": 200, "n_rep": 2}),
+}
+
+
+@pytest.mark.parametrize("name", ["acceptance-scaling", "energy-scaling", "mala-vs-hmc"])
+def test_sampling_experiments_run_on_a_ridge_target(name):
+    # they once ran the standard Gaussian alone and rejected every other target
+    ridge = {"family": "ridge", "n": 3}
+    cfg = dataclasses.replace(_SAMPLING_CONFIGS[name], dims=(4,), target=ridge)
+    _, rows, _ = run_experiment(cfg)
+    d_column = [r[1] if name == "energy-scaling" else r[0] for r in rows]
+    # d comes from dims, and the eta-sweep runs at d = 64
+    assert d_column == {"acceptance-scaling": [4], "energy-scaling": [64, 64, 4],
+                        "mala-vs-hmc": [4] * 4}[name]
+    assert all(math.isfinite(v) for r in rows for v in r if isinstance(v, float))
+    gaussian = dataclasses.replace(cfg, target={"family": "gaussian"})
+    assert run_experiment(gaussian)[1] != rows
+
+
+def test_mixing_estimate_rejects_a_non_gaussian_target_by_family(monkeypatch, tmp_path):
+    # its TV reference is the Gaussian's exact projected std
+    monkeypatch.setattr(bench, "_map_units", lambda fn, units: pytest.fail("a unit ran"))
+    path = tmp_path / "mixing.cfg"
+    path.write_text("dims = 4\ntarget.family = logistic\nn_chains = 64\n")
+    out = tmp_path / "mixing.csv"
+    with pytest.raises(ValueError, match="target family 'logistic'"):
+        cli_main(["mixing-estimate", "--config", str(path), "--out", str(out)])
+    assert not out.exists()
+    # every Gaussian is accepted, a diagonal one included
+    ExperimentConfig(name="mixing-estimate", target={"family": "gaussian", "precision": [1.0, 2.0]})
+
+
+# each way a target sets its own d, and the key that the rejection names
+_OWN_D = {"dim": ({"family": "gaussian", "dim": 4}, "target.dim"),
+          "data": ({"family": "logistic", "data": "rows.csv"}, "target.data"),
+          "precision-list": ({"family": "gaussian", "precision": [1.0, 2.0]}, "target.precision"),
+          "precision-file": ({"family": "gaussian", "precision": "p.csv"}, "target.precision"),
+          "two-layer": ({"family": "two-layer"}, "target.family")}
+
+
+@pytest.mark.parametrize("name, target, key", [
+    pytest.param(name, *_OWN_D[case], id=f"{name}-{case}")
+    for name in ("acceptance-scaling", "energy-scaling", "mixing-estimate") for case in _OWN_D
+    if name != "mixing-estimate" or _OWN_D[case][0]["family"] == "gaussian"])
+def test_several_dims_with_a_target_that_sets_its_own_d_are_rejected(name, target, key):
+    # the target would run once per entry of dims, the same target each time
+    with pytest.raises(ValueError, match=f"dims = 4, 8: {key} sets its d"):
+        ExperimentConfig(name=name, dims=(4, 8), target=target)
+    assert ExperimentConfig(name=name, dims=(4,), target=target).target == target
+    # a scalar precision scales the identity of size dim, so d still comes from dims
+    ExperimentConfig(name=name, dims=(4, 8), target={"family": "gaussian", "precision": 2.0})
+
+
+@pytest.mark.parametrize("target", [{"family": "gaussian"},
+                                    {"family": "gaussian", "precision": 1.0}],
+                         ids=["family", "precision"])
+@pytest.mark.parametrize("name", sorted(_SAMPLING_CONFIGS))
+def test_an_explicit_standard_gaussian_gives_the_default_bytes(name, target):
+    # every experiment builds its target on one path, the default config's included
+    default = _SAMPLING_CONFIGS[name]
+    assert run_experiment(dataclasses.replace(default, target=target)) == run_experiment(default)
+
+
+def test_energy_scaling_rejects_a_target_without_gamma_before_any_unit(monkeypatch, tmp_path):
+    # the two-layer net declares no gamma; its first unit once failed in a worker
+    monkeypatch.setattr(bench, "_map_units", lambda fn, units: pytest.fail("a unit ran"))
+    cfg = ExperimentConfig(name="energy-scaling", dims=(4,), target={"family": "two-layer"},
+                           options={"n_mc": 100})
+    with pytest.raises(ValueError, match="needs gamma; two-layer declares none"):
+        run_experiment(cfg, out=str(tmp_path / "energy.csv"))
+    assert not (tmp_path / "energy.csv").exists()
 
 
 @pytest.mark.parametrize("options", [{}, {"accept_constant": 1.0}], ids=["calibrated", "given"])
@@ -723,6 +798,15 @@ def test_lemma_reports_evaluate_each_gradient_row_once_for_every_order():
         bench.lemma_reports(target, ells, 0.05, 2000, np.random.default_rng(0), sampler_warmup=500)
         counts.append(target.gradient_evals)
     assert counts == [44_640, 44_640]
+
+
+def test_lemma_reports_evaluate_the_hessian_momentum_product_once_per_draw():
+    # grad^2 f(q) p feeds grad_hessian_p and the drift checks' hp0: 2000 rows, plus 2000 for
+    # p'Hp at x and 2000 for the drift checks at the flow's end (8000 when each check made its own)
+    target = CountingTarget(make_logistic(32, 16, seed=5))
+    bench.lemma_reports(target, [2], 0.05, 2000, np.random.default_rng(0), t=0.05,
+                        sampler_warmup=200)
+    assert target.hvp_rows == 6000
 
 
 @pytest.mark.parametrize("etas", [[0.0, 0.1], [0.1, -0.05], [0.1, math.nan], [math.inf]])

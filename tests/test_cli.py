@@ -482,6 +482,28 @@ class TestCli:
         assert float(row[1]) > 0.0  # a nonzero third derivative: the ridge target, not a Gaussian
 
 
+_SAMPLING_OPTIONS = {"acceptance-scaling": "accept_constant = 1.0\nn_chains = 8\nn_steps = 4\n",
+                     "mala-vs-hmc": "grad_budget = 400\nn_rep = 2\n"}
+
+
+@pytest.mark.parametrize("command", sorted(_SAMPLING_OPTIONS))
+def test_sampling_experiment_on_a_logistic_target_reruns_bit_for_bit(tmp_path, command):
+    # the chains start from HMC draws of the target, not from a Gaussian's exact draws
+    options = _SAMPLING_OPTIONS[command]
+    path = write(tmp_path / "exp.cfg", "dims = 4\ntarget.family = logistic\ntarget.n = 16\n"
+                                       + options)
+    outs = [tmp_path / f"{command}-{run}.csv" for run in (1, 2)]
+    for out in outs:
+        assert main([command, "--config", path, "--out", str(out), "--seed", "3"]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    rows = [line.split(",") for line in outs[0].read_text().splitlines()[1:]]
+    assert rows and all(row[0] == "4" for row in rows)
+    gaussian = write(tmp_path / "gaussian.cfg", "dims = 4\n" + options)
+    assert main([command, "--config", gaussian, "--out", str(tmp_path / "g.csv"),
+                 "--seed", "3"]) == 0
+    assert (tmp_path / "g.csv").read_bytes() != outs[0].read_bytes()
+
+
 #: CI's synthetic-logistic overlap-check: 1000 KL draws at d = 16
 OVERLAP_CFG = ("dims = 16\nseeds = 0\ntarget.family = logistic\ntarget.dim = 16\ntarget.n = 32\n"
                "K = 4\neta = 0.01\nn_mc = 1000\n")
