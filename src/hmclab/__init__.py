@@ -9,7 +9,7 @@ from .errors import (
     SingularJacobian,
     UnsupportedCapability,
 )
-from .kernel import HmcConfig, hamiltonian, hmc_transition, run_chain
+from .kernel import HmcConfig, hmc_transition, run_chain
 from .leapfrog import (
     PhaseState,
     Trajectory,

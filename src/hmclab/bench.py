@@ -1,11 +1,11 @@
 """Experiment runners reproducing the scaling behaviour at desk scale.
 
 Each experiment consumes an ExperimentConfig, derives one RNG stream per
-grid point from (seed, point index) so results do not depend on execution
-order, and emits CSV rows plus a JSON summary sidecar with the config
-hash, git description, Python, numpy and SciPy versions (SciPy's is null
-when it is not installed), wall time and max RSS.  Outputs are
-bit-identical across reruns with a fixed seed.
+grid point from (seed, point index) through `kernel.chain_rng`, so results
+do not depend on execution order, and emits CSV rows plus a JSON summary
+sidecar with the config hash, git description, Python, numpy and SciPy
+versions (SciPy's is null when it is not installed), wall time and max
+RSS.  Outputs are bit-identical across reruns with a fixed seed.
 
 The multi-point runners split their work into independent units, which
 `_map_units` runs in forked worker processes, one per usable core:
@@ -41,7 +41,7 @@ import numpy as np
 from .config import TARGET_KEYS, ExperimentConfig, build_target, target_family
 from .errors import BudgetExhausted
 from .diagnostics import integrated_autocorr_time, tv_projection_estimate
-from .kernel import _drive
+from .kernel import _drive, chain_rng
 from .leapfrog import _check_points, _check_schedule, _check_time
 from .moments import (
     MomentReport,
@@ -103,10 +103,6 @@ def _target(cfg: ExperimentConfig, d: int) -> TargetDensity:
     when its family declares `dim` (two-layer does not)."""
     dim = {"dim": d} if "dim" in TARGET_KEYS[target_family(cfg.target)] else {}
     return build_target({**dim, **cfg.target})
-
-
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
 def _map_units(fn, units) -> list:
@@ -271,7 +267,7 @@ def calibrate_acceptance_constant(target: TargetDensity, seed: int,
     d = target.d
     for _ in range(12):
         mid = 0.5 * (lo + hi)
-        rng = _rng(seed, 999, int(mid * 1e6) % (2**31))
+        rng = chain_rng(seed, 999, int(mid * 1e6) % (2**31))
         start = _stationary_sampler(target, rng)(64)
         acc, _, _ = _mean_acceptance(target, start, mid * d**-0.25, math.ceil(d**0.25), 16, rng)
         if acc > target_accept:
@@ -289,7 +285,7 @@ def _acceptance_point(cfg: ExperimentConfig, a, idx: int) -> tuple:
         eta, K = corollary_schedule("fixed", target, cfg)
     else:
         eta, K = float(a) * d**-0.25, math.ceil(d**0.25)
-    rng = _rng(cfg.seeds[0], idx)
+    rng = chain_rng(cfg.seeds[0], idx)
     start = _stationary_sampler(target, rng)(int(cfg.option("n_chains")))
     acc, ci, grads = _mean_acceptance(target, start, eta, K, int(cfg.option("n_steps")), rng)
     return d, eta, K, acc, ci, grads
@@ -321,7 +317,7 @@ def _mixing_point(cfg: ExperimentConfig, idx: int) -> tuple[list, int]:
     target = _target(cfg, cfg.dims[idx])
     d = target.d
     eta, K = corollary_schedule(cfg.schedule, target, cfg)
-    rng = _rng(cfg.seeds[0], idx)
+    rng = chain_rng(cfg.seeds[0], idx)
     q = warm.draw(target, int(cfg.option("n_chains")), rng)
     stds = gaussian_projected_std(target)
     done_steps = 0
@@ -370,7 +366,7 @@ def _iact_rows(cfg: ExperimentConfig, method, eta, K, n_iters, key):
     """One list per seed of the IACT rows of n_rep chains on cfg's target at dims[0], all
     run as one block from stationary starts; seed i draws from the stream (seeds[i], key)."""
     target, n_rep = _target(cfg, cfg.dims[0]), int(cfg.option("n_rep"))
-    streams = [_rng(seed, key) for seed in cfg.seeds]
+    streams = [chain_rng(seed, key) for seed in cfg.seeds]
     q = np.concatenate([_stationary_sampler(target, rng)(n_rep) for rng in streams])
     series_q1 = np.empty((n_iters, q.shape[0]))
     series_qq = np.empty((n_iters, q.shape[0]))
@@ -429,7 +425,7 @@ def run_mala_vs_hmc(cfg: ExperimentConfig):
 def _energy_point(cfg: ExperimentConfig, point: int, sweep: str, d: int, eta: float) -> tuple:
     """The energy-scaling row of grid point `point`, from its own stream."""
     target, ell = _target(cfg, d), int(cfg.option("ell"))
-    rng = _rng(cfg.seeds[0], point)
+    rng = chain_rng(cfg.seeds[0], point)
     rep = energy_error_moment(target, eta, ell, int(cfg.option("n_mc")),
                               _stationary_sampler(target, rng), rng)
     return sweep, target.d, eta, ell, rep.empirical, rep.std_error, rep.bound
@@ -496,7 +492,7 @@ def run_overlap_check(cfg: ExperimentConfig):
     K, eta = int(cfg.option("K")), float(cfg.option("eta"))
     q0 = cfg.option("q0")
     rep = overlap_report(target, np.zeros(target.d) if q0 is None else q0, None, None,
-                         K, eta, int(cfg.option("n_mc")), _rng(cfg.seeds[0], 0))
+                         K, eta, int(cfg.option("n_mc")), chain_rng(cfg.seeds[0], 0))
     header = ["d", "K", "eta", "separation", "kl", "std_error",
               "pinsker_tv", "lemma_bound", "lemma_bound_proof_form"]
     row = (target.d, K, eta, *(rep[h] for h in header[3:]))
@@ -535,7 +531,7 @@ def run_lemma_suite(cfg: ExperimentConfig):
     t = cfg.option("t")
     reports = lemma_reports(
         _target(cfg, cfg.dims[0]), [int(e) for e in np.atleast_1d(cfg.option("ells"))],
-        float(cfg.option("eta")), int(cfg.option("n_mc")), _rng(cfg.seeds[0], 0),
+        float(cfg.option("eta")), int(cfg.option("n_mc")), chain_rng(cfg.seeds[0], 0),
         t=None if t is None else float(t), sampler_warmup=int(cfg.option("sampler_warmup")),
     )
     header = list(MomentReport.COLUMNS)
@@ -548,7 +544,7 @@ def run_tensor_report(cfg: ExperimentConfig):
     """Tensor-norm reports of the third derivative at sampled points."""
     restarts = int(cfg.option("restarts"))
     target = _target(cfg, cfg.dims[0])
-    rng = _rng(cfg.seeds[0], 0)
+    rng = chain_rng(cfg.seeds[0], 0)
     reports = []
     for _ in range(int(cfg.option("n_points"))):
         q = rng.standard_normal(target.d)

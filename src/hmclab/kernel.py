@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .leapfrog import PhaseState, _block_rows, _check_schedule, _in_bounds, _orbit, _row_blocks
+from .leapfrog import _block_rows, _check_schedule, _in_bounds, _orbit, _row_blocks
 from .targets import TargetDensity
 
 Array = np.ndarray
@@ -34,21 +34,18 @@ class HmcConfig:
         _check_schedule(self.eta, self.K)
 
 
-def chain_rng(seed: int, chain_index: int = 0) -> np.random.Generator:
-    """Stream for one chain, split from (seed, chain-index).
+def chain_rng(seed: int, *key: int) -> np.random.Generator:
+    """Stream split from (seed, *key); no key means chain 0, the stream of a lone chain.
 
-    Streams for distinct chain indices are statistically independent and do
-    not depend on how chains are scheduled across workers.  Each transition
-    draws the chain's momentum and uniform from its stream, also when its
-    proposal diverges; a lazy transition first draws the chain's coin, and a
-    chain that holds draws nothing more.
+    This is hmclab's one recipe from a seed to a stream: chain c of a run
+    draws from chain_rng(seed, c), and the experiment runners key their
+    streams by grid point.  Streams for distinct keys are statistically
+    independent and do not depend on how chains are scheduled across
+    workers.  Each transition draws the chain's momentum and uniform from
+    its stream, also when its proposal diverges; a lazy transition first
+    draws the chain's coin, and a chain that holds draws nothing more.
     """
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chain_index,)))
-
-
-def hamiltonian(target: TargetDensity, s: PhaseState) -> Array:
-    """H(q, p) = f(q) + ||p||^2 / 2."""
-    return target.potential(s.q) + 0.5 * (s.p * s.p).sum(axis=-1)
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key or (0,)))
 
 
 @dataclass(frozen=True)
@@ -228,40 +225,34 @@ def batch_transition(
     return next(_drive(target, np.array(q, dtype=float, order="C"), eta, K, rng, lazy, 1))
 
 
-def _draw_buffers(n_chains: int, d: int, lazy: bool, n_streams: int) -> tuple:
-    """Empty (coins, momenta, uniforms) for one step of n_chains chains, no coins unless
-    lazy, and each stream's row views of them, taken once per run."""
-    draws = np.empty(n_chains) if lazy else None, np.empty((n_chains, d)), np.empty(n_chains)
-    rows = n_chains // n_streams
-    return draws, [tuple(x if x is None else x[g * rows:(g + 1) * rows] for x in draws)
-                   for g in range(n_streams)]
+def _draw_buffers(n_chains: int, d: int, lazy: bool) -> tuple:
+    """Empty (coins, momenta, uniforms) for one step of n_chains chains; no coins unless lazy."""
+    return np.empty(n_chains) if lazy else None, np.empty((n_chains, d)), np.empty(n_chains)
 
 
 def _draw(streams: list, lazy: bool, buffers: tuple) -> tuple:
-    """Fill buffers (from `_draw_buffers`) in the kernel's order and return their draws;
+    """Fill buffers (from `_draw_buffers`) in the kernel's order and return them;
     see `batch_transition`.
 
-    Stream g fills rows g*B/G to (g+1)*B/G - 1 of the momenta and uniforms.
-    Lazy, it fills those rows of the coins and then momenta and uniforms
-    for its moving rows only, packed after those of streams 0..g-1, so the
-    moving rows' momenta and uniforms fill the front of their buffers in
-    row order.
+    Stream g serves rows g*B/G to (g+1)*B/G - 1.  Lazy, it first fills
+    those rows of the coins.  It then fills momenta and uniforms for its
+    moving rows (all its rows when not lazy), packed after those of streams
+    0..g-1, so the moving rows' momenta and uniforms fill the front of
+    their buffers in row order.
     """
-    draws, views = buffers
-    if lazy:
-        coins, p, u = draws
-        start = 0
-        for s, (c, _, _) in zip(streams, views):
+    coins, p, u = buffers
+    rows = u.shape[0] // len(streams)
+    start = 0
+    for g, s in enumerate(streams):
+        end = start + rows
+        if lazy:
+            c = coins[g * rows:(g + 1) * rows]
             s.random(out=c)
             end = start + np.count_nonzero(c >= 0.5)
-            s.standard_normal(out=p[start:end])
-            s.random(out=u[start:end])
-            start = end
-        return draws
-    for s, (_, p, u) in zip(streams, views):
-        s.standard_normal(out=p)
-        s.random(out=u)
-    return draws
+        s.standard_normal(out=p[start:end])
+        s.random(out=u[start:end])
+        start = end
+    return buffers
 
 
 def _drive(target: TargetDensity, q: Array, eta: float, K: int, streams, lazy: bool,
@@ -303,7 +294,7 @@ def _drive(target: TargetDensity, q: Array, eta: float, K: int, streams, lazy: b
     prefetch = n_steps > 1 and n_chains >= 2 * _block_rows(d)
     if prefetch:  # a wide step: draws are worth a thread hand-off
         from concurrent.futures import ThreadPoolExecutor
-    buffers = [_draw_buffers(n_chains, d, lazy, len(streams)) for _ in range(2 if prefetch else 1)]
+    buffers = [_draw_buffers(n_chains, d, lazy) for _ in range(2 if prefetch else 1)]
     with ThreadPoolExecutor(max_workers=1) if prefetch else contextlib.nullcontext() as pool:
         ahead = None  # step i's draws in flight on the worker
         for i in range(n_steps):

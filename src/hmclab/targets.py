@@ -234,8 +234,7 @@ class RidgeSeparableTarget(TargetDensity):
     most n*rho3, which fixes the declared constants.
     """
 
-    def __init__(self, directions: Array, potential: UnivariatePotential,
-                 smoothness: float | None = None):
+    def __init__(self, directions: Array, potential: UnivariatePotential):
         directions = np.atleast_2d(np.asarray(directions, dtype=float))
         norms = np.linalg.norm(directions, axis=1)
         if not np.allclose(norms, 1.0, atol=1e-9):
@@ -244,8 +243,7 @@ class RidgeSeparableTarget(TargetDensity):
         self.n, self.d = directions.shape
         self._u = potential
         self.rho2, self.rho3 = potential.rho2, potential.rho3
-        self.smoothness = float(smoothness if smoothness is not None else self.n * self.rho2)
-        self.trace_bound = self.n * self.rho2
+        self.smoothness = self.trace_bound = self.n * self.rho2
         cap = self.n * self.rho3
         self.gamma = cap / self.smoothness**1.5 if self.smoothness > 0 else None
 

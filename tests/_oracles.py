@@ -13,8 +13,8 @@ import math
 import numpy as np
 
 from hmclab.errors import ConvergenceError, SingularJacobian
-from hmclab.kernel import BatchTransition, chain_rng
-from hmclab.leapfrog import _in_bounds, _orbit, continuous_flow, leapfrog_final
+from hmclab.kernel import BatchTransition, _drive, chain_rng
+from hmclab.leapfrog import PhaseState, _block_rows, _in_bounds, _orbit, continuous_flow, leapfrog_final
 from hmclab.moments import (
     MomentAccumulator,
     MomentReport,
@@ -23,9 +23,14 @@ from hmclab.moments import (
     exact_gaussian_sampler,
     upsilon_ell,
 )
-from hmclab.targets import GaussianTarget, TargetDensity
+from hmclab.targets import GaussianTarget, LogisticPosteriorTarget, TargetDensity
 from hmclab.tensors import norm_12_3, norm_frobenius_123, third_derivative_tensor
 from hmclab.tuning import d_ell
+
+
+def hamiltonian(target: TargetDensity, s: PhaseState) -> np.ndarray:
+    """H(q, p) = f(q) + ||p||^2 / 2."""
+    return target.potential(s.q) + 0.5 * (s.p * s.p).sum(axis=-1)
 
 
 def gaussian_leapfrog_matrix(precision: np.ndarray, eta: float) -> np.ndarray:
@@ -671,3 +676,46 @@ def loop_norm_injective_lower(a: np.ndarray, restarts: int = 20, rng=None) -> fl
             value = new_value
         best = max(best, value)
     return best
+
+
+class RowLabelLogisticTarget(LogisticPosteriorTarget):
+    """A logistic posterior with one label vector per chain: y has shape (B, n), and row b of
+    a (B, d) batch reads y[b].
+
+    The base class's potential and gradient broadcast over y unchanged, so a
+    block of B chains samples B posteriors p(theta | x, y[b]) at once.  Each
+    evaluation must see all B rows, in order: a non-lazy step of fewer than
+    two row blocks' worth of rows, which `_step` runs as one block.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, alpha2: float):
+        y = np.asarray(y, dtype=float)
+        if not np.all((y == 0) | (y == 1)):
+            raise ValueError("labels must be 0 or 1")
+        super().__init__(x, y[0], alpha2)
+        self.y = y
+
+
+def geweke_logistic_prior_draws(x: np.ndarray, alpha2: float, eta: float, K: int,
+                                n_chains: int, n_iter: int, steps: int, seed: int) -> np.ndarray:
+    """theta (n_chains, d) after Geweke's successive-conditional simulator on a logistic model.
+
+    Each chain draws theta from the prior N(0, I / alpha2), then n_iter times
+    draws labels y ~ p(y | x, theta) and runs `steps` non-lazy kernel steps on
+    the posterior p(theta | x, y), all chains as one `_drive` block.  If the
+    kernel leaves every posterior invariant, theta keeps the prior's law at
+    every iteration (Geweke 2004, "Getting it right").
+    """
+    d = x.shape[1]
+    if n_chains >= 2 * _block_rows(d):  # a wider step splits rows from their labels
+        raise ValueError(f"{n_chains} chains span two row blocks at d = {d}")
+    labels, kernel = chain_rng(seed, 0), chain_rng(seed, 1)
+    theta = labels.standard_normal((n_chains, d)) / math.sqrt(alpha2)
+    for _ in range(n_iter):
+        z = theta @ x.T
+        y = (labels.random(z.shape) * (1.0 + np.exp(-z)) < 1.0).astype(float)  # P(y = 1) = sigmoid
+        target = RowLabelLogisticTarget(x, y, alpha2)
+        for step in _drive(target, theta, eta, K, [kernel], False, steps):
+            pass
+        theta = step.positions
+    return theta

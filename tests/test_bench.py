@@ -652,7 +652,7 @@ def test_tensor_report_rejects_empty_sizes_before_drawing(monkeypatch, name, opt
     def drawing(*args):
         raise AssertionError("tensor-report drew before checking its sizes")
 
-    monkeypatch.setattr(bench, "_rng", drawing)
+    monkeypatch.setattr(bench, "chain_rng", drawing)
     with pytest.raises(ValueError, match=name):
         run_experiment(ExperimentConfig(name="tensor-report", dims=(3,), seeds=(0,), options=options))
 

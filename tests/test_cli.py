@@ -155,7 +155,7 @@ class TestConfigParsing:
         def drawing(*args):
             raise AssertionError(f"{command} drew before checking its config")
 
-        monkeypatch.setattr("hmclab.bench._rng", drawing)
+        monkeypatch.setattr("hmclab.bench.chain_rng", drawing)
         out = tmp_path / "out.csv"
         with pytest.raises(ValueError, match=key):
             main([command, "--config", write(tmp_path / "e.cfg", body), "--out", str(out)])

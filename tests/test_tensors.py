@@ -212,7 +212,7 @@ def test_estimate_gamma_gaussian_is_zero():
 
 
 def test_estimate_gamma_rank_one_cubic():
-    target = RidgeSeparableTarget(np.array([[1.0, 0.0]]), cubic_potential(), smoothness=1.0)
+    target = RidgeSeparableTarget(np.array([[1.0, 0.0]]), cubic_potential())
     assert_allclose(estimate_gamma(target, np.zeros((1, 2))), 1.0, rtol=1e-12)
 
 
