@@ -7,9 +7,11 @@ PARENT and CHILD are source trees (directories holding src/hmclab) or git
 revisions of this repository; CHILD defaults to the tree that holds this
 script.  Each tree runs the same committed corpus of small CLI invocations,
 in a fresh directory of its own, with that tree's src first on the import
-path.  The corpus covers every subcommand, each target family it accepts,
-and `sample` lazy and not, with several chains (wide enough, once, that a
-step spans two row blocks and draws the next step on a worker thread).
+path.  The corpus covers every subcommand, each target family it accepts
+(every ridge potential; logistic data synthetic and from a CSV, with and
+without a prior), and `sample` lazy and not, with several chains (wide
+enough, once, that a step spans two row blocks and draws the next step on
+a worker thread).
 
 Each command's stdout and every CSV it writes are then compared byte for
 byte.  The JSON sidecars hold wall times, so they are not compared.  The
@@ -46,14 +48,19 @@ INPUTS = {
     "gaussian-dense.cfg": "family = gaussian\nprecision = dense.csv\n",
     "ridge.cfg": "family = ridge\ndim = 6\nn = 8\npotential = logcosh\n",
     "ridge-sine.cfg": "family = ridge\ndim = 4\nn = 6\npotential = sine\ndirections_seed = 3\n",
+    "ridge-quadratic.cfg": "family = ridge\ndim = 4\nn = 5\npotential = quadratic\n",
+    "ridge-cubic.cfg": "family = ridge\ndim = 4\nn = 6\npotential = cubic\ndirections_seed = 1\n",
     "logistic.cfg": "family = logistic\ndim = 5\nn = 16\nalpha2 = 1.0\n",
     "logistic-data.cfg": "family = logistic\ndata = rows.csv\nalpha2 = 0.5\n",
     "logistic-64.cfg": "family = logistic\ndim = 64\nn = 16\n",
+    "logistic-flat.cfg": "family = logistic\ndim = 4\nn = 12\nalpha2 = 0\ndata_seed = 4\n",
     "two-layer.cfg": "family = two-layer\nm = 3\nn = 4\ndprime = 3\n",
 }
 SAMPLE_TARGETS = ("gaussian", "gaussian-diag", "gaussian-dense", "ridge", "ridge-sine",
-                  "logistic", "logistic-data", "two-layer")
+                  "logistic", "logistic-data", "logistic-flat", "two-layer")
 ANALYSIS_TARGETS = ("gaussian", "gaussian-dense", "ridge", "logistic-data", "two-layer")
+# Targets run by `tensor` at a point off the origin (so d = 4) and by `overlap`.
+DERIVATIVE_TARGETS = ("ridge-quadratic", "ridge-cubic", "logistic-flat")
 # An experiment's target keys, by family (the standard Gaussian without them).
 EXPERIMENT_TARGETS = {
     "gaussian": "",
@@ -101,6 +108,13 @@ def corpus(quick: bool = False) -> list[tuple[str, list[str], str | None]]:
                               "--seed", "2"], None),
             (f"lemmas-{t}", ["lemmas", "--config", f"{t}.cfg", "--n-mc", n(400, 40),
                              "--seed", "3"], None),
+        ]
+    for t in DERIVATIVE_TARGETS:
+        runs += [
+            (f"tensor-{t}", ["tensor", "--config", f"{t}.cfg", "--at", "0.5,-1,2,0.25",
+                             "--restarts", n(8, 2), "--seed", "1"], None),
+            (f"overlap-{t}", ["overlap", "--config", f"{t}.cfg", "--n-mc", n(400, 40),
+                              "--seed", "2"], None),
         ]
     runs += [
         ("overlap-separation", ["overlap", "--config", "ridge.cfg", "--separation", "0.05",

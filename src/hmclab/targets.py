@@ -132,7 +132,8 @@ class GaussianTarget(TargetDensity):
         z = rng.standard_normal((n, self.d))
         if self._diag is not None:
             return z if self._unit else z / np.sqrt(self._diag)
-        return np.linalg.solve(self._chol.T[None], z[..., None])[..., 0]
+        # one solve for all n right-hand sides; C order, since matmul rounds rows by layout
+        return np.ascontiguousarray(np.linalg.solve(self._chol.T, z.T).T)
 
 
 @dataclass(frozen=True)
@@ -212,6 +213,29 @@ def named_potential(name: str) -> UnivariatePotential:
         raise ValueError(f"unknown univariate potential {name!r}") from None
 
 
+def _sigmoid(z: Array) -> Array:
+    """1 / (1 + exp(-z)), as exp(-|z|) / (1 + exp(-|z|)) for z < 0, so exp never overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def logistic_loss(y: Array) -> UnivariatePotential:
+    """u(z) = log(1 + exp(-z)) + (1 - y) z, the loss of labels y in {0, 1} on z's last axis.
+
+    Overflow-safe as log1p(exp(-|z|)) + max(-z, 0) + (1 - y) z; u'' = s (1 - s)
+    is e / (1 + e)^2 with e = exp(-|z|), exact to rounding at every |z|.  The
+    declared caps are rho2 = rho3 = 1 (u'' <= 1/4 is tighter).
+    """
+    return UnivariatePotential(
+        value=lambda z: np.log1p(np.exp(-np.abs(z))) + np.maximum(-z, 0.0) + (1.0 - y) * z,
+        d1=lambda z: _sigmoid(z) - y,
+        d2=lambda z: (e := np.exp(-np.abs(z))) / (1.0 + e) ** 2,
+        d3=lambda z: (s := _sigmoid(z)) * (1.0 - s) * (1.0 - 2.0 * s),
+        rho2=1.0,
+        rho3=1.0,
+    )
+
+
 def _outer_sum(w: Array, rows: Array) -> Array:
     """sum_i w[..., i] r_i r_i' over the rows r_i of an (n, d) matrix, shape (..., d, d).
 
@@ -227,23 +251,27 @@ def _outer_sum(w: Array, rows: Array) -> Array:
 
 
 class RidgeSeparableTarget(TargetDensity):
-    """f(theta) = sum_i u(a_i' theta) with unit direction vectors a_i and one potential u.
+    """f(theta) = sum_i u(a_i' theta) + (alpha^2 / 2) ||theta||^2 with unit direction vectors
+    a_i and one potential u; alpha2 is 0, and adds no term, unless a subclass sets it.
 
-    With |u''| <= rho2 and |u'''| <= rho3 the Hessian operator norm is at
-    most n*rho2 and the third derivative's {12}{3}- and {123}-norms are at
-    most n*rho3, which fixes the declared constants.
+    With |u''| <= rho2 and |u'''| <= rho3 the Hessian operator norm is at most
+    n*rho2 + alpha^2, its trace at most n*rho2 + d*alpha^2, and the third
+    derivative's {12}{3}- and {123}-norms are at most n*rho3, which fixes the
+    declared constants.
     """
+
+    alpha2 = 0.0
 
     def __init__(self, directions: Array, potential: UnivariatePotential):
         directions = np.atleast_2d(np.asarray(directions, dtype=float))
-        norms = np.linalg.norm(directions, axis=1)
-        if not np.allclose(norms, 1.0, atol=1e-9):
-            raise ValueError("ridge directions must have unit norm")
+        if not np.allclose(np.linalg.norm(directions, axis=1), 1.0, atol=1e-9):
+            raise ValueError("ridge directions (data rows) must have unit norm")
         self.directions = directions
         self.n, self.d = directions.shape
         self._u = potential
         self.rho2, self.rho3 = potential.rho2, potential.rho3
-        self.smoothness = self.trace_bound = self.n * self.rho2
+        self.smoothness = self.n * self.rho2 + self.alpha2
+        self.trace_bound = self.n * self.rho2 + self.d * self.alpha2
         cap = self.n * self.rho3
         self.gamma = cap / self.smoothness**1.5 if self.smoothness > 0 else None
 
@@ -251,59 +279,48 @@ class RidgeSeparableTarget(TargetDensity):
         return getattr(self._u, which)(q @ self.directions.T)
 
     def potential(self, q: Array) -> Array:
-        return self._apply("value", q).sum(axis=-1)
+        f = self._apply("value", q).sum(axis=-1)
+        return f + 0.5 * self.alpha2 * (q * q).sum(axis=-1) if self.alpha2 else f
 
     def gradient(self, q: Array) -> Array:
-        return self._apply("d1", q) @ self.directions
+        g = self._apply("d1", q) @ self.directions
+        return g + self.alpha2 * q if self.alpha2 else g
 
     def hessian_vec(self, q: Array, v: Array) -> Array:
-        w = self._apply("d2", q) * (v @ self.directions.T)
-        return w @ self.directions
+        hv = (self._apply("d2", q) * (v @ self.directions.T)) @ self.directions
+        return hv + self.alpha2 * v if self.alpha2 else hv
 
     def hessian(self, q: Array) -> Array:
-        return _outer_sum(self._apply("d2", q), self.directions)
+        h = _outer_sum(self._apply("d2", q), self.directions)
+        if self.alpha2:  # the prior on the diagonal
+            h.reshape(h.shape[:-2] + (self.d**2,))[..., :: self.d + 1] += self.alpha2
+        return h
 
     def third_contract(self, q: Array, u: Array, v: Array) -> Array:
         w = self._apply("d3", q) * (u @ self.directions.T) * (v @ self.directions.T)
         return w @ self.directions
 
 
-def _sigmoid(z: Array) -> Array:
-    """1 / (1 + exp(-z)), as exp(-|z|) / (1 + exp(-|z|)) for z < 0, so exp never overflows."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+class LogisticPosteriorTarget(RidgeSeparableTarget):
+    """Bayesian logistic regression posterior: the ridge-separable target on covariate rows
+    x_i with the labelled loss `logistic_loss(y)` and a Gaussian prior of precision alpha^2.
 
-
-class LogisticPosteriorTarget(TargetDensity):
-    """Bayesian logistic regression posterior potential.
-
-    f(theta) = sum_i loss(theta' x_i, y_i) + (alpha^2 / 2) ||theta||^2 with
-    loss(z, 1) = log(1 + exp(-z)) and loss(z, 0) = z + log(1 + exp(-z)),
-    computed in the overflow-safe form log1p(exp(-|z|)) + max(-z, 0).
+    The loss caps give L = n + alpha^2 and gamma = n / L^1.5; the trace bound
+    n/4 + d alpha^2 reads loss'' <= 1/4.
     """
 
     def __init__(self, x: Array, y: Array, alpha2: float):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.asarray(y, dtype=float).ravel()
-        if x.shape[0] != y.shape[0]:
-            raise ValueError("data matrix and labels disagree on n")
         if not np.all((y == 0) | (y == 1)):
             raise ValueError("labels must be 0 or 1")
-        norms = np.linalg.norm(x, axis=1)
-        if not np.allclose(norms, 1.0, atol=1e-9):
-            raise ValueError("covariate rows must have unit norm")
         if alpha2 < 0:
             raise ValueError("prior precision must be nonnegative")
-        self.x = x
-        self.y = y
         self.alpha2 = float(alpha2)
-        self.n, self.d = x.shape
-        # the data Hessian has spectral norm <= n (|loss''| <= 1); adding the
-        # prior gives the declared bound n + alpha^2
-        self.smoothness = self.n + self.alpha2
-        # trace <= n * max loss'' + d * alpha^2, with loss'' <= 1/4
+        super().__init__(x, logistic_loss(y))
+        if self.n != y.shape[0]:
+            raise ValueError("data matrix and labels disagree on n")
+        self.x, self.y = self.directions, y
         self.trace_bound = 0.25 * self.n + self.d * self.alpha2
-        self.gamma = self.n / self.smoothness**1.5 if self.smoothness > 0 else None
 
     @classmethod
     def from_csv(cls, path: str, alpha2: float) -> "LogisticPosteriorTarget":
@@ -315,37 +332,10 @@ class LogisticPosteriorTarget(TargetDensity):
     def synthetic(
         cls, n: int, d: int, alpha2: float, rng: np.random.Generator
     ) -> "LogisticPosteriorTarget":
-        x = rng.standard_normal((n, d))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        x = random_unit_rows(n, d, rng)
         theta = rng.standard_normal(d)
         y = (rng.random(n) < _sigmoid(x @ theta)).astype(float)
         return cls(x, y, alpha2)
-
-    def potential(self, q: Array) -> Array:
-        z = q @ self.x.T
-        loss = np.log1p(np.exp(-np.abs(z))) + np.maximum(-z, 0.0) + (1.0 - self.y) * z
-        return loss.sum(axis=-1) + 0.5 * self.alpha2 * (q * q).sum(axis=-1)
-
-    def gradient(self, q: Array) -> Array:
-        z = q @ self.x.T
-        return (_sigmoid(z) - self.y) @ self.x + self.alpha2 * q
-
-    def hessian_vec(self, q: Array, v: Array) -> Array:
-        s = _sigmoid(q @ self.x.T)
-        w = s * (1.0 - s)
-        return (w * (v @ self.x.T)) @ self.x + self.alpha2 * v
-
-    def hessian(self, q: Array) -> Array:
-        e = np.exp(-np.abs(q @ self.x.T))
-        h = _outer_sum(e / (1.0 + e) ** 2, self.x)  # loss'' = s (1 - s) = e / (1 + e)^2
-        h.reshape(h.shape[:-2] + (self.d**2,))[..., :: self.d + 1] += self.alpha2  # the diagonal
-        return h
-
-    def third_contract(self, q: Array, u: Array, v: Array) -> Array:
-        s = _sigmoid(q @ self.x.T)
-        w = s * (1.0 - s) * (1.0 - 2.0 * s)
-        prior = np.zeros(np.broadcast_shapes(u.shape, v.shape, q.shape))
-        return (w * (u @ self.x.T) * (v @ self.x.T)) @ self.x + prior
 
 
 def _sech2(z: Array) -> Array:

@@ -23,7 +23,7 @@ from hmclab.moments import (
     exact_gaussian_sampler,
     upsilon_ell,
 )
-from hmclab.targets import GaussianTarget, LogisticPosteriorTarget, TargetDensity
+from hmclab.targets import GaussianTarget, LogisticPosteriorTarget, TargetDensity, logistic_loss
 from hmclab.tensors import norm_12_3, norm_frobenius_123, third_derivative_tensor
 from hmclab.tuning import d_ell
 
@@ -682,10 +682,11 @@ class RowLabelLogisticTarget(LogisticPosteriorTarget):
     """A logistic posterior with one label vector per chain: y has shape (B, n), and row b of
     a (B, d) batch reads y[b].
 
-    The base class's potential and gradient broadcast over y unchanged, so a
-    block of B chains samples B posteriors p(theta | x, y[b]) at once.  Each
-    evaluation must see all B rows, in order: a non-lazy step of fewer than
-    two row blocks' worth of rows, which `_step` runs as one block.
+    The evaluators read the labels from the labelled loss, which broadcasts
+    over y unchanged, so a block of B chains samples B posteriors
+    p(theta | x, y[b]) at once.  Each evaluation must see all B rows, in
+    order: a non-lazy step of fewer than two row blocks' worth of rows,
+    which `_step` runs as one block.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, alpha2: float):
@@ -694,6 +695,7 @@ class RowLabelLogisticTarget(LogisticPosteriorTarget):
             raise ValueError("labels must be 0 or 1")
         super().__init__(x, y[0], alpha2)
         self.y = y
+        self._u = logistic_loss(y)
 
 
 def geweke_logistic_prior_draws(x: np.ndarray, alpha2: float, eta: float, K: int,

@@ -19,6 +19,8 @@ from hmclab.targets import (
     TwoLayerNetTarget,
     cubic_potential,
     quadratic_potential,
+    random_unit_rows,
+    _POTENTIALS,
     _TANH,
     _TANH_CAP,
     _sigmoid,
@@ -244,6 +246,65 @@ def test_dense_hessian_matches_hessian_vec_columns():
         assert np.abs(h - np.swapaxes(h, -1, -2)).max() <= 1e-12 * scale
 
     check()
+
+
+def _far_logistic(d, n, seed):
+    """A logistic target with alpha^2 = 0 and a point q at which every |x_i' q| is in [30, 40]."""
+    gen = np.random.default_rng(seed)
+    x = random_unit_rows(min(n, d), d, gen)
+    z = gen.choice([-1.0, 1.0], len(x)) * gen.uniform(30.0, 40.0, len(x))
+    q = np.linalg.lstsq(x, z, rcond=None)[0]
+    assert np.abs(x @ q).min() >= 30.0 - 1e-6
+    return LogisticPosteriorTarget(x, gen.integers(0, 2, len(x)), 0.0), q
+
+
+def test_derivative_evaluators_conform_on_every_family():
+    # for every TARGET_KEYS family: hessian(q) is hessian_vec(q, .) on the identity's columns
+    # relative to the Hessian's own size, hessian_vec is the central difference of gradient,
+    # and third_contract is symmetric in (u, v).  The far logistic points, alpha^2 = 0 and
+    # every |z| >= 30, hold Hessians of size ~1e-13 that a loss'' of s (1 - s) gets wrong by 1e-3
+    hp = pytest.importorskip("hypothesis")
+    st = hp.strategies
+
+    @hp.settings(derandomize=True, deadline=None, max_examples=120)
+    @hp.given(st.sampled_from(sorted(TARGET_KEYS)), st.integers(1, 6), st.integers(1, 10),
+              st.integers(0, 2**16), st.sampled_from(sorted(_POTENTIALS)), st.booleans())
+    def check(family, d, n, seed, potential, far):
+        if family == "logistic" and far:
+            target, q = _far_logistic(d, n, seed)
+        else:
+            target = _hessian_target(family, d, n, seed, potential)
+            q = np.random.default_rng(seed).standard_normal(target.d)
+        u, v = np.random.default_rng(seed + 1).standard_normal((2, target.d))
+        h = target.hessian(q)
+        cols = np.stack([target.hessian_vec(q, e) for e in np.eye(target.d)], axis=-1)
+        assert np.abs(h - cols).max() <= 1e-12 * np.abs(cols).max()
+        step = 1e-5
+        hv, g = target.hessian_vec(q, v), target.gradient(q)
+        fd = (target.gradient(q + step * v) - target.gradient(q - step * v)) / (2.0 * step)
+        assert np.abs(hv - fd).max() <= 1e-6 * max(1.0, np.abs(g).max(), np.abs(hv).max())
+        t_uv, t_vu = target.third_contract(q, u, v), target.third_contract(q, v, u)
+        assert np.abs(t_uv - t_vu).max() <= 1e-12 * np.abs(t_uv).max()
+
+    check()
+
+
+@pytest.mark.parametrize("z", [30.0, 40.0])
+def test_logistic_hvp_weight_keeps_its_digits_far_out(z):
+    # loss'' at z is e / (1 + e)^2 with e = exp(-z); s (1 - s) would carry a 1e-16 / e error
+    target = LogisticPosteriorTarget(np.array([[1.0]]), np.array([1.0]), 0.0)
+    weight = float(target.hessian_vec(np.array([z]), np.array([1.0]))[0])
+    e = math.exp(-z)
+    assert abs(weight - e / (1.0 + e) ** 2) <= 1e-12 * e / (1.0 + e) ** 2
+
+
+def test_dense_sample_exact_is_one_solve_equal_to_the_per_row_solve():
+    target = make_dense_gaussian(64, seed=17)
+    draws = target.sample_exact(3000, np.random.default_rng(17))
+    z = np.random.default_rng(17).standard_normal((3000, 64))
+    per_row = np.linalg.solve(target._chol.T[None], z[..., None])[..., 0]
+    assert draws.shape == (3000, 64) and draws.flags.c_contiguous
+    assert np.abs(draws - per_row).max() <= 1e-13 * np.abs(per_row).max()
 
 
 def test_logistic_hessian_memory_is_bounded_by_table_chunks():
